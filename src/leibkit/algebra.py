@@ -199,18 +199,6 @@ class LeibnizAlgebra:
     def is_nilpotent(self) -> bool:
         return self.lower_central_series()[-1].dim == 0
 
-    def nilpotency_class(self) -> int | None:
-        """Smallest c with A^{c+1} = 0, or None if not nilpotent."""
-        series = self.lower_central_series()
-        if series[-1].dim != 0:
-            return None
-        return len(series) - 1
-
-    def is_filiform(self) -> bool:
-        dims = self.lower_central_dims()
-        expected = (self.n,) + tuple(range(self.n - 2, -1, -1))
-        return dims == expected
-
     def leib_ideal(self) -> Subspace:
         """span{[a, a]}: squares of basis vectors plus polarizations."""
         vecs = []

@@ -7,6 +7,7 @@ conjunction of nonzero constraints plus optional any-nonzero clauses.
 """
 
 import functools
+import hashlib
 import itertools
 import json
 from dataclasses import dataclass
@@ -91,13 +92,18 @@ class CatalogueEntry:
 
 
 class Catalogue:
-    """Parsed catalogue with name lookup and canonical serialization."""
+    """Parsed catalogue with name lookup and canonical serialization.
 
-    def __init__(self, dimension, cases, entries):
+    `sha256` is the hex digest of the file text the catalogue was parsed
+    from, so a report names exactly the table it checked.
+    """
+
+    def __init__(self, dimension, cases, entries, sha256):
         self.dimension = dimension
         self.cases = dict(cases)
         self.entries = tuple(entries)
         self.by_name = {e.name: e for e in self.entries}
+        self.sha256 = sha256
 
     def __len__(self):
         return len(self.entries)
@@ -148,6 +154,9 @@ class Catalogue:
 
 
 def _parse_expr_checked(text, params, where):
+    if not isinstance(text, str):
+        raise CatalogueError("%s: expression %r is not a string"
+                             % (where, text))
     try:
         ast = exprs.parse_expr(text)
     except exprs.ExprSyntaxError as e:
@@ -159,7 +168,17 @@ def _parse_expr_checked(text, params, where):
     return ast
 
 
+def _expect(value, kind, what):
+    """Return `value`, or raise CatalogueError unless it is of JSON type
+    `kind` (dict for an object, list for an array)."""
+    if not isinstance(value, kind):
+        raise CatalogueError("%s must be a JSON %s"
+                             % (what, "object" if kind is dict else "array"))
+    return value
+
+
 def _parse_claims(rec, where):
+    _expect(rec, dict, "%s claims" % where)
     unknown = set(rec) - set(CLAIM_FIELDS)
     if unknown:
         raise CatalogueError("%s: unknown claim fields %s"
@@ -168,7 +187,7 @@ def _parse_claims(rec, where):
 
 
 def _parse_entry(rec, dimension, cases):
-    name = rec.get("name")
+    name = _expect(rec, dict, "catalogue entry").get("name")
     if not isinstance(name, str) or not name:
         raise CatalogueError("entry without a name")
     where = "entry %s" % name
@@ -189,7 +208,8 @@ def _parse_entry(rec, dimension, cases):
 
     products = []
     seen = set()
-    for prec in rec.get("products", ()):
+    for prec in _expect(rec.get("products", []), list, "%s products" % where):
+        _expect(prec, dict, "%s product" % where)
         i, j = prec.get("left"), prec.get("right")
         if not (isinstance(i, int) and isinstance(j, int)
                 and 1 <= i <= dimension and 1 <= j <= dimension):
@@ -200,8 +220,14 @@ def _parse_entry(rec, dimension, cases):
                                  % (where, i, j))
         seen.add((i, j))
         comps = []
-        for key, text in prec.get("components", {}).items():
-            k = int(key)
+        components = _expect(prec.get("components", {}), dict,
+                             "%s components" % where)
+        for key, text in components.items():
+            try:
+                k = int(key)
+            except ValueError:
+                raise CatalogueError("%s: bad component index %r"
+                                     % (where, key)) from None
             if not 1 <= k <= dimension:
                 raise CatalogueError("%s: component index %d out of range"
                                      % (where, k))
@@ -238,7 +264,10 @@ def _parse_entry(rec, dimension, cases):
 
 
 def parse_catalogue(path=None):
-    """Load and validate a catalogue document (default: the shipped table)."""
+    """Load and validate a catalogue document (default: the shipped table).
+
+    The file is read once; the digest of its text goes on the result.
+    """
     if path is None:
         text = (resources.files("leibkit") / "data" /
                 "catalogue.json").read_text()
@@ -250,22 +279,25 @@ def parse_catalogue(path=None):
     except json.JSONDecodeError as e:
         raise CatalogueError("invalid JSON: %s" % e)
 
-    dimension = doc.get("dimension")
+    dimension = _expect(doc, dict, "catalogue document").get("dimension")
     if dimension != 5:
         raise CatalogueError("unsupported dimension %r" % dimension)
     cases = {}
-    for cid, crec in doc.get("cases", {}).items():
-        cases[cid] = _parse_claims(crec.get("claims", {}), "case %s" % cid)
+    for cid, crec in _expect(doc.get("cases", {}), dict, "cases").items():
+        where = "case %s" % cid
+        cases[cid] = _parse_claims(
+            _expect(crec, dict, where).get("claims", {}), where)
 
     entries = []
     names = set()
-    for rec in doc.get("entries", ()):
+    for rec in _expect(doc.get("entries", []), list, "entries"):
         entry = _parse_entry(rec, dimension, cases)
         if entry.name in names:
             raise CatalogueError("duplicate entry name %r" % entry.name)
         names.add(entry.name)
         entries.append(entry)
-    return Catalogue(dimension, cases, entries)
+    return Catalogue(dimension, cases, entries,
+                     hashlib.sha256(text.encode()).hexdigest())
 
 
 # ----------------------------------------------------------- sampling
@@ -475,6 +507,5 @@ def verify_entry(entry, samples=3):
     non-split necessary condition Z(A) <= A^2, every claimed dimension,
     and the applicable dimension bounds.
     """
-    points = sample_params(entry, samples) if entry.is_parametric else [{}]
-    return EntryReport(entry.name, tuple(_check_point(entry, v)
-                                         for v in points))
+    return EntryReport(entry.name, tuple(_check_point(entry, v) for v in
+                                         sample_params(entry, samples)))

@@ -9,46 +9,32 @@ Commands
   report      emit the full verification report (text or json)
 
 Exit status is 0 exactly when no check failed; inconclusive search
-results do not fail a run.  Output carries no timestamps, so identical
-inputs produce byte-identical reports.  The LEIBKIT_THREADS variable
-bounds the worker pool used for entry verification.
+results do not fail a run.  Usage errors and malformed input files exit
+2 with one "error:" line.  Output carries no timestamps, so identical
+inputs produce byte-identical reports.
 """
 
 import argparse
-import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from importlib import resources
 
 from . import __version__, exprs
-from .catalogue import (CatalogueError, ConstraintViolated,
+from .catalogue import (CatalogueError, ConstraintViolated, EntryReport,
                         NoAdmissiblePoint, instantiate, parse_catalogue,
                         sample_params, verify_entry, verify_point)
 from .forms import BilinearForm2, congruence_canonical
 from .invariants import signature
 from .iso import (CERTIFIED, DEFAULT_CAP, DEFAULT_PRIMES, DISTINCT,
-                  EVIDENCE, INCONCLUSIVE, certify, load_fixtures,
-                  verify_fixture)
+                  EVIDENCE, INCONCLUSIVE, FixtureError, certify,
+                  load_fixtures, verify_fixture)
 from .linalg import Matrix
-from .scalars import GaussianRational
+from .scalars import PrimeField
 
 STATUS_LABEL = {
     CERTIFIED: "CERTIFIED",
     EVIDENCE: "FINITE-FIELD-EVIDENCE",
     INCONCLUSIVE: "INCONCLUSIVE",
     DISTINCT: "NON-ISOMORPHIC (signature certificate)",
-}
-
-KIND_LABEL = {
-    "zero": "zero",
-    "skew_i": "(i)",
-    "sym_rank1_ii": "(ii)",
-    "sym_rank2_iii": "(iii)",
-    "mixed_iv": "(iv)",
-    "mixed_v": "(v)",
 }
 
 
@@ -58,25 +44,14 @@ class UsageError(SystemExit):
         super().__init__(2)
 
 
-def _thread_count():
-    raw = os.environ.get("LEIBKIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError("LEIBKIT_THREADS must be an integer, got %r" % raw)
-    return max(n, 1)
+def _require_positive(flag, value):
+    if value < 1:
+        raise UsageError("%s must be at least 1, got %d" % (flag, value))
 
 
-def _load_catalogue(path):
-    """Parse the catalogue and return it with its content digest."""
-    if path is None:
-        text = (resources.files("leibkit") / "data" /
-                "catalogue.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return parse_catalogue(path), digest
+def _header(catalogue):
+    return ["leibkit %s" % __version__,
+            "catalogue sha256 %s" % catalogue.sha256]
 
 
 def _entry_spec(text):
@@ -105,11 +80,7 @@ def _select_entries(catalogue, specs):
     out = []
     for spec in specs:
         name, values = _entry_spec(spec)
-        try:
-            entry = catalogue.entry(name)
-        except KeyError:
-            raise UsageError("no catalogue entry named %r" % name)
-        out.append((entry, values or None))
+        out.append((catalogue.entry(name), values or None))
     return out
 
 
@@ -119,34 +90,6 @@ def _format_matrix(matrix):
 
 
 # ------------------------------------------------------------------ reports
-
-@dataclass(frozen=True)
-class RunReport:
-    """Everything one command run produced, plus how it should exit."""
-    tool: str
-    version: str
-    catalogue_sha256: str
-    body: dict
-    failed_checks: int
-
-    @property
-    def exit_status(self):
-        return 1 if self.failed_checks else 0
-
-
-def _entry_reports(selection, samples, threads):
-    def one(item):
-        entry, values = item
-        if values is not None:
-            from .catalogue import EntryReport
-            return EntryReport(entry.name, (verify_point(entry, values),))
-        return verify_entry(entry, samples)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, selection))
-    return [one(item) for item in selection]
-
 
 def _count_failures(reports):
     failed = 0
@@ -162,33 +105,20 @@ def _count_failures(reports):
     return points, checks, failed
 
 
-def _verification_body(catalogue, selection, samples, threads):
-    reports = _entry_reports(selection, samples, threads)
-    points, checks, failed = _count_failures(reports)
-    entries = []
-    for rep in reports:
-        point_docs = []
-        for point in rep.points:
-            point_docs.append({
-                "values": {p: exprs.format_scalar(v) for p, v in point.values},
-                "checks": [{"check": o.check, "passed": o.passed,
-                            **({"detail": o.detail} if o.detail else {})}
-                           for o in point.outcomes],
-            })
-        entries.append({"name": rep.entry, "passed": rep.passed,
-                        "points": point_docs})
-    body = {
-        "samples": samples,
-        "entries": entries,
-        "summary": {
-            "entries": len(reports),
-            "points": points,
-            "checks": checks,
-            "failed_checks": failed,
-            "failing_entries": [r.entry for r in reports if not r.passed],
-        },
-    }
-    return body, reports, failed
+def _failure_lines(rep):
+    """One line per failed check of an entry, with the point it failed at."""
+    return ["  at %s  %s" % (point.value_text(), outcome)
+            for point in rep.points for outcome in point.outcomes
+            if not outcome.passed]
+
+
+def _entry_document(rep):
+    return {"name": rep.entry, "passed": rep.passed, "points": [
+        {"values": {p: exprs.format_scalar(v) for p, v in point.values},
+         "checks": [{"check": o.check, "passed": o.passed,
+                     **({"detail": o.detail} if o.detail else {})}
+                    for o in point.outcomes]}
+        for point in rep.points]}
 
 
 def _signature_collisions(catalogue):
@@ -199,8 +129,7 @@ def _signature_collisions(catalogue):
     """
     groups = {}
     for entry in catalogue:
-        values = sample_params(entry, 1)[0] if entry.is_parametric else {}
-        sig = signature(instantiate(entry, values))
+        sig = signature(instantiate(entry, sample_params(entry, 1)[0]))
         groups.setdefault(sig, []).append(entry.name)
     out = []
     for sig, names in groups.items():
@@ -216,40 +145,33 @@ def _signature_collisions(catalogue):
 # ----------------------------------------------------------------- commands
 
 def cmd_verify(args):
-    catalogue, digest = _load_catalogue(args.catalogue)
-    selection = _select_entries(catalogue, args.entry)
-    body, reports, failed = _verification_body(
-        catalogue, selection, args.samples, _thread_count())
-    print("leibkit %s" % __version__)
-    print("catalogue sha256 %s" % digest)
+    _require_positive("--samples", args.samples)
+    catalogue = parse_catalogue(args.catalogue)
+    reports = [verify_entry(entry, args.samples) if values is None
+               else EntryReport(entry.name, (verify_point(entry, values),))
+               for entry, values in _select_entries(catalogue, args.entry)]
+    points, _checks, failed = _count_failures(reports)
+    print(*_header(catalogue), sep="\n")
     for rep in reports:
         status = "ok" if rep.passed else "FAIL"
         print("%-8s %d point%s  %s" % (rep.entry, len(rep.points),
                                        "s" if len(rep.points) != 1 else "",
                                        status))
-        if not rep.passed:
-            for point in rep.points:
-                for outcome in point.outcomes:
-                    if not outcome.passed:
-                        print("  at %s  %s" % (point.value_text(), outcome))
-    summary = body["summary"]
+        for line in _failure_lines(rep):
+            print(line)
     print("%d entries, %d points, %d failed checks"
-          % (summary["entries"], summary["points"], summary["failed_checks"]))
+          % (len(reports), points, failed))
     return 1 if failed else 0
 
 
 def cmd_invariants(args):
-    catalogue, digest = _load_catalogue(args.catalogue)
+    _require_positive("--samples", args.samples)
+    catalogue = parse_catalogue(args.catalogue)
     selection = _select_entries(catalogue, args.entry)
-    print("leibkit %s" % __version__)
-    print("catalogue sha256 %s" % digest)
+    print(*_header(catalogue), sep="\n")
     for entry, values in selection:
-        if values is not None:
-            points = [values]
-        elif entry.is_parametric:
-            points = sample_params(entry, args.samples)
-        else:
-            points = [{}]
+        points = ([values] if values is not None
+                  else sample_params(entry, args.samples))
         for point in points:
             sig = signature(instantiate(entry, point))
             where = ", ".join("%s=%s" % (p, exprs.format_scalar(v))
@@ -264,7 +186,7 @@ def cmd_invariants(args):
 
 
 def cmd_iso_verify(args):
-    catalogue, digest = _load_catalogue(args.catalogue)
+    catalogue = parse_catalogue(args.catalogue)
     fixtures = load_fixtures(args.fixtures)
     if args.label:
         wanted = set(args.label)
@@ -273,8 +195,7 @@ def cmd_iso_verify(args):
         if missing:
             raise UsageError("no fixture labeled %s"
                              % ", ".join(sorted(missing)))
-    print("leibkit %s" % __version__)
-    print("catalogue sha256 %s" % digest)
+    print(*_header(catalogue), sep="\n")
     failed = 0
     for fixture in fixtures:
         defect = verify_fixture(fixture, catalogue)
@@ -288,21 +209,19 @@ def cmd_iso_verify(args):
 
 
 def cmd_iso_search(args):
-    catalogue, digest = _load_catalogue(args.catalogue)
+    _require_positive("--cap", args.cap)
+    for prime in args.prime or ():
+        try:
+            PrimeField(prime)
+        except ValueError as ex:
+            raise UsageError("--prime: %s" % ex)
+    catalogue = parse_catalogue(args.catalogue)
     sides = []
-    for flag, spec in (("--a", args.a), ("--b", args.b)):
+    for spec in (args.a, args.b):
         name, values = _entry_spec(spec)
-        try:
-            entry = catalogue.entry(name)
-        except KeyError:
-            raise UsageError("%s: no catalogue entry named %r" % (flag, name))
-        try:
-            sides.append(instantiate(entry, values))
-        except ConstraintViolated as ex:
-            raise UsageError(str(ex))
+        sides.append(instantiate(catalogue.entry(name), values))
+    print(*_header(catalogue), sep="\n")
     primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
-    print("leibkit %s" % __version__)
-    print("catalogue sha256 %s" % digest)
     result = certify(sides[0], sides[1], primes=primes, cap=args.cap)
     print(STATUS_LABEL[result.status])
     print("candidates considered: %d" % result.candidates)
@@ -340,49 +259,41 @@ def cmd_canon(args):
         result = congruence_canonical(BilinearForm2(m))
     except (ValueError, ArithmeticError) as ex:
         raise UsageError(str(ex))
-    q = result.q
-    rep = result.kind.rep_matrix()
-    m_chk = m
-    if result.extension_d is not None:
-        field = q[0, 0].field
-        m_chk = Matrix([[field.embed(v) for v in row] for row in m.rows])
-        rep = Matrix([[field.embed(GaussianRational.coerce(v))
-                       for v in row] for row in rep.rows])
-    if q.transpose() @ m_chk @ q != rep:
-        print("error: Q^T M Q does not match the canonical matrix",
-              file=sys.stderr)
-        return 1
-    label = KIND_LABEL[result.kind.tag]
-    print("kind %s" % label)
+    print("kind %s" % result.kind.label)
     if result.kind.tag == "mixed_v":
         print("c = %s" % exprs.format_scalar(result.kind.c))
     if result.extension_d is not None:
         print("transform uses sqrt(%s)"
               % exprs.format_scalar(result.extension_d))
     print("Q =")
-    for line in _format_matrix(q):
+    for line in _format_matrix(result.q):
         print("  %s" % line)
+    # congruence_canonical raises unless Q^T M Q is the representative
     print("Q^T M Q equals the canonical matrix: verified")
     return 0
 
 
 def cmd_report(args):
-    catalogue, digest = _load_catalogue(args.catalogue)
-    selection = [(entry, None) for entry in catalogue]
-    body, reports, failed = _verification_body(
-        catalogue, selection, args.samples, _thread_count())
-    body["signature_collisions"] = _signature_collisions(catalogue)
-    report = RunReport("leibkit", __version__, digest, body, failed)
+    _require_positive("--samples", args.samples)
+    catalogue = parse_catalogue(args.catalogue)
+    reports = [verify_entry(entry, args.samples) for entry in catalogue]
+    points, checks, failed = _count_failures(reports)
+    failing = [rep.entry for rep in reports if not rep.passed]
+    collisions = _signature_collisions(catalogue)
+    status = 1 if failed else 0
     if args.format == "json":
-        doc = {"tool": report.tool, "version": report.version,
-               "catalogue_sha256": report.catalogue_sha256,
-               **report.body,
-               "exit_status": report.exit_status}
+        doc = {"tool": "leibkit", "version": __version__,
+               "catalogue_sha256": catalogue.sha256,
+               "samples": args.samples,
+               "entries": [_entry_document(rep) for rep in reports],
+               "summary": {"entries": len(reports), "points": points,
+                           "checks": checks, "failed_checks": failed,
+                           "failing_entries": failing},
+               "signature_collisions": collisions,
+               "exit_status": status}
         text = json.dumps(doc, indent=1) + "\n"
     else:
-        lines = []
-        lines.append("leibkit %s" % report.version)
-        lines.append("catalogue sha256 %s" % report.catalogue_sha256)
+        lines = _header(catalogue)
         lines.append("samples per parametric entry: %d" % args.samples)
         lines.append("")
         lines.append("%-8s %-7s %s" % ("entry", "points", "status"))
@@ -390,21 +301,12 @@ def cmd_report(args):
             lines.append("%-8s %-7d %s"
                          % (rep.entry, len(rep.points),
                             "ok" if rep.passed else "FAIL"))
-            if not rep.passed:
-                for point in rep.points:
-                    for outcome in point.outcomes:
-                        if not outcome.passed:
-                            lines.append("  at %s  %s"
-                                         % (point.value_text(), outcome))
-        summary = body["summary"]
+            lines.extend(_failure_lines(rep))
         lines.append("")
         lines.append("%d entries, %d points, %d checks, %d failed"
-                     % (summary["entries"], summary["points"],
-                        summary["checks"], summary["failed_checks"]))
-        if summary["failing_entries"]:
-            lines.append("failing entries: %s"
-                         % ", ".join(summary["failing_entries"]))
-        collisions = body["signature_collisions"]
+                     % (len(reports), points, checks, failed))
+        if failing:
+            lines.append("failing entries: %s" % ", ".join(failing))
         lines.append("")
         lines.append("shared invariant signatures (no isomorphism claim):")
         for group in collisions:
@@ -415,7 +317,7 @@ def cmd_report(args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return report.exit_status
+    return status
 
 
 # --------------------------------------------------------------- arg wiring
@@ -498,10 +400,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CatalogueError, NoAdmissiblePoint, ConstraintViolated) as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return 2
-    except OSError as ex:
+    except (CatalogueError, FixtureError, NoAdmissiblePoint,
+            ConstraintViolated, OSError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Coefficient-expression grammar: parsing, evaluation, serialization.
+"""Coefficient-expression grammar: parsing, evaluation, formatting.
 
 The catalogue stores every structure-constant coefficient as a string in a
 small arithmetic grammar over Q(i) with named parameters:
@@ -207,51 +207,6 @@ def evaluate(ast, env: dict[str, GaussianRational] | None = None):
 def parse_scalar(text: str):
     """Parse a parameter-free scalar literal (sqrt allowed)."""
     return evaluate(parse_expr(text, allow_params=False, allow_sqrt=True))
-
-
-def serialize(ast) -> str:
-    """Render an AST back into grammar text (canonical spacing, minimal parens)."""
-
-    def prec(node):
-        k = node[0]
-        if k in ("add", "sub"):
-            return 1
-        if k in ("mul", "div"):
-            return 2
-        if k == "neg":
-            return 3
-        return 4
-
-    def render(node, parent_prec):
-        k = node[0]
-        if k == "num":
-            f = node[1]
-            s = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-            if f.numerator < 0:
-                return f"({s})" if parent_prec > 1 else s
-            return s
-        if k == "i":
-            return "i"
-        if k == "param":
-            return node[1]
-        if k == "sqrt":
-            f = node[1]
-            s = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-            return f"sqrt({s})"
-        if k == "neg":
-            inner = render(node[1], 3)
-            s = f"-{inner}"
-            return f"({s})" if parent_prec > 2 else s
-        a, b = node[1], node[2]
-        if k in ("add", "sub"):
-            op = "+" if k == "add" else "-"
-            s = f"{render(a, 1)}{op}{render(b, 2)}"
-            return f"({s})" if parent_prec > 1 else s
-        op = "*" if k == "mul" else "/"
-        s = f"{render(a, 2)}{op}{render(b, 3)}"
-        return f"({s})" if parent_prec > 2 else s
-
-    return render(ast, 0)
 
 
 def _format_fraction(f: Fraction) -> str:

@@ -78,10 +78,11 @@ class CanonicalKind:
     tag: str
     c: object = None
 
-    TAGS = ("zero", "skew_i", "sym_rank1_ii", "sym_rank2_iii", "mixed_iv", "mixed_v")
+    LABELS = {"zero": "zero", "skew_i": "(i)", "sym_rank1_ii": "(ii)",
+              "sym_rank2_iii": "(iii)", "mixed_iv": "(iv)", "mixed_v": "(v)"}
 
     def __post_init__(self):
-        if self.tag not in self.TAGS:
+        if self.tag not in self.LABELS:
             raise ValueError(f"unknown kind tag {self.tag!r}")
         if self.tag == "mixed_v":
             if self.c is None or self.c == 1 or self.c == -1:
@@ -102,10 +103,13 @@ class CanonicalKind:
             return Matrix([[0, 1], [-1, 1]])
         return Matrix([[0, 1], [self.c, 0]])
 
+    @property
+    def label(self) -> str:
+        """The kind's name in the classification, (i) to (v), or zero."""
+        return self.LABELS[self.tag]
+
     def __str__(self):
-        names = {"zero": "zero", "skew_i": "(i)", "sym_rank1_ii": "(ii)",
-                 "sym_rank2_iii": "(iii)", "mixed_iv": "(iv)", "mixed_v": "(v)"}
-        label = names[self.tag]
+        label = self.label
         if self.tag == "mixed_v":
             label += f" c={self.c!r}"
         return label

@@ -37,6 +37,10 @@ class BadPrime(ArithmeticError):
     """The chosen prime collapses the problem (bad reduction)."""
 
 
+class FixtureError(ValueError):
+    """Malformed witness file."""
+
+
 # ---------------------------------------------------------------- exact side
 
 def _columns(matrix: Matrix):
@@ -530,17 +534,21 @@ def _shipped_catalogue():
 
 
 def _parse_fixture(rec, where):
+    if not isinstance(rec, dict):
+        raise FixtureError("%s: not a JSON object" % where)
     for key in ("label", "source", "target", "matrix"):
         if key not in rec:
-            raise ValueError("%s: missing %r" % (where, key))
+            raise FixtureError("%s: missing %r" % (where, key))
     for side in ("source", "target"):
         spec = rec[side]
-        if ("entry" in spec) == ("products" in spec):
-            raise ValueError("%s: %s must name an entry or carry products"
-                             % (where, side))
+        if (not isinstance(spec, dict)
+                or ("entry" in spec) == ("products" in spec)):
+            raise FixtureError("%s: %s must name an entry or carry products"
+                               % (where, side))
     rows = rec["matrix"]
-    if len(rows) != 5 or any(len(r) != 5 for r in rows):
-        raise ValueError("%s: matrix must be 5x5" % where)
+    if (not isinstance(rows, list) or len(rows) != 5
+            or any(not isinstance(r, list) or len(r) != 5 for r in rows)):
+        raise FixtureError("%s: matrix must be 5x5" % where)
     return WitnessFixture(
         label=rec["label"],
         source=rec["source"],
@@ -551,18 +559,25 @@ def _parse_fixture(rec, where):
 
 
 def load_fixtures(path=None):
-    """Load the stored witness list (default: the shipped file)."""
+    """Load the stored witness list (default: the shipped file).
+
+    Raises FixtureError when the file is not a witness document.
+    """
     if path is None:
         text = (resources.files("leibkit") / "data" /
                 "witnesses.json").read_text()
     else:
         with open(path) as fh:
             text = fh.read()
-    doc = json.loads(text)
-    out = []
-    for k, rec in enumerate(doc.get("witnesses", ())):
-        out.append(_parse_fixture(rec, "witness %d" % k))
-    return tuple(out)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise FixtureError("invalid JSON: %s" % e) from None
+    records = doc.get("witnesses", []) if isinstance(doc, dict) else None
+    if not isinstance(records, list):
+        raise FixtureError("expected an object with a \"witnesses\" array")
+    return tuple(_parse_fixture(rec, "witness %d" % k)
+                 for k, rec in enumerate(records))
 
 
 def verify_fixture(fixture, catalogue=None):

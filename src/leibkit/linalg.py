@@ -176,35 +176,6 @@ class Matrix:
             raise SingularMatrix("matrix is singular")
         return Matrix([row[n:] for row in red.rows])
 
-    def det(self):
-        """Determinant by fraction-free-ish elimination (exact scalars)."""
-        if self.nrows != self.ncols:
-            raise SingularMatrix("not square")
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
-        one = _find_one(self)
-        det = one
-        sign = 1
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if not rows[r][col].is_zero():
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return one - one
-            if pivot_row != col:
-                rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-                sign = -sign
-            p = rows[col][col]
-            det = det * p
-            inv = p.inv()
-            for r in range(col + 1, n):
-                if not rows[r][col].is_zero():
-                    f = rows[r][col] * inv
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-        return det if sign == 1 else -det
-
     def nullspace(self):
         """Basis of the right kernel as a tuple of vectors (tuples).
 
@@ -330,8 +301,3 @@ class Subspace:
                    for j in range(self.ambient)]
             vecs.append(vec)
         return Subspace(self.ambient, vecs)
-
-    @staticmethod
-    def full(n, one=None):
-        eye = Matrix.identity(n, one=one)
-        return Subspace(n, eye.rows)

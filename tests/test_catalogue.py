@@ -162,6 +162,13 @@ def test_parse_rejects_duplicates(tmp_path, catalogue):
 
 def test_parse_rejects_garbage(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(CatalogueError):
-        parse_catalogue(path)
+    one_entry = ('{"dimension": 5, "cases": {"c": {"claims": {}}}, '
+                 '"entries": [{"name": "X_1", "case": "c", %s}]}')
+    for text in ("{not json", "[]", '{"dimension": 5, "cases": []}',
+                 '{"dimension": 5, "entries": [1]}',
+                 one_entry % '"products": [{"left": 1, "right": 1, '
+                             '"components": {"x": "1"}}]',
+                 one_entry % '"constraints": [1]'):
+        path.write_text(text)
+        with pytest.raises(CatalogueError):
+            parse_catalogue(path)

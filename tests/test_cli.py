@@ -1,6 +1,8 @@
 """Command-line surface, driven in-process through main()."""
 
+import hashlib
 import json
+from importlib import resources
 
 import pytest
 
@@ -21,7 +23,9 @@ def test_verify_single_entry(capsys):
     code, out, err = run(capsys, "verify", "--entry", "A_1")
     assert code == 0
     assert "A_1" in out and "ok" in out
-    assert "catalogue sha256" in out
+    shipped = (resources.files("leibkit") / "data" / "catalogue.json")
+    digest = hashlib.sha256(shipped.read_text().encode()).hexdigest()
+    assert "catalogue sha256 %s" % digest in out
     assert err == ""
 
 
@@ -144,13 +148,31 @@ def test_report_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_threaded_run_matches_serial(capsys, monkeypatch):
-    args = ["verify", "--entry", "A_5", "--entry", "A_17", "--entry", "A_1"]
-    monkeypatch.delenv("LEIBKIT_THREADS", raising=False)
-    serial = run(capsys, *args)
-    monkeypatch.setenv("LEIBKIT_THREADS", "4")
-    threaded = run(capsys, *args)
-    assert serial == threaded
+SEARCH = ["iso", "search", "--a", "A_1", "--b", "A_3"]
+
+
+@pytest.mark.parametrize("argv, file_text", [
+    *[(SEARCH + ["--prime", p], None)
+      for p in ("4", "7", "2", "1", "0", "-13")],
+    (SEARCH + ["--prime", "13", "--prime", "15"], None),
+    (SEARCH + ["--cap", "-1"], None),
+    (SEARCH + ["--cap", "0"], None),
+    (["verify", "--entry", "A_1", "--samples", "0"], None),
+    (["invariants", "--entry", "A_1", "--samples", "-3"], None),
+    (["report", "--samples", "0"], None),
+    (["verify", "--catalogue", "FILE"], "[]"),
+    (["iso", "verify", "--fixtures", "FILE"], "[]"),
+    (["iso", "verify", "--fixtures", "FILE"], '{"witnesses": [{}]}'),
+])
+def test_misuse_exits_2(capsys, tmp_path, argv, file_text):
+    if file_text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(file_text)
+        argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_missing_catalogue_file(capsys):

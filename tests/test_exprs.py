@@ -1,4 +1,4 @@
-"""Scalar-expression grammar: parse, evaluate, serialize, format."""
+"""Scalar-expression grammar: parse, evaluate, format."""
 
 import random
 from fractions import Fraction
@@ -12,7 +12,6 @@ from leibkit.exprs import (
     free_params,
     parse_expr,
     parse_scalar,
-    serialize,
 )
 from leibkit.scalars import GaussianRational, QuadExtElem
 
@@ -70,16 +69,6 @@ def test_division_by_zero():
     ast = parse_expr("1/alpha")
     with pytest.raises(ZeroDivisionError):
         evaluate(ast, {"alpha": GaussianRational(0)})
-
-
-def test_serialize_roundtrip():
-    texts = ["alpha*(1-beta)", "-1/2", "3-2*i", "alpha*alpha-1", "1/(alpha+1)",
-             "-(alpha+beta)/2", "i*alpha"]
-    env = {"alpha": GaussianRational(3, 1), "beta": GaussianRational(Fraction(1, 2))}
-    for text in texts:
-        ast = parse_expr(text)
-        back = parse_expr(serialize(ast))
-        assert evaluate(back, env) == evaluate(ast, env), text
 
 
 def test_format_scalar_roundtrip():

@@ -12,6 +12,7 @@ from leibkit.iso import (
     DISTINCT,
     INCONCLUSIVE,
     BadPrime,
+    FixtureError,
     adapted_search,
     certify,
     compose_witnesses,
@@ -197,4 +198,8 @@ def test_fixture_parse_validation(tmp_path):
         breakage(rec)
         path.write_text(json.dumps({"witnesses": [rec]}))
         with pytest.raises(ValueError):
+            load_fixtures(path)
+    for text in ("{not json", "[]", '{"witnesses": [[]]}'):
+        path.write_text(text)
+        with pytest.raises(FixtureError):
             load_fixtures(path)
