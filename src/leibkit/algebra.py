@@ -48,10 +48,12 @@ class LeibnizAlgebra:
 
     Scalars may live in Q(i), a quadratic extension, or GF(p); the `one`
     attribute pins the field when the table alone cannot (e.g. the abelian
-    algebra).  Instances are treated as immutable.
+    algebra).  Instances are treated as immutable, so each derived subspace
+    (series, Leib, annihilators, center) is computed on first use and kept
+    on the instance.
     """
 
-    __slots__ = ("n", "table", "one", "zero")
+    __slots__ = ("n", "table", "one", "zero", "_derived")
 
     def __init__(self, n: int, table: dict, one=None):
         one = one if one is not None else GaussianRational(1)
@@ -66,6 +68,7 @@ class LeibnizAlgebra:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "one", one)
         object.__setattr__(self, "zero", one - one)
+        object.__setattr__(self, "_derived", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("LeibnizAlgebra is immutable")
@@ -155,40 +158,55 @@ class LeibnizAlgebra:
 
     # -- derived structure -------------------------------------------------
 
+    def _once(self, key, compute):
+        """The derived value `key`, computed by `compute` on first use."""
+        derived = self._derived
+        value = derived.get(key)
+        if value is None:
+            value = derived[key] = compute()
+        return value
+
     def _basis_vec(self, i):
         return tuple(self.one if k == i else self.zero for k in range(self.n))
 
     def full_space(self) -> Subspace:
-        return Subspace(self.n, [self._basis_vec(i) for i in range(self.n)])
+        return self._once("full", lambda: Subspace(
+            self.n, [self._basis_vec(i) for i in range(self.n)]))
 
     def subspace_product(self, u_space: Subspace, v_space: Subspace) -> Subspace:
         """Span of [u, v] over basis vectors of the two subspaces."""
         vecs = [self.bracket(u, v) for u in u_space.basis for v in v_space.basis]
         return Subspace(self.n, vecs)
 
-    def lower_central_series(self) -> list[Subspace]:
+    def lower_central_series(self) -> tuple[Subspace, ...]:
         """A^1 = A, A^{i+1} = [A, A^i]; stops at the first repeated term."""
-        series = [self.full_space()]
-        whole = series[0]
-        while True:
-            nxt = self.subspace_product(whole, series[-1])
-            if nxt == series[-1]:
-                break
-            series.append(nxt)
-            if nxt.dim == 0:
-                break
-        return series
+        return self._once("lower_central", self._lower_central_series)
 
-    def derived_series(self) -> list[Subspace]:
+    def _lower_central_series(self):
+        whole = self.full_space()
+        return self._series(lambda last: self.subspace_product(whole, last))
+
+    def derived_series(self) -> tuple[Subspace, ...]:
+        return self._once("derived", self._derived_series)
+
+    def _derived_series(self):
+        return self._series(lambda last: self.subspace_product(last, last))
+
+    def _series(self, step):
         series = [self.full_space()]
         while True:
-            nxt = self.subspace_product(series[-1], series[-1])
+            nxt = step(series[-1])
             if nxt == series[-1]:
                 break
             series.append(nxt)
             if nxt.dim == 0:
                 break
-        return series
+        return tuple(series)
+
+    def lower_central_term(self, k: int) -> Subspace:
+        """A^k (k >= 1); the series is constant past its last listed term."""
+        series = self.lower_central_series()
+        return series[min(k, len(series)) - 1]
 
     def lower_central_dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.lower_central_series())
@@ -201,6 +219,9 @@ class LeibnizAlgebra:
 
     def leib_ideal(self) -> Subspace:
         """span{[a, a]}: squares of basis vectors plus polarizations."""
+        return self._once("leib", self._leib_ideal)
+
+    def _leib_ideal(self):
         vecs = []
         for i in range(self.n):
             e_i = self._basis_vec(i)
@@ -235,13 +256,16 @@ class LeibnizAlgebra:
 
     def left_annihilator(self) -> Subspace:
         """{x : [x, a] = 0 for all a}; contains the squares ideal."""
-        return self._annihilator("left")
+        return self._once("left", lambda: self._annihilator("left"))
 
     def right_annihilator(self) -> Subspace:
         """{x : [a, x] = 0 for all a}."""
-        return self._annihilator("right")
+        return self._once("right", lambda: self._annihilator("right"))
 
     def center(self) -> Subspace:
+        return self._once("center", self._center)
+
+    def _center(self):
         return self.left_annihilator().intersect(self.right_annihilator())
 
     # -- transport ---------------------------------------------------------

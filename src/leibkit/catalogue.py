@@ -10,7 +10,7 @@ import functools
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
@@ -19,7 +19,7 @@ from . import exprs
 from .algebra import LeibnizAlgebra
 from .invariants import signature
 from .lemmas import check_center_bound, check_derived_bound
-from .scalars import GaussianRational
+from .scalars import FieldMismatch, GaussianRational
 
 
 class CatalogueError(ValueError):
@@ -183,6 +183,13 @@ def _parse_claims(rec, where):
     if unknown:
         raise CatalogueError("%s: unknown claim fields %s"
                              % (where, ", ".join(sorted(unknown))))
+    for name, value in rec.items():
+        # exact types: bool is an int subclass, but true is no dimension
+        kind = bool if name == "leib_equals_center" else int
+        if type(value) is not kind:
+            raise CatalogueError("%s: claim %s must be %s, got %s"
+                                 % (where, name, "a boolean" if kind is bool
+                                    else "an integer", json.dumps(value)))
     return Claims(**rec)
 
 
@@ -378,7 +385,10 @@ def instantiate(entry, values=None):
         if extra:
             bits.append("unexpected %s" % ", ".join(sorted(extra)))
         raise ConstraintViolated("%s: %s" % (entry.name, "; ".join(bits)))
-    env = {p: GaussianRational.coerce(v) for p, v in values.items()}
+    try:
+        env = {p: GaussianRational.coerce(v) for p, v in values.items()}
+    except FieldMismatch as ex:  # e.g. sqrt(2): parameters live in Q(i)
+        raise ConstraintViolated("%s: %s" % (entry.name, ex)) from None
     if not _admissible(entry, env):
         raise ConstraintViolated("%s: parameter values violate the "
                                  "admissibility constraints" % entry.name)
@@ -412,6 +422,9 @@ class CheckOutcome:
 class PointReport:
     values: tuple  # ((param, scalar), ...)
     outcomes: tuple
+    # the algebra's invariant signature, kept for the report's collision
+    # listing; never printed and not part of a report's identity
+    signature: object = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self):
@@ -453,9 +466,7 @@ def _check_point(entry, values):
         "" if algebra.is_nilpotent() else "lower central series stalls"))
 
     center = algebra.center()
-    square = algebra.subspace_product(algebra.full_space(),
-                                      algebra.full_space())
-    non_split_ok = square.contains_space(center)
+    non_split_ok = algebra.lower_central_term(2).contains_space(center)
     outcomes.append(CheckOutcome(
         "center_in_square", non_split_ok,
         "" if non_split_ok else "center exceeds the derived subalgebra"))
@@ -492,7 +503,7 @@ def _check_point(entry, values):
         outcomes.append(CheckOutcome(
             "bound_%s" % rep.name, ok, "" if ok else str(rep)))
 
-    return PointReport(tuple(sorted(values.items())), tuple(outcomes))
+    return PointReport(tuple(sorted(values.items())), tuple(outcomes), sig)
 
 
 def verify_point(entry, values=None):

@@ -121,16 +121,17 @@ def _entry_document(rep):
         for point in rep.points]}
 
 
-def _signature_collisions(catalogue):
+def _signature_collisions(reports):
     """Entries sharing a full signature at their first admissible point.
 
-    Shared signatures are reported as an observation only; they do not
-    assert isomorphism.
+    The signature is the one computed while verifying that point (the
+    first sample point does not depend on the sample count).  Shared
+    signatures are reported as an observation only; they do not assert
+    isomorphism.
     """
     groups = {}
-    for entry in catalogue:
-        sig = signature(instantiate(entry, sample_params(entry, 1)[0]))
-        groups.setdefault(sig, []).append(entry.name)
+    for rep in reports:
+        groups.setdefault(rep.points[0].signature, []).append(rep.entry)
     out = []
     for sig, names in groups.items():
         if len(names) < 2:
@@ -279,7 +280,7 @@ def cmd_report(args):
     reports = [verify_entry(entry, args.samples) for entry in catalogue]
     points, checks, failed = _count_failures(reports)
     failing = [rep.entry for rep in reports if not rep.passed]
-    collisions = _signature_collisions(catalogue)
+    collisions = _signature_collisions(reports)
     status = 1 if failed else 0
     if args.format == "json":
         doc = {"tool": "leibkit", "version": __version__,

@@ -348,7 +348,7 @@ class AdaptedBasis:
 def section_two_eligible(algebra: LeibnizAlgebra) -> bool:
     if not algebra.is_nilpotent():
         return False
-    sq = algebra.lower_central_series()[1]
+    sq = algebra.lower_central_term(2)
     return sq.dim == algebra.n - 2 and algebra.leib_ideal().dim == 1
 
 
@@ -363,8 +363,7 @@ def extract_v_form(algebra: LeibnizAlgebra) -> tuple[BilinearForm2, AdaptedBasis
     n = algebra.n
     if not algebra.is_nilpotent():
         raise HypothesisViolation("algebra is not nilpotent")
-    lcs = algebra.lower_central_series()
-    sq = lcs[1]
+    sq = algebra.lower_central_term(2)
     if sq.dim != n - 2:
         raise HypothesisViolation(f"dim A^2 = {sq.dim}, need {n - 2}")
     leib = algebra.leib_ideal()

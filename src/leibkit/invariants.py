@@ -37,15 +37,14 @@ class InvariantSignature:
 
 
 def signature(algebra: LeibnizAlgebra) -> InvariantSignature:
-    lcs = algebra.lower_central_series()
-    whole = lcs[0]
-    sq = lcs[1] if len(lcs) > 1 else algebra.subspace_product(whole, whole)
-    cube = lcs[2] if len(lcs) > 2 else algebra.subspace_product(whole, sq)
+    whole = algebra.full_space()
+    sq = algebra.lower_central_term(2)
+    cube = algebra.lower_central_term(3)
     leib = algebra.leib_ideal()
     center = algebra.center()
     return InvariantSignature(
         dim=algebra.n,
-        lower_central_dims=tuple(s.dim for s in lcs),
+        lower_central_dims=algebra.lower_central_dims(),
         derived_dims=algebra.derived_dims(),
         dim_leib=leib.dim,
         dim_center=center.dim,

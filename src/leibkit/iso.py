@@ -9,6 +9,7 @@ re-verification, so nothing modular is ever trusted on its own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -275,8 +276,8 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
 
     tab_s = _int_table(sp)
     tab_t = _int_table(tp)
-    sq_s = sp.lower_central_series()[1]
-    sq_t = tp.lower_central_series()[1]
+    sq_s = sp.lower_central_term(2)
+    sq_t = tp.lower_central_term(2)
     pivots = set()
     for row in sq_s.basis:
         vals = [s.value for s in row]
@@ -516,7 +517,7 @@ class WitnessFixture:
             for v in row:
                 if isinstance(v, QuadExtElem):
                     if field is not None and field.d != v.field.d:
-                        raise ValueError(
+                        raise FixtureError(
                             "%s: mixed radicals in one witness" % self.label)
                     field = v.field
         if field is not None:
@@ -533,22 +534,82 @@ def _shipped_catalogue():
     return _REALIZE_CACHE["catalogue"]
 
 
+@functools.lru_cache(maxsize=None)
+def _scalar_problem(text):
+    """Why `text` is not a scalar literal, or None when it is one (a
+    witness file repeats a few texts such as "0" many times)."""
+    try:
+        exprs.parse_scalar(text)
+    except (ValueError, ZeroDivisionError) as ex:
+        return str(ex)
+    return None
+
+
+def _check_scalar(text, where):
+    """Raise FixtureError unless `text` is a scalar literal."""
+    if not isinstance(text, str):
+        raise FixtureError("%s: %r is not a scalar string" % (where, text))
+    problem = _scalar_problem(text)
+    if problem is not None:
+        raise FixtureError("%s: bad scalar %r (%s)" % (where, text, problem))
+
+
+def _check_side(spec, where):
+    """Validate one side's entry parameters or inline product table, so
+    that realizing it cannot fail on the file's shape."""
+    if "entry" in spec:
+        params = spec.get("params", {})
+        if not isinstance(spec["entry"], str) or not isinstance(params, dict):
+            raise FixtureError("%s: entry must be a name and params an object"
+                               % where)
+        for text in params.values():
+            _check_scalar(text, "%s params" % where)
+        return
+    products = spec["products"]
+    if not isinstance(products, list):
+        raise FixtureError("%s: products must be an array" % where)
+    for prod in products:
+        if (not isinstance(prod, dict)
+                or not {"left", "right", "components"} <= set(prod)):
+            raise FixtureError("%s: a product needs the keys left, right "
+                               "and components" % where)
+        if any(type(prod[key]) is not int or not 1 <= prod[key] <= 5
+               for key in ("left", "right")):
+            raise FixtureError("%s: product indices must be integers 1..5"
+                               % where)
+        comps = prod["components"]
+        if not isinstance(comps, dict):
+            raise FixtureError("%s: components must be an object" % where)
+        for key, text in comps.items():
+            if key not in ("1", "2", "3", "4", "5"):
+                raise FixtureError("%s: bad component index %r"
+                                   % (where, key))
+            _check_scalar(text, "%s components" % where)
+
+
 def _parse_fixture(rec, where):
     if not isinstance(rec, dict):
         raise FixtureError("%s: not a JSON object" % where)
     for key in ("label", "source", "target", "matrix"):
         if key not in rec:
             raise FixtureError("%s: missing %r" % (where, key))
+    if not isinstance(rec["label"], str):
+        raise FixtureError("%s: label must be a string" % where)
+    where = "witness %s" % rec["label"]
     for side in ("source", "target"):
         spec = rec[side]
         if (not isinstance(spec, dict)
                 or ("entry" in spec) == ("products" in spec)):
             raise FixtureError("%s: %s must name an entry or carry products"
                                % (where, side))
+        _check_side(spec, "%s %s" % (where, side))
     rows = rec["matrix"]
     if (not isinstance(rows, list) or len(rows) != 5
             or any(not isinstance(r, list) or len(r) != 5 for r in rows)):
         raise FixtureError("%s: matrix must be 5x5" % where)
+    for row in rows:
+        for text in row:
+            _check_scalar(text, "%s matrix" % where)
     return WitnessFixture(
         label=rec["label"],
         source=rec["source"],

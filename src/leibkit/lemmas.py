@@ -71,7 +71,7 @@ def check_center_bound(algebra: LeibnizAlgebra) -> BoundsReport:
                             f"dim Leib = {algebra.leib_ideal().dim}, need 1")
     n = algebra.n
     k = n - algebra.center().dim
-    sq = algebra.lower_central_series()[1].dim
+    sq = algebra.lower_central_term(2).dim
     return BoundsReport(name, True, f"k={k}", bound=center_bound(k), observed=sq)
 
 
@@ -88,9 +88,8 @@ def check_derived_bound(algebra: LeibnizAlgebra) -> tuple[BoundsReport, BoundsRe
         return (BoundsReport(name_i, False, reason),
                 BoundsReport(name_ii, False, reason))
     n = algebra.n
-    lcs = algebra.lower_central_series()
-    sq = lcs[1]
-    cube = lcs[2] if len(lcs) > 2 else algebra.subspace_product(lcs[0], sq)
+    sq = algebra.lower_central_term(2)
+    cube = algebra.lower_central_term(3)
     k = n - sq.dim
     t = cube.dim
     rep_i = BoundsReport(name_i, True, f"k={k}, t={t}",

@@ -23,6 +23,10 @@ class SingularMatrix(ArithmeticError):
 
 
 def _coerce_scalar(x):
+    # the exact type test first: isinstance against Fraction goes through
+    # the numbers ABCs, and nearly every scalar here is already in Q(i)
+    if type(x) is GaussianRational:
+        return x
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
     return x

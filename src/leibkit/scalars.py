@@ -2,8 +2,9 @@
 
 Three element kinds cover every coefficient the kernel manipulates:
 
-* ``GaussianRational`` -- a + b*i with rational a, b.  This is the workhorse
-  field; every catalogue coefficient lives here.
+* ``GaussianRational`` -- (a + b*i)/d with integers a, b, d, kept in normal
+  form (d > 0, gcd(a, b, d) = 1) so arithmetic runs on plain ints.  This
+  is the workhorse field; every catalogue coefficient lives here.
 * ``QuadExtElem`` -- a + b*sqrt(d) with Gaussian-rational a, b and a fixed
   non-square d.  Exactly one square-root generator is supported; nested
   radicals are out of scope by design (witnesses needing them are checked
@@ -19,7 +20,7 @@ the element kinds.  All types are immutable and hashable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 class FieldMismatch(TypeError):
@@ -58,34 +59,55 @@ def rational_sqrt(f: Fraction) -> Fraction | None:
 
 
 class GaussianRational:
-    """An element a + b*i of Q(i), with exact rational components."""
+    """An element (a + b*i)/d of Q(i), held as a normalised integer triple.
 
-    __slots__ = ("re", "im")
+    The triple satisfies d > 0 and gcd(a, b, d) = 1, so every value has
+    exactly one representation and equality is a comparison of triples.
+    Like ``Fraction``, the integers live in private slots and the public
+    components ``re`` and ``im`` are read-only ``Fraction`` properties.
+    A value with b = 0 equals, and hashes like, the ``Fraction`` (or int)
+    a/d.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = _as_fraction(re), _as_fraction(im)
+        # over d = lcm of the two lowest-terms denominators, gcd(a, b, d) = 1
+        g = gcd(re.denominator, im.denominator)
+        self._a = re.numerator * (im.denominator // g)
+        self._b = im.numerator * (re.denominator // g)
+        self._d = re.denominator // g * im.denominator
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- construction helpers -------------------------------------------
 
     @staticmethod
     def coerce(x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        raise FieldMismatch(f"cannot coerce {x!r} into Q(i)")
+        o = GaussianRational._try_coerce(x)
+        if o is None:
+            raise FieldMismatch(f"cannot coerce {x!r} into Q(i)")
+        return o
 
     @staticmethod
     def _try_coerce(x):
         """Like coerce, but yields None for foreign types so that binary
         operators can return NotImplemented and defer to the other operand
         (e.g. to QuadExtElem, which knows how to embed Q(i))."""
-        if isinstance(x, GaussianRational):
+        if type(x) is GaussianRational:
             return x
+        if type(x) is int:
+            return _triple(x, 0, 1)
         if isinstance(x, (int, Fraction)):
             return GaussianRational(x)
         return None
@@ -93,18 +115,28 @@ class GaussianRational:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        o = GaussianRational._try_coerce(other)
+        o = other if type(other) is GaussianRational else \
+            GaussianRational._try_coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _normalised(self._a + o._a, self._b + o._b, d1)
+        return _normalised(self._a * d2 + o._a * d1,
+                           self._b * d2 + o._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = GaussianRational._try_coerce(other)
+        o = other if type(other) is GaussianRational else \
+            GaussianRational._try_coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _normalised(self._a - o._a, self._b - o._b, d1)
+        return _normalised(self._a * d2 - o._a * d1,
+                           self._b * d2 - o._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         o = GaussianRational._try_coerce(other)
@@ -113,24 +145,27 @@ class GaussianRational:
         return o - self
 
     def __mul__(self, other):
-        o = GaussianRational._try_coerce(other)
+        o = other if type(other) is GaussianRational else \
+            GaussianRational._try_coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        return _normalised(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                           self._d * o._d)
 
     __rmul__ = __mul__
 
     def inv(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        # d / (a + bi) = d (a - bi) / (a^2 + b^2)
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _normalised(d * a, -d * b, n)
 
     def __truediv__(self, other):
-        o = GaussianRational._try_coerce(other)
+        o = other if type(other) is GaussianRational else \
+            GaussianRational._try_coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inv()
@@ -142,7 +177,7 @@ class GaussianRational:
         return o * self.inv()
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -159,36 +194,59 @@ class GaussianRational:
         return out
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     # -- predicates and ordering ----------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def is_rational(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def lex_key(self):
         """Total order key (re, then im); used only for canonical choices."""
         return (self.re, self.im)
 
     def __eq__(self, other):
+        if type(other) is GaussianRational:
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
         if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self):
         from .exprs import format_scalar
 
         return format_scalar(self)
+
+
+_new_object = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """A GaussianRational from a triple already in normal form."""
+    x = _new_object(GaussianRational)
+    x._a, x._b, x._d = a, b, d
+    return x
+
+
+def _normalised(a: int, b: int, d: int) -> GaussianRational:
+    """A GaussianRational from any triple with d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    x = _new_object(GaussianRational)
+    x._a, x._b, x._d = a, b, d
+    return x
 
 
 ZERO = GaussianRational(0)
@@ -535,12 +593,10 @@ def reduce_mod_p(a: GaussianRational, field: PrimeField) -> PrimeFieldElem:
     """Ring-homomorphism image of a in GF(p), sending i to the residue r.
 
     Raises DenominatorDividesP when either component's denominator is
-    divisible by p (the homomorphism is undefined there).
+    divisible by p (the homomorphism is undefined there).  With a in
+    normal form (x + y*i)/d that happens exactly when p divides d.
     """
     p = field.p
-    for part in (a.re, a.im):
-        if part.denominator % p == 0:
-            raise DenominatorDividesP(f"denominator of {a!r} vanishes mod {p}")
-    re = a.re.numerator * pow(a.re.denominator, p - 2, p)
-    im = a.im.numerator * pow(a.im.denominator, p - 2, p)
-    return field.elem(re + im * field.i_residue)
+    if a._d % p == 0:
+        raise DenominatorDividesP(f"denominator of {a!r} vanishes mod {p}")
+    return field.elem((a._a + a._b * field.i_residue) * pow(a._d, p - 2, p))

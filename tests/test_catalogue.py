@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from importlib import resources
 
+from leibkit.algebra import LeibnizAlgebra
 from leibkit.catalogue import (
     CatalogueError,
     ConstraintViolated,
@@ -16,7 +17,7 @@ from leibkit.catalogue import (
     verify_entry,
     verify_point,
 )
-from leibkit.scalars import GaussianRational
+from leibkit.scalars import GaussianRational, QuadExtField
 
 
 def test_record_count_and_names(catalogue):
@@ -78,6 +79,8 @@ def test_instantiate_errors(catalogue):
         instantiate(entry, {})  # missing alpha
     with pytest.raises(ConstraintViolated):
         instantiate(entry, {"alpha": 1, "beta": 1})
+    with pytest.raises(ConstraintViolated):
+        instantiate(entry, {"alpha": QuadExtField(2).sqrt_d})
     plain = catalogue.entry("A_1")
     with pytest.raises(ConstraintViolated):
         instantiate(plain, {"alpha": 1})
@@ -172,3 +175,39 @@ def test_parse_rejects_garbage(tmp_path):
         path.write_text(text)
         with pytest.raises(CatalogueError):
             parse_catalogue(path)
+    with_claims = ('{"dimension": 5, "cases": {"c": {"claims": %s}}, '
+                   '"entries": []}')
+    for claims in ('{"dim_sq": "x"}', '{"dim_center": 1.5}',
+                   '{"dim_leib": true}', '{"dim_cube": null}',
+                   '{"leib_equals_center": 1}',
+                   '{"leib_equals_center": "true"}'):
+        path.write_text(with_claims % claims)
+        with pytest.raises(CatalogueError):
+            parse_catalogue(path)
+    path.write_text(with_claims
+                    % '{"dim_sq": 3, "leib_equals_center": false}')
+    assert parse_catalogue(path).cases["c"].leib_equals_center is False
+
+
+def test_structure_computed_once_per_algebra(catalogue, monkeypatch):
+    # count the computations behind the cached accessors
+    computed = {"_lower_central_series": [], "_center": []}
+
+    def counted(attr):
+        original = getattr(LeibnizAlgebra, attr)
+
+        def compute(self):
+            computed[attr].append(self)
+            return original(self)
+        return compute
+
+    for attr in computed:
+        monkeypatch.setattr(LeibnizAlgebra, attr, counted(attr))
+
+    report = verify_point(catalogue.entry("A_5"), {"alpha": 2})
+    assert report.passed
+    [algebra] = computed["_lower_central_series"]
+    assert computed["_center"] == [algebra]
+    assert isinstance(algebra.lower_central_series(), tuple)
+    assert isinstance(algebra.derived_series(), tuple)
+    assert len(computed["_lower_central_series"]) == 1

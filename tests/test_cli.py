@@ -149,6 +149,18 @@ def test_report_byte_identical(tmp_path, capsys):
 
 
 SEARCH = ["iso", "search", "--a", "A_1", "--b", "A_3"]
+IDENTITY = [["1" if r == c else "0" for c in range(5)] for r in range(5)]
+BAD_SCALAR_WITNESS = json.dumps({"witnesses": [{
+    "label": "w", "source": {"entry": "A_1"}, "target": {"entry": "A_1"},
+    "matrix": [["abc"] + IDENTITY[0][1:]] + IDENTITY[1:]}]})
+NO_COMPONENTS_WITNESS = json.dumps({"witnesses": [{
+    "label": "w", "source": {"entry": "A_1"},
+    "target": {"products": [{"left": 1, "right": 1}]},
+    "matrix": IDENTITY}]})
+BAD_CLAIM_CATALOGUE = json.dumps({
+    "dimension": 5, "cases": {"c": {"claims": {"dim_sq": "x"}}},
+    "entries": [{"name": "X_1", "case": "c", "products": [
+        {"left": 1, "right": 1, "components": {"5": "1"}}]}]})
 
 
 @pytest.mark.parametrize("argv, file_text", [
@@ -163,6 +175,10 @@ SEARCH = ["iso", "search", "--a", "A_1", "--b", "A_3"]
     (["verify", "--catalogue", "FILE"], "[]"),
     (["iso", "verify", "--fixtures", "FILE"], "[]"),
     (["iso", "verify", "--fixtures", "FILE"], '{"witnesses": [{}]}'),
+    (["iso", "verify", "--fixtures", "FILE"], BAD_SCALAR_WITNESS),
+    (["iso", "verify", "--fixtures", "FILE"], NO_COMPONENTS_WITNESS),
+    (["verify", "--catalogue", "FILE"], BAD_CLAIM_CATALOGUE),
+    (["verify", "--entry", "A_5:alpha=sqrt(2)"], None),
 ])
 def test_misuse_exits_2(capsys, tmp_path, argv, file_text):
     if file_text is not None:

@@ -81,3 +81,8 @@ def test_format_scalar_roundtrip():
         assert parse_scalar(format_scalar(g)) == g
     assert format_scalar(GaussianRational(0)) == "0"
     assert format_scalar(GaussianRational(0, 1)) == "i"
+    for (re, im), text in (((Fraction(1, 2), -1), "1/2-i"),
+                           ((0, Fraction(-3, 4)), "-3/4*i"),
+                           ((Fraction(5, 6), Fraction(1, 4)), "5/6+1/4*i"),
+                           ((Fraction(-4, 6), 0), "-2/3")):
+        assert format_scalar(GaussianRational(re, im)) == text

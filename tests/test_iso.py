@@ -203,3 +203,36 @@ def test_fixture_parse_validation(tmp_path):
         path.write_text(text)
         with pytest.raises(FixtureError):
             load_fixtures(path)
+
+    product = {"left": 1, "right": 1, "components": {"5": "1"}}
+    for breakage in (
+        lambda r: r["matrix"][2].__setitem__(3, "abc"),
+        lambda r: r["matrix"][0].__setitem__(0, 1),
+        lambda r: r["matrix"][4].__setitem__(4, "1/(1-1)"),
+        lambda r: r["matrix"][1].__setitem__(1, "alpha"),
+        lambda r: r["source"]["products"].append({"left": 1, "right": 1}),
+        lambda r: r["source"]["products"].append({"components": {}}),
+        lambda r: r["target"]["products"].append(
+            dict(product, left="1")),
+        lambda r: r["target"]["products"].append(
+            dict(product, right=6)),
+        lambda r: r["target"]["products"].append(
+            dict(product, components={"x": "1"})),
+        lambda r: r["target"]["products"].append(
+            dict(product, components={"6": "1"})),
+        lambda r: r["target"]["products"].append(
+            dict(product, components={"5": "2+"})),
+        lambda r: r["target"]["products"].append(
+            dict(product, components=["1"])),
+        lambda r: r.__setitem__("source", {"products": {}}),
+        lambda r: r.__setitem__("source", {"entry": "A_5",
+                                           "params": {"alpha": "2*"}}),
+        lambda r: r.__setitem__("source", {"entry": "A_5",
+                                           "params": ["alpha"]}),
+        lambda r: r.__setitem__("label", 7),
+    ):
+        rec = json.loads(json.dumps(good))
+        breakage(rec)
+        path.write_text(json.dumps({"witnesses": [rec]}))
+        with pytest.raises(FixtureError, match="^witness (x|0)[ :]"):
+            load_fixtures(path)

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from leibkit.exprs import format_scalar, parse_scalar
 from leibkit.scalars import (
     DenominatorDividesP,
     FieldMismatch,
@@ -186,3 +188,120 @@ def test_reduce_mod_p_is_homomorphism():
         a, b = rand_gaussian(rng), rand_gaussian(rng)
         assert reduce_mod_p(a + b, f) == reduce_mod_p(a, f) + reduce_mod_p(b, f)
         assert reduce_mod_p(a * b, f) == reduce_mod_p(a, f) * reduce_mod_p(b, f)
+
+
+# -- the integer triple against a Fraction-pair reference ----------------
+
+def _pair(x):
+    return (x.re, x.im)
+
+
+def _ref_mul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _ref_inv(u):
+    n = u[0] * u[0] + u[1] * u[1]
+    return (u[0] / n, -u[1] / n)
+
+
+def _ref_pow(u, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = _ref_mul(out, u)
+    return _ref_inv(out) if k < 0 else out
+
+
+def _triple(x):
+    return tuple(getattr(x, slot) for slot in GaussianRational.__slots__)
+
+
+def _assert_normal(x):
+    a, b, d = _triple(x)
+    assert d > 0 and gcd(a, b, d) == 1
+
+
+def _rand_fraction(rng, dens=(1, 2, 3, 4, 6, 9, 12, 13, 26)):
+    return Fraction(rng.randint(-30, 30), rng.choice(dens))
+
+
+def test_gaussian_normalisation():
+    x = GaussianRational(Fraction(2, 4), Fraction(3, 6))
+    y = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+    assert _triple(x) == _triple(y) == (1, 1, 2)
+    assert _triple(GaussianRational(Fraction(1, 6), Fraction(1, 4))) == (2, 3, 12)
+    assert _triple(GaussianRational(Fraction(-4, 6))) == (-2, 0, 3)
+    assert _triple(x - y) == _triple(GaussianRational(0)) == (0, 0, 1)
+    assert _triple(x + x) == _triple(GaussianRational(1, 1))
+    assert _triple(GaussianRational(0, 2).inv()) == (0, -1, 2)
+    with pytest.raises(TypeError):
+        GaussianRational(1.5)
+    with pytest.raises(AttributeError):
+        x.im = Fraction(1)
+
+
+def test_gaussian_matches_fraction_pairs():
+    rng = random.Random(404)
+    field = PrimeField(13)
+    r = field.i_residue
+    for _ in range(300):
+        u = (_rand_fraction(rng), _rand_fraction(rng))
+        v = (_rand_fraction(rng), _rand_fraction(rng))
+        x, y = GaussianRational(*u), GaussianRational(*v)
+        assert _pair(x) == u and _pair(y) == v
+        q = _rand_fraction(rng)
+        k = rng.randint(-3, 3)
+        results = {
+            "add": (x + y, (u[0] + v[0], u[1] + v[1])),
+            "sub": (x - y, (u[0] - v[0], u[1] - v[1])),
+            "mul": (x * y, _ref_mul(u, v)),
+            "neg": (-x, (-u[0], -u[1])),
+            "conj": (x.conj(), (u[0], -u[1])),
+            "add int": (x + 3, (u[0] + 3, u[1])),
+            "rsub int": (2 - x, (2 - u[0], -u[1])),
+            "mul frac": (q * x, (q * u[0], q * u[1])),
+            "sub frac": (x - q, (u[0] - q, u[1])),
+        }
+        if any(v):
+            results["div"] = (x / y, _ref_mul(u, _ref_inv(v)))
+            results["inv"] = (y.inv(), _ref_inv(v))
+        if q:
+            results["div frac"] = (x / q, (u[0] / q, u[1] / q))
+            results["rdiv frac"] = (q / GaussianRational(q, 1),
+                                    _ref_mul((q, Fraction(0)),
+                                             _ref_inv((q, Fraction(1)))))
+        if any(u) or k >= 0:
+            results["pow"] = (x ** k, _ref_pow(u, k))
+        for name, (got, want) in results.items():
+            assert _pair(got) == want, name
+            _assert_normal(got)
+
+        assert (x == y) == (u == v)
+        assert x == GaussianRational(*u) and hash(x) == hash(GaussianRational(*u))
+        assert x.is_zero() == (u == (0, 0))
+        assert x.is_rational() == (u[1] == 0)
+        assert x.lex_key() == u
+        assert (x.lex_key() < y.lex_key()) == (u < v)
+        assert parse_scalar(format_scalar(x)) == x
+
+        # a rational value is interchangeable with its Fraction (and int)
+        real = GaussianRational(u[0])
+        assert real == u[0] and u[0] == real
+        assert hash(real) == hash(u[0])
+        assert {u[0]: "f"}[real] == "f" and {real: "g"}[u[0]] == "g"
+        if u[0].denominator == 1:
+            n = int(u[0])
+            assert real == n and hash(real) == hash(n)
+            assert {n: "i"}[real] == "i"
+        assert (x == u[0]) == (u[1] == 0)
+        if u[1]:
+            assert hash(x) == hash(u)
+
+        if u[0].denominator % 13 == 0 or u[1].denominator % 13 == 0:
+            with pytest.raises(DenominatorDividesP):
+                reduce_mod_p(x, field)
+        else:
+            want = (u[0].numerator * pow(u[0].denominator, -1, 13)
+                    + u[1].numerator * pow(u[1].denominator, -1, 13) * r)
+            assert reduce_mod_p(x, field) == field.elem(want)
+
