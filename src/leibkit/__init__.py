@@ -6,8 +6,9 @@ re-verify every checkable claim about it: the left Leibniz identity, claimed
 dimensional invariants, dimension-bound inequalities, canonical forms of the
 associated 2x2 bilinear form, and explicit isomorphism witnesses.
 
-All arithmetic is exact: rationals, Gaussian rationals Q(i), one-generator
-quadratic extensions, and prime fields GF(p) for witness searching.
+All arithmetic is exact: rationals, Gaussian rationals Q(i) and
+one-generator quadratic extensions.  The witness search runs over GF(p)
+on plain ints, and every witness it finds is re-verified over Q(i).
 """
 
 __version__ = "0.1.0"

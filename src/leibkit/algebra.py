@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import AmbientMismatch, Matrix, Subspace, one_like
-from .scalars import GaussianRational, PrimeField, reduce_mod_p
+from .scalars import GaussianRational
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def _clean_table(table, zero_test=lambda s: s.is_zero()):
 class LeibnizAlgebra:
     """Left Leibniz algebra given by sparse structure constants.
 
-    Scalars may live in Q(i), a quadratic extension, or GF(p); the `one`
+    Scalars may live in Q(i) or a quadratic extension of it; the `one`
     attribute pins the field when the table alone cannot (e.g. the abelian
     algebra).  Instances are treated as immutable, so each derived subspace
     (series, Leib, annihilators, center) is computed on first use and kept
@@ -142,7 +142,8 @@ class LeibnizAlgebra:
                         return LeibnizViolation(i, j, k, vec)
         return None
 
-    def is_antisymmetric(self) -> bool:
+    def is_lie(self) -> bool:
+        # in characteristic 0, antisymmetry is equivalent to vanishing squares
         for (i, j), comps in self.table.items():
             other = self.table.get((j, i), {})
             if set(comps) != set(other):
@@ -151,10 +152,6 @@ class LeibnizAlgebra:
                 if not (s + other[k]).is_zero():
                     return False
         return True
-
-    def is_lie(self) -> bool:
-        # char 0 / odd char: antisymmetry is equivalent to vanishing squares
-        return self.is_antisymmetric()
 
     # -- derived structure -------------------------------------------------
 
@@ -297,8 +294,3 @@ class LeibnizAlgebra:
             row = {k: fn(s) for k, s in comps.items()}
             table[(i, j)] = row
         return LeibnizAlgebra(self.n, table, one=one)
-
-    def reduce_mod(self, field: PrimeField) -> "LeibnizAlgebra":
-        """Reduce all structure constants mod p (raises DenominatorDividesP
-        when a denominator vanishes mod p)."""
-        return self.map_scalars(lambda s: reduce_mod_p(s, field), field.one)

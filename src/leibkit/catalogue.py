@@ -70,9 +70,6 @@ class IsoCriteria:
     pairs: tuple      # of ((param, expr-text), ...) maps
     invariant: Optional[str] = None
 
-    def substitutions(self):
-        return [dict(p) for p in self.pairs]
-
 
 @dataclass(frozen=True)
 class CatalogueEntry:

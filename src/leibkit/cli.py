@@ -26,7 +26,7 @@ from .forms import BilinearForm2, congruence_canonical
 from .invariants import signature
 from .iso import (CERTIFIED, DEFAULT_CAP, DEFAULT_PRIMES, DISTINCT,
                   EVIDENCE, INCONCLUSIVE, FixtureError, certify,
-                  load_fixtures, verify_fixture)
+                  load_fixtures, verify_witness)
 from .linalg import Matrix
 from .scalars import PrimeField
 
@@ -168,21 +168,25 @@ def cmd_verify(args):
 def cmd_invariants(args):
     _require_positive("--samples", args.samples)
     catalogue = parse_catalogue(args.catalogue)
-    selection = _select_entries(catalogue, args.entry)
-    print(*_header(catalogue), sep="\n")
-    for entry, values in selection:
+    # instantiate every point first, so that a bad one exits 2 before
+    # anything reaches stdout
+    algebras = []
+    for entry, values in _select_entries(catalogue, args.entry):
         points = ([values] if values is not None
                   else sample_params(entry, args.samples))
-        for point in points:
-            sig = signature(instantiate(entry, point))
-            where = ", ".join("%s=%s" % (p, exprs.format_scalar(v))
-                              for p, v in sorted(point.items())) or "-"
-            pairs = []
-            for key, value in sig.as_dict().items():
-                if isinstance(value, tuple):
-                    value = "(%s)" % ",".join(str(x) for x in value)
-                pairs.append("%s=%s" % (key, value))
-            print("%s  %s  %s" % (entry.name, where, " ".join(pairs)))
+        algebras.extend((entry.name, point, instantiate(entry, point))
+                        for point in points)
+    print(*_header(catalogue), sep="\n")
+    for name, point, alg in algebras:
+        sig = signature(alg)
+        where = ", ".join("%s=%s" % (p, exprs.format_scalar(v))
+                          for p, v in sorted(point.items())) or "-"
+        pairs = []
+        for key, value in sig.as_dict().items():
+            if isinstance(value, tuple):
+                value = "(%s)" % ",".join(str(x) for x in value)
+            pairs.append("%s=%s" % (key, value))
+        print("%s  %s  %s" % (name, where, " ".join(pairs)))
     return 0
 
 
@@ -196,15 +200,18 @@ def cmd_iso_verify(args):
         if missing:
             raise UsageError("no fixture labeled %s"
                              % ", ".join(sorted(missing)))
+    # realize every fixture first, so that a bad one exits 2 before
+    # anything reaches stdout
+    realized = [(f.label, f.realize(catalogue)) for f in fixtures]
     print(*_header(catalogue), sep="\n")
     failed = 0
-    for fixture in fixtures:
-        defect = verify_fixture(fixture, catalogue)
+    for label, (src, tgt, matrix) in realized:
+        defect = verify_witness(src, tgt, matrix)
         if defect is None:
-            print("%-22s ok" % fixture.label)
+            print("%-22s ok" % label)
         else:
             failed += 1
-            print("%-22s FAIL  %s" % (fixture.label, defect))
+            print("%-22s FAIL  %s" % (label, defect))
     print("%d witnesses, %d failed" % (len(fixtures), failed))
     return 1 if failed else 0
 

@@ -23,7 +23,7 @@ from .catalogue import parse_catalogue as cat_parse
 from .invariants import signature
 from .linalg import Matrix
 from .scalars import (DenominatorDividesP, GaussianRational, PrimeField,
-                      QuadExtElem)
+                      QuadExtElem, reduce_mod_p)
 
 CERTIFIED = "certified"
 EVIDENCE = "evidence"
@@ -79,9 +79,19 @@ def compose_witnesses(first: Matrix, second: Matrix) -> Matrix:
 
 # ---------------------------------------------------------------- mod-p side
 
-def _int_table(reduced: LeibnizAlgebra) -> dict:
-    return {ij: tuple((k, s.value) for k, s in sorted(comps.items()))
-            for ij, comps in reduced.table.items()}
+def _int_table(alg: LeibnizAlgebra, field: PrimeField) -> dict:
+    """The structure constants mod p as (k, int) rows; raises
+    DenominatorDividesP when a denominator vanishes mod p."""
+    table = {}
+    for ij, comps in alg.table.items():
+        row = []
+        for k, s in sorted(comps.items()):
+            r = reduce_mod_p(s, field)
+            if r:
+                row.append((k, r))
+        if row:
+            table[ij] = tuple(row)
+    return table
 
 
 def _brk(table, u, v, n, p):
@@ -250,6 +260,45 @@ def _structural_dims(alg: LeibnizAlgebra) -> tuple:
     return (alg.lower_central_dims(), alg.leib_ideal().dim, alg.center().dim)
 
 
+def _mod_structure(tab, n, p):
+    """(lower central dims, dim Leib, dim Z) of an int table mod p, the
+    triple `_structural_dims` gives on the exact side, and echelon rows
+    of A^2 mod p."""
+    units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    dims = [n]
+    term = units
+    sq_rows = None
+    while True:
+        rows = []
+        for u in units:
+            for v in term:
+                _absorb(rows, _brk(tab, u, v, n, p), p)
+        if sq_rows is None:
+            sq_rows = rows
+        # the terms are nested, so an equal dimension means an equal term
+        if len(rows) == dims[-1]:
+            break
+        dims.append(len(rows))
+        if not rows:
+            break
+        term = [bv for _, bv in rows]
+    # the squares of e_i and of e_i + e_j span the squares and the
+    # polarised squares [e_i, e_j] + [e_j, e_i]
+    leib = []
+    for i in range(n):
+        for j in range(i, n):
+            u = [a + b for a, b in zip(units[i], units[j])]
+            _absorb(leib, _brk(tab, u, u, n, p), p)
+    # Z is the kernel of x -> ([x, e_j], [e_j, x])_j
+    images = []
+    for u in units:
+        img = []
+        for v in units:
+            img += _brk(tab, u, v, n, p) + _brk(tab, v, u, n, p)
+        _absorb(images, img, p)
+    return (tuple(dims), len(leib), n - len(images)), sq_rows
+
+
 def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
                    prime: int = 13, cap: int = DEFAULT_CAP,
                    max_found: int = 1) -> SearchResult:
@@ -266,22 +315,17 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         raise ValueError("algebras have different dimensions")
     field = PrimeField(prime)
     try:
-        sp = source.reduce_mod(field)
-        tp = target.reduce_mod(field)
+        tab_s = _int_table(source, field)
+        tab_t = _int_table(target, field)
     except DenominatorDividesP as ex:
         raise BadPrime(f"reduction undefined mod {prime}: {ex}") from None
-    for exact_alg, mod_alg in ((source, sp), (target, tp)):
-        if _structural_dims(exact_alg) != _structural_dims(mod_alg):
-            raise BadPrime(f"{prime} degenerates a structural dimension")
+    dims_s, sq_s = _mod_structure(tab_s, n, prime)
+    dims_t, sq_t = _mod_structure(tab_t, n, prime)
+    if (_structural_dims(source) != dims_s
+            or _structural_dims(target) != dims_t):
+        raise BadPrime(f"{prime} degenerates a structural dimension")
 
-    tab_s = _int_table(sp)
-    tab_t = _int_table(tp)
-    sq_s = sp.lower_central_term(2)
-    sq_t = tp.lower_central_term(2)
-    pivots = set()
-    for row in sq_s.basis:
-        vals = [s.value for s in row]
-        pivots.add(next(t for t in range(n) if vals[t]))
+    pivots = {piv for piv, _ in sq_s}
     gens = []
     for i in range(n):
         if i not in pivots:
@@ -294,10 +338,6 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     if len(members) != n:
         raise BadPrime(f"{prime} breaks generation by the complement")
     mem_inv = _inv_mat(members, prime)
-
-    cls_seed = []
-    for row in sq_t.basis:
-        _absorb(cls_seed, [s.value for s in row], prime)
 
     found = []
     state = {"count": 0}
@@ -352,7 +392,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
 
     status = "exhausted"
     try:
-        rec(0, [], cls_seed)
+        rec(0, [], sq_t)
     except _Capped:
         status = "capped"
     except _Done:
@@ -640,8 +680,3 @@ def load_fixtures(path=None):
     return tuple(_parse_fixture(rec, "witness %d" % k)
                  for k, rec in enumerate(records))
 
-
-def verify_fixture(fixture, catalogue=None):
-    """Realize one fixture and check it; None means it verifies."""
-    src, tgt, mat = fixture.realize(catalogue)
-    return verify_witness(src, tgt, mat)

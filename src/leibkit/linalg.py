@@ -35,10 +35,10 @@ def _coerce_scalar(x):
 class Matrix:
     """Immutable dense matrix; rows is a tuple of tuples of scalars.
 
-    Scalars may be GaussianRational, QuadExtElem or PrimeFieldElem; the
-    only requirement is field arithmetic plus is_zero()/inv() duck typing
-    through the usual operators.  int and Fraction entries are promoted to
-    GaussianRational on construction.
+    Scalars may be GaussianRational or QuadExtElem; the only requirement
+    is field arithmetic plus is_zero()/inv() duck typing through the usual
+    operators.  int and Fraction entries are promoted to GaussianRational
+    on construction.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -64,11 +64,6 @@ class Matrix:
         one = one if one is not None else GaussianRational(1)
         zero = one - one
         return Matrix([[one if r == c else zero for c in range(n)] for r in range(n)])
-
-    @staticmethod
-    def zero(nrows, ncols, zero=None):
-        z = zero if zero is not None else GaussianRational(0)
-        return Matrix([[z] * ncols for _ in range(nrows)])
 
     def __getitem__(self, rc):
         r, c = rc

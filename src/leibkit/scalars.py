@@ -1,20 +1,24 @@
-"""Exact scalar arithmetic: Q(i), quadratic extensions of it, and GF(p).
+"""Exact scalar arithmetic: Q(i), quadratic extensions of it, and the
+prime fields of the witness search.
 
-Three element kinds cover every coefficient the kernel manipulates:
+Two element kinds cover every coefficient the kernel manipulates:
 
 * ``GaussianRational`` -- (a + b*i)/d with integers a, b, d, kept in normal
   form (d > 0, gcd(a, b, d) = 1) so arithmetic runs on plain ints.  This
   is the workhorse field; every catalogue coefficient lives here.
 * ``QuadExtElem`` -- a + b*sqrt(d) with Gaussian-rational a, b and a fixed
   non-square d.  Exactly one square-root generator is supported; nested
-  radicals are out of scope by design (witnesses needing them are checked
-  over prime fields instead).
-* ``PrimeFieldElem`` -- GF(p) with p = 1 (mod 4), used for witness search.
-  A designated residue r with r*r = -1 (mod p) plays the role of i; we fix
-  r as the smaller of the two roots so reductions are deterministic.
+  radicals are out of scope by design.
 
-Plain rationals are ``fractions.Fraction`` values; they coerce into any of
-the element kinds.  All types are immutable and hashable.
+Plain rationals are ``fractions.Fraction`` values; they coerce into either
+element kind.  Both types are immutable and hashable.
+
+``PrimeField`` is a descriptor, not an element type: it checks that p is a
+prime with p = 1 (mod 4) and fixes the residue r with r*r = -1 (mod p)
+that plays the role of i, taking the smaller of the two roots so that
+reductions are deterministic.  ``reduce_mod_p`` maps Q(i) into GF(p) as
+plain ints in [0, p); the witness search in ``iso`` does its arithmetic on
+those ints.
 """
 
 from __future__ import annotations
@@ -37,14 +41,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational")
-
-
-def is_rational_square(f: Fraction) -> bool:
-    """True iff f is the square of a rational."""
-    if f < 0:
-        return False
-    n, d = f.numerator, f.denominator
-    return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
 
 def rational_sqrt(f: Fraction) -> Fraction | None:
@@ -471,7 +467,8 @@ def _is_probable_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """GF(p) with p = 1 (mod 4); r is the smaller square root of -1."""
+    """A prime p = 1 (mod 4) and `i_residue`, the smaller square root of -1
+    mod p; the search's GF(p) arithmetic itself runs on plain ints."""
 
     __slots__ = ("p", "i_residue")
 
@@ -492,105 +489,10 @@ class PrimeField:
     def __setattr__(self, name, value):
         raise AttributeError("PrimeField is immutable")
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
 
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-    def elem(self, v: int) -> "PrimeFieldElem":
-        return PrimeFieldElem(v % self.p, self)
-
-    @property
-    def zero(self):
-        return self.elem(0)
-
-    @property
-    def one(self):
-        return self.elem(1)
-
-
-class PrimeFieldElem:
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        object.__setattr__(self, "value", value % field.p)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeFieldElem is immutable")
-
-    def _coerce(self, other) -> "PrimeFieldElem":
-        if isinstance(other, PrimeFieldElem):
-            if other.field != self.field:
-                raise FieldMismatch("mixing distinct prime fields")
-            return other
-        if isinstance(other, int):
-            return self.field.elem(other)
-        raise FieldMismatch(f"cannot coerce {other!r} into GF({self.field.p})")
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return PrimeFieldElem(self.value + o.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return PrimeFieldElem(self.value - o.value, self.field)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return PrimeFieldElem(self.value * o.value, self.field)
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "PrimeFieldElem":
-        if self.value == 0:
-            raise ZeroDivisionError(f"inverse of zero in GF({self.field.p})")
-        return PrimeFieldElem(pow(self.value, self.field.p - 2, self.field.p), self.field)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inv()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inv()
-
-    def __neg__(self):
-        return PrimeFieldElem(-self.value, self.field)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inv() ** (-k)
-        return PrimeFieldElem(pow(self.value, k, self.field.p), self.field)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.elem(other)
-        if not isinstance(other, PrimeFieldElem):
-            return NotImplemented
-        return self.field == other.field and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value, self.field))
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
-def reduce_mod_p(a: GaussianRational, field: PrimeField) -> PrimeFieldElem:
-    """Ring-homomorphism image of a in GF(p), sending i to the residue r.
+def reduce_mod_p(a: GaussianRational, field: PrimeField) -> int:
+    """Ring-homomorphism image of a in GF(p), sending i to the residue r,
+    as an int in [0, p).
 
     Raises DenominatorDividesP when either component's denominator is
     divisible by p (the homomorphism is undefined there).  With a in
@@ -599,4 +501,4 @@ def reduce_mod_p(a: GaussianRational, field: PrimeField) -> PrimeFieldElem:
     p = field.p
     if a._d % p == 0:
         raise DenominatorDividesP(f"denominator of {a!r} vanishes mod {p}")
-    return field.elem((a._a + a._b * field.i_residue) * pow(a._d, p - 2, p))
+    return (a._a + a._b * field.i_residue) * pow(a._d, p - 2, p) % p

@@ -131,8 +131,8 @@ def test_claims_round_trip(catalogue):
 def test_iso_criteria_present(catalogue):
     iso = catalogue.entry("A_5").iso
     assert iso is not None
-    assert len(iso.substitutions()) == 3
-    assert {"alpha"} == set(iso.substitutions()[0])
+    assert len(iso.pairs) == 3
+    assert {"alpha"} == set(dict(iso.pairs[0]))
     assert catalogue.entry("A_1").iso is None
 
 

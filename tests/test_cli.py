@@ -157,6 +157,13 @@ NO_COMPONENTS_WITNESS = json.dumps({"witnesses": [{
     "label": "w", "source": {"entry": "A_1"},
     "target": {"products": [{"left": 1, "right": 1}]},
     "matrix": IDENTITY}]})
+UNKNOWN_ENTRY_WITNESS = json.dumps({"witnesses": [{
+    "label": "w", "source": {"entry": "A_999"}, "target": {"entry": "A_1"},
+    "matrix": IDENTITY}]})
+IRRATIONAL_PARAM_WITNESS = json.dumps({"witnesses": [{
+    "label": "w", "source": {"entry": "A_5", "params": {"alpha": "sqrt(2)"}},
+    "target": {"entry": "A_5", "params": {"alpha": "2"}},
+    "matrix": IDENTITY}]})
 BAD_CLAIM_CATALOGUE = json.dumps({
     "dimension": 5, "cases": {"c": {"claims": {"dim_sq": "x"}}},
     "entries": [{"name": "X_1", "case": "c", "products": [
@@ -179,6 +186,9 @@ BAD_CLAIM_CATALOGUE = json.dumps({
     (["iso", "verify", "--fixtures", "FILE"], NO_COMPONENTS_WITNESS),
     (["verify", "--catalogue", "FILE"], BAD_CLAIM_CATALOGUE),
     (["verify", "--entry", "A_5:alpha=sqrt(2)"], None),
+    (["iso", "verify", "--fixtures", "FILE"], UNKNOWN_ENTRY_WITNESS),
+    (["iso", "verify", "--fixtures", "FILE"], IRRATIONAL_PARAM_WITNESS),
+    (["invariants", "--entry", "A_5:beta=1"], None),
 ])
 def test_misuse_exits_2(capsys, tmp_path, argv, file_text):
     if file_text is not None:

@@ -2,27 +2,30 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from leibkit.algebra import LeibnizAlgebra
-from leibkit.catalogue import instantiate
+from leibkit.catalogue import instantiate, sample_params
 from leibkit.iso import (
     CERTIFIED,
     DISTINCT,
     INCONCLUSIVE,
     BadPrime,
     FixtureError,
+    _int_table,
+    _mod_structure,
+    _structural_dims,
     adapted_search,
     certify,
     compose_witnesses,
     lift_witness,
     load_fixtures,
-    verify_fixture,
     verify_witness,
 )
 from leibkit.linalg import Matrix, SingularMatrix
-from leibkit.scalars import GaussianRational, QuadExtField
+from leibkit.scalars import GaussianRational, PrimeField, QuadExtField
 
 
 def small_invertible(rng, n=5):
@@ -48,7 +51,7 @@ def test_witness_failure_modes(catalogue):
     alg = instantiate(catalogue.entry("A_1"))
     other = instantiate(catalogue.entry("A_16"))
     assert verify_witness(alg, other, Matrix.identity(5)) is not None
-    singular = Matrix.zero(5, 5)
+    singular = Matrix([[0] * 5] * 5)
     assert verify_witness(alg, alg, singular) == "matrix is singular"
     assert verify_witness(alg, alg, Matrix.identity(4)) is not None
     small = LeibnizAlgebra(4, {})
@@ -122,6 +125,40 @@ def test_bad_prime(catalogue):
     assert "13" in cert.detail
 
 
+def test_bad_prime_degenerate_dimension(catalogue):
+    # 13 kills the only product, so A^2, Leib and Z change dimension mod 13
+    alg = LeibnizAlgebra(5, {(0, 0): {4: GaussianRational(13)}})
+    with pytest.raises(BadPrime, match="13 degenerates a structural dimension"):
+        adapted_search(alg, alg, prime=13, cap=100)
+    cert = certify(alg, alg, primes=(13, 29))
+    assert cert.status == CERTIFIED
+    assert cert.prime == 29
+    assert verify_witness(alg, alg, cert.matrix) is None
+
+
+def test_int_table_and_mod_structure(catalogue):
+    field = PrimeField(13)
+    alg = instantiate(catalogue.entry("A_1"))
+    tab = _int_table(alg, field)
+    assert tab[(1, 0)] == ((2, 12),)
+    dims, sq_rows = _mod_structure(tab, 5, 13)
+    assert dims[0] == (5, 3, 2, 1, 0)
+    assert dims == _structural_dims(alg)
+    assert len(sq_rows) == 3
+    quarter = LeibnizAlgebra(2, {(0, 0): {1: GaussianRational(Fraction(1, 4))}})
+    assert _int_table(quarter, field) == {(0, 0): ((1, 10),)}
+    assert _int_table(LeibnizAlgebra(5, {(0, 0): {4: GaussianRational(13)}}),
+                      field) == {}
+
+
+def test_mod_structure_matches_exact_dims(catalogue):
+    field = PrimeField(29)
+    for entry in catalogue:
+        alg = instantiate(entry, sample_params(entry, 1)[0])
+        dims, _ = _mod_structure(_int_table(alg, field), 5, 29)
+        assert dims == _structural_dims(alg), entry.name
+
+
 def test_lift_witness_values():
     field_p = 13
     rows = ((12, 0), (0, 7))  # -1 and 1/2 mod 13
@@ -167,7 +204,8 @@ def test_fixture_file_loads(witness_fixtures):
 
 def test_fixtures_all_verify(witness_fixtures, catalogue):
     for fixture in witness_fixtures:
-        assert verify_fixture(fixture, catalogue) is None, fixture.label
+        assert verify_witness(*fixture.realize(catalogue)) is None, \
+            fixture.label
 
 
 def test_fixture_realize_shapes(witness_fixtures, catalogue):

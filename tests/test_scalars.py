@@ -14,7 +14,6 @@ from leibkit.scalars import (
     PrimeField,
     QuadExtField,
     gaussian_sqrt,
-    is_rational_square,
     quadext_sqrt,
     rational_sqrt,
     reduce_mod_p,
@@ -79,11 +78,9 @@ def test_gaussian_field_axioms_random():
 
 
 def test_rational_square_helpers():
-    assert is_rational_square(Fraction(9, 4))
-    assert not is_rational_square(Fraction(2))
-    assert not is_rational_square(Fraction(-1))
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert rational_sqrt(Fraction(2)) is None
+    assert rational_sqrt(Fraction(-1)) is None
     assert rational_sqrt(Fraction(0)) == 0
 
 
@@ -160,21 +157,10 @@ def test_prime_field_construction():
         PrimeField(15)
 
 
-def test_prime_field_elements():
-    f = PrimeField(13)
-    a = f.elem(5)
-    assert a.inv() == f.elem(8)
-    assert a + 10 == f.elem(2)
-    assert (a / f.elem(2)) * 2 == a
-    assert a ** -1 == f.elem(8)
-    with pytest.raises(ZeroDivisionError):
-        f.zero.inv()
-
-
 def test_reduce_mod_p_values():
     f = PrimeField(13)
     x = GaussianRational(Fraction(1, 2), 1)
-    assert reduce_mod_p(x, f) == f.elem(7 + 5)
+    assert reduce_mod_p(x, f) == 7 + 5
     with pytest.raises(DenominatorDividesP):
         reduce_mod_p(GaussianRational(Fraction(1, 13)), f)
     with pytest.raises(DenominatorDividesP):
@@ -186,8 +172,10 @@ def test_reduce_mod_p_is_homomorphism():
     rng = random.Random(303)
     for _ in range(30):
         a, b = rand_gaussian(rng), rand_gaussian(rng)
-        assert reduce_mod_p(a + b, f) == reduce_mod_p(a, f) + reduce_mod_p(b, f)
-        assert reduce_mod_p(a * b, f) == reduce_mod_p(a, f) * reduce_mod_p(b, f)
+        ra, rb = reduce_mod_p(a, f), reduce_mod_p(b, f)
+        assert 0 <= ra < 29 and 0 <= rb < 29
+        assert reduce_mod_p(a + b, f) == (ra + rb) % 29
+        assert reduce_mod_p(a * b, f) == ra * rb % 29
 
 
 # -- the integer triple against a Fraction-pair reference ----------------
@@ -303,5 +291,5 @@ def test_gaussian_matches_fraction_pairs():
         else:
             want = (u[0].numerator * pow(u[0].denominator, -1, 13)
                     + u[1].numerator * pow(u[1].denominator, -1, 13) * r)
-            assert reduce_mod_p(x, field) == field.elem(want)
+            assert reduce_mod_p(x, field) == want % 13
 
