@@ -1,8 +1,9 @@
 """Find and certify an isomorphism between two members of a parametric family.
 
-The search runs over a prime field with i adjoined as a residue, candidates
-are filtered by an adapted-basis shape, and any hit is lifted back to exact
-Gaussian rationals and re-verified symbolically.
+The search runs over a prime field with i adjoined as a residue.  It
+enumerates the generators' classes modulo A^2 and solves each deeper layer
+of the lower central series as an affine system, and any hit is lifted back
+to exact Gaussian rationals and re-verified symbolically.
 """
 
 from leibkit.catalogue import instantiate, parse_catalogue

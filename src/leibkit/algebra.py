@@ -34,10 +34,10 @@ class LeibnizViolation:
                 f"[e{self.j+1},[e{self.i+1},e{self.k+1}]]; defect {self.defect}")
 
 
-def _clean_table(table, zero_test=lambda s: s.is_zero()):
+def _clean_table(table):
     out = {}
     for (i, j), comps in table.items():
-        row = {k: s for k, s in comps.items() if not zero_test(s)}
+        row = {k: s for k, s in comps.items() if not s.is_zero()}
         if row:
             out[(i, j)] = row
     return out

@@ -216,6 +216,10 @@ def cmd_iso_verify(args):
     return 1 if failed else 0
 
 
+_COUNTERS = ("tried", "dependent", "relations", "inconsistent", "rank",
+             "found", "passed")
+
+
 def cmd_iso_search(args):
     _require_positive("--cap", args.cap)
     for prime in args.prime or ():
@@ -231,6 +235,17 @@ def cmd_iso_search(args):
     print(*_header(catalogue), sep="\n")
     primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
     result = certify(sides[0], sides[1], primes=primes, cap=args.cap)
+    # per-level search counters go to stderr, so stdout keeps its format
+    for search in result.searches:
+        print("search mod %d: %s after %d candidates"
+              % (search.prime, search.status, search.candidates),
+              file=sys.stderr)
+        print("  %-8s" % "level" + "".join("%13s" % f for f in _COUNTERS),
+              file=sys.stderr)
+        for level in search.levels:
+            print("  %-8s" % level.level + "".join(
+                "%13d" % getattr(level, f) for f in _COUNTERS),
+                file=sys.stderr)
     print(STATUS_LABEL[result.status])
     print("candidates considered: %d" % result.candidates)
     if result.detail:

@@ -5,6 +5,11 @@ column j holds the image of the j-th basis vector of A written in the
 basis of B.  Witnesses are verified exactly; the search for new ones
 runs over GF(p) and lifts candidates back to Q(i) for exact
 re-verification, so nothing modular is ever trusted on its own.
+
+The search follows the lower central series, as the lifting step of
+p-group generation does (O'Brien 1990; Eick, Leedham-Green and O'Brien
+2002): it enumerates only the generators' classes modulo A^2 and solves
+each deeper layer of their images as an affine system mod p.
 """
 
 from __future__ import annotations
@@ -104,17 +109,6 @@ def _brk(table, u, v, n, p):
     return w
 
 
-def _indep(rows, v, p):
-    """True when v is independent of the echelon rows (not mutated)."""
-    v = list(v)
-    for piv, bv in rows:
-        c = v[piv]
-        if c:
-            for t in range(len(v)):
-                v[t] = (v[t] - c * bv[t]) % p
-    return any(v)
-
-
 def _absorb(rows, v, p):
     """Add v to the echelon rows; False when it was already dependent."""
     v = list(v)
@@ -131,84 +125,76 @@ def _absorb(rows, v, p):
     return True
 
 
+def _prepare(rows, u, p):
+    """Gauss-Jordan once for J x = b mod p, for many right-hand sides b.
+
+    `rows` are the equations of J over u unknowns.  Returns (tests,
+    solve, null) with sparse functionals of b: b is consistent when every
+    test vanishes on it, x[col] = f(b) for (col, f) in solve is then a
+    solution, and the null vectors span the kernel of J.
+    """
+    q = len(rows)
+    aug = [list(row) + [int(e == r) for e in range(q)]
+           for r, row in enumerate(rows)]
+    pivots = []
+    for col in range(u):
+        top = len(pivots)
+        piv = next((r for r in range(top, q) if aug[r][col]), None)
+        if piv is None:
+            continue
+        aug[top], aug[piv] = aug[piv], aug[top]
+        inv = pow(aug[top][col], p - 2, p)
+        aug[top] = [v * inv % p for v in aug[top]]
+        for r in range(q):
+            f = aug[r][col]
+            if f and r != top:
+                aug[r] = [(v - f * w) % p for v, w in zip(aug[r], aug[top])]
+        pivots.append(col)
+
+    def functional(row):
+        return tuple((e, v) for e, v in enumerate(row[u:]) if v)
+
+    tests = [functional(row) for row in aug[len(pivots):]]
+    solve = [(col, functional(row)) for col, row in zip(pivots, aug)]
+    null = []
+    for free in range(u):
+        if free not in pivots:
+            vec = [0] * u
+            vec[free] = 1
+            for col, row in zip(pivots, aug):
+                vec[col] = -row[free] % p
+            null.append(vec)
+    return tests, solve, null
+
+
 def _inv_mat(rows, p):
     """Inverse of a square int matrix mod p (rows known independent)."""
-    n = len(rows)
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c] % p)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = pow(aug[c][c], p - 2, p)
-        aug[c] = [x * inv % p for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[c])]
-    return [tuple(row[n:]) for row in aug]
+    inv = [[0] * len(rows) for _ in rows]
+    for col, f in _prepare(rows, len(rows), p)[1]:
+        for e, v in f:
+            inv[col][e] = v
+    return inv
 
 
-def _build_schedule(tab, gens, n, p):
-    """Closure plan over the source algebra, one op list per generator.
+def _solutions(prepared, b, p):
+    """The solutions of the prepared system for right-hand side b, the
+    kernel part small-first; None when b is inconsistent."""
+    tests, solve, null = prepared
+    if any(sum(b[e] * v for e, v in f) % p for f in tests):
+        return None
+    x0 = [0] * (len(solve) + len(null))
+    for col, f in solve:
+        x0[col] = sum(b[e] * v for e, v in f) % p
 
-    Every op is (kind, ai, bi, directive, elim, scale): kind "seed" takes
-    the candidate image, kind "brk" brackets members ai and bi; the vector
-    is then reduced by the recorded elimination steps and either must
-    vanish ("dep") or is normalized by scale and appended ("new").  The
-    plan depends only on the source, so a candidate map is checked by
-    replaying the image side alone.
-    """
-    rows = []
-    members = []
-    levels = []
-    for g in gens:
-        ops = []
-        queue = [("seed", 0, 0, tuple(g))]
-        while queue:
-            kind, ai, bi, v = queue.pop(0)
-            vv = list(v)
-            elim = []
-            for j, (piv, bv) in enumerate(rows):
-                c = vv[piv]
-                if c:
-                    elim.append((j, c))
-                    for t in range(n):
-                        vv[t] = (vv[t] - c * bv[t]) % p
-            piv = next((t for t in range(n) if vv[t]), None)
-            if piv is None:
-                ops.append((kind, ai, bi, "dep", tuple(elim), 0))
-                continue
-            scale = pow(vv[piv], p - 2, p)
-            nv = tuple(x * scale % p for x in vv)
-            midx = len(members)
-            ops.append((kind, ai, bi, "new", tuple(elim), scale))
-            rows.append((piv, nv))
-            members.append(nv)
-            for k, mv in enumerate(members):
-                queue.append(("brk", midx, k, _brk(tab, nv, mv, n, p)))
-                if k != midx:
-                    queue.append(("brk", k, midx, _brk(tab, mv, nv, n, p)))
-        levels.append(tuple(ops))
-    return levels, members
-
-
-def _replay(ops, img_rows, seed, tab, n, p):
-    """Image-side closure replay; False on the first inconsistency."""
-    for kind, ai, bi, directive, elim, scale in ops:
-        if kind == "seed":
-            w = list(seed)
-        else:
-            w = _brk(tab, img_rows[ai], img_rows[bi], n, p)
-        for j, c in elim:
-            bw = img_rows[j]
-            for t in range(n):
-                w[t] = (w[t] - c * bw[t]) % p
-        if directive == "dep":
-            if any(w):
-                return False
-        else:
-            img_rows.append(tuple(x * scale % p for x in w))
-    return True
+    def walk():
+        for coef in itertools.chain([(0,) * len(null)],
+                                    _images(len(null), p)):
+            x = x0
+            for cf, vec in zip(coef, null):
+                if cf:
+                    x = [(a + cf * w) % p for a, w in zip(x, vec)]
+            yield x
+    return walk()
 
 
 def _balanced_vals(p):
@@ -218,25 +204,25 @@ def _balanced_vals(p):
     return vals
 
 
-def _images(n, p):
-    """All nonzero vectors of GF(p)^n, sparse ones first, small entries
+def _images(k, p):
+    """All nonzero vectors of GF(p)^k, sparse ones first, small entries
     first inside each block."""
     nz = _balanced_vals(p)[1:]
-    for pos in range(n):
+    for pos in range(k):
         for v in nz:
-            vec = [0] * n
+            vec = [0] * k
             vec[pos] = v
             yield tuple(vec)
-    for a in range(n):
-        for b in range(a + 1, n):
+    for a in range(k):
+        for b in range(a + 1, k):
             for va in nz:
                 for vb in nz:
-                    vec = [0] * n
+                    vec = [0] * k
                     vec[a] = va
                     vec[b] = vb
                     yield tuple(vec)
-    for vec in itertools.product(_balanced_vals(p), repeat=n):
-        if n - vec.count(0) > 2:
+    for vec in itertools.product(_balanced_vals(p), repeat=k):
+        if k - vec.count(0) > 2:
             yield vec
 
 
@@ -248,12 +234,35 @@ class _Done(Exception):
     pass
 
 
+@dataclass
+class LevelCounts:
+    """What became of the candidates tried at one level of the search.
+
+    Each candidate tried either stops at its level, under exactly one of
+    the five outcome counters, or passes on to the next level; so the
+    `tried` counts of all levels add up to the search's candidates.
+    """
+    level: str               # "class a" or "layer t"
+    tried: int = 0
+    dependent: int = 0       # class dependent on the earlier classes
+    relations: int = 0       # a class relation, or a leaf product, fails
+    inconsistent: int = 0    # the next layer's affine system has no solution
+    rank: int = 0            # the leaf matrix is singular
+    found: int = 0
+
+    @property
+    def passed(self) -> int:
+        return self.tried - (self.dependent + self.relations
+                             + self.inconsistent + self.rank + self.found)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     status: str          # "found" | "capped" | "exhausted"
     prime: int
     candidates: int
     matrices: tuple      # row-major int matrices mod prime
+    levels: tuple = ()   # LevelCounts, class levels then affine layers
 
 
 def _structural_dims(alg: LeibnizAlgebra) -> tuple:
@@ -262,23 +271,23 @@ def _structural_dims(alg: LeibnizAlgebra) -> tuple:
 
 def _mod_structure(tab, n, p):
     """(lower central dims, dim Leib, dim Z) of an int table mod p, the
-    triple `_structural_dims` gives on the exact side, and echelon rows
-    of A^2 mod p."""
+    triple `_structural_dims` gives on the exact side, and the echelon
+    rows of A^2, A^3, ... mod p, up to the first term that vanishes or
+    repeats its predecessor."""
     units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
     dims = [n]
+    series = []
     term = units
-    sq_rows = None
     while True:
         rows = []
         for u in units:
             for v in term:
                 _absorb(rows, _brk(tab, u, v, n, p), p)
-        if sq_rows is None:
-            sq_rows = rows
         # the terms are nested, so an equal dimension means an equal term
         if len(rows) == dims[-1]:
             break
         dims.append(len(rows))
+        series.append(rows)
         if not rows:
             break
         term = [bv for _, bv in rows]
@@ -296,58 +305,225 @@ def _mod_structure(tab, n, p):
         for v in units:
             img += _brk(tab, u, v, n, p) + _brk(tab, v, u, n, p)
         _absorb(images, img, p)
-    return (tuple(dims), len(leib), n - len(images)), sq_rows
+    return (tuple(dims), len(leib), n - len(images)), series
+
+
+def _layers(series, n, p):
+    """Basis rows adapted to the series A > A^2 > ... > 0 and the layer
+    of each row: the rows of layer t complete A^(t+1) to A^t."""
+    basis, layer = [], []
+    above = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    for t, rows in enumerate(series, 1):
+        below = list(rows)
+        for v in above:
+            if _absorb(below, v, p):
+                basis.append(v)
+                layer.append(t)
+        above = [bv for _, bv in rows]
+    return basis, layer
+
+
+def _words(tab, gens, series, n, p):
+    """Left-normed words [g_a, w] over the generators, each kept when it
+    is independent modulo the next series term: with the generators, a
+    basis adapted to the lower central series.  Returns the word rows
+    and, for each word past the generators, its pair (a, w)."""
+    rows = list(gens)
+    pairs = [None] * len(gens)
+    last = range(len(gens))
+    for term in series[1:]:
+        below = list(term)
+        new = []
+        for a, g in enumerate(gens):
+            for w in last:
+                v = _brk(tab, g, rows[w], n, p)
+                if _absorb(below, v, p):
+                    new.append(len(rows))
+                    rows.append(tuple(v))
+                    pairs.append((a, w))
+        last = new
+    return rows, pairs
+
+
+def _rebase(tab, basis, n, p):
+    """The int table written in the given basis rows."""
+    inv = _inv_mat(basis, p)
+    out = {}
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            w = _brk(tab, u, v, n, p)
+            row = []
+            for k in range(n):
+                c = sum(w[t] * inv[t][k] for t in range(n)) % p
+                if c:
+                    row.append((k, c))
+            if row:
+                out[(i, j)] = tuple(row)
+    return out
 
 
 def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
                    prime: int = 13, cap: int = DEFAULT_CAP,
                    max_found: int = 1) -> SearchResult:
-    """Search for witnesses source -> target over GF(prime).
+    """Search for witnesses source -> target over GF(prime), layer by
+    layer through the lower central series.
 
-    Only the images of a fixed complement of the derived subalgebra are
-    chosen freely; everything else is forced by closure, and candidates
-    whose class is dependent modulo the target's derived subalgebra are
-    skipped.  Raises BadPrime when the reduction is undefined or drops a
+    The source is written in left-normed words over generators g_a that
+    complete A^2, the target in a basis whose layer L_t completes
+    A^(t+1) to A^t, and a witness is fixed by the images x_a of the
+    generators.  First each generator's class, its L_1 part, is
+    enumerated small-first; a class dependent on the earlier ones, or
+    one that breaks a relation of the associated graded algebras, is
+    dropped as soon as its generator completes that relation.  Then for
+    t = 3, ..., c the L_t parts of all relations are affine in the
+    L_(t-1) parts of the x_a; that system is solved mod prime and only
+    its solutions are tried, free variables small-first.  The last
+    layer enters no relation and is set to 0.  Each class tried and each
+    affine solution tried counts as one candidate, and every complete
+    map gets the full check of its rank and all products mod prime.
+
+    Raises BadPrime when the reduction is undefined or drops a
     structural dimension.
     """
     n = source.n
     if target.n != n:
         raise ValueError("algebras have different dimensions")
+    p = prime
     field = PrimeField(prime)
     try:
         tab_s = _int_table(source, field)
         tab_t = _int_table(target, field)
     except DenominatorDividesP as ex:
         raise BadPrime(f"reduction undefined mod {prime}: {ex}") from None
-    dims_s, sq_s = _mod_structure(tab_s, n, prime)
-    dims_t, sq_t = _mod_structure(tab_t, n, prime)
+    dims_s, series_s = _mod_structure(tab_s, n, prime)
+    dims_t, series_t = _mod_structure(tab_t, n, prime)
     if (_structural_dims(source) != dims_s
             or _structural_dims(target) != dims_t):
         raise BadPrime(f"{prime} degenerates a structural dimension")
+    if dims_s[0] != dims_t[0]:
+        return SearchResult("exhausted", prime, 0, ())
+    if dims_s[0][-1]:
+        raise ValueError("the layered search needs nilpotent algebras")
 
-    pivots = {piv for piv, _ in sq_s}
-    gens = []
-    for i in range(n):
-        if i not in pivots:
-            vec = [0] * n
-            vec[i] = 1
-            gens.append(tuple(vec))
-    m = len(gens)
-
-    levels, members = _build_schedule(tab_s, gens, n, p=prime)
-    if len(members) != n:
+    basis, layer = _layers(series_t, n, p)
+    gens = [v for v, t in zip(*_layers(series_s, n, p)) if t == 1]
+    words, pairs = _words(tab_s, gens, series_s, n, p)
+    if len(words) != n:
         raise BadPrime(f"{prime} breaks generation by the complement")
-    mem_inv = _inv_mat(members, prime)
+    src = _rebase(tab_s, words, n, p)
+    tgt = _rebase(tab_t, basis, n, p)
+    # word k has length layer[k], and [A^i, A^j] lies in A^(i+j)
+    for tab in (src, tgt):
+        if any(layer[k] < layer[i] + layer[j]
+               for (i, j), comps in tab.items() for k, _ in comps):
+            raise BadPrime(f"{prime} breaks [A^i, A^j] <= A^(i+j)")
 
+    m = len(gens)
+    depth = layer[-1]
+    span = {t: [k for k in range(n) if layer[k] == t] for t in layer}
+    units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    # at[t]: the L_t part of each target product; graded[(s, r)]: the
+    # products L_s x L_r -> L_(s+r) of the associated graded algebra
+    at, graded = {}, {}
+    for (i, j), comps in tgt.items():
+        for t in range(layer[i] + layer[j], depth + 1):
+            part = tuple((k, x) for k, x in comps if layer[k] == t)
+            if part:
+                at.setdefault(t, {})[(i, j)] = part
+                if t == layer[i] + layer[j]:
+                    graded.setdefault((layer[i], layer[j]), {})[(i, j)] = part
+
+    # the relations [b_i, b_j] = sum s_k b_k that a word's definition
+    # does not already give and that can reach a nonzero layer
+    defined = set(pairs[m:])
+    rels = [(i, j, src.get((i, j), ())) for i in range(n) for j in range(n)
+            if layer[i] + layer[j] <= depth and (i, j) not in defined]
+    # the class level that completes each word and each graded relation
+    last = list(range(m))
+    for a, w in pairs[m:]:
+        last.append(max(a, last[w]))
+    new_words = [[] for _ in range(m)]
+    for k in range(m, n):
+        a, w = pairs[k]
+        new_words[last[k]].append((k, a, w, graded.get((1, layer[w]), {})))
+    checks = [[] for _ in range(m)]
+    for i, j, terms in rels:
+        lead = tuple((k, x) for k, x in terms
+                     if layer[k] == layer[i] + layer[j])
+        level = max([last[i], last[j]] + [last[k] for k, _ in lead])
+        checks[level].append((i, j, lead,
+                              graded.get((layer[i], layer[j]), {})))
+    below = {t: [rel for rel in rels if layer[rel[0]] + layer[rel[1]] < t]
+             for t in range(3, depth + 1)}
+
+    def images(x):
+        """Images of all source words in the target's adapted basis."""
+        y = list(x)
+        for a, w in pairs[m:]:
+            y.append(_brk(tgt, y[a], y[w], n, p))
+        return y
+
+    def rhs(t, y):
+        """The L_t parts of sum s_k y_k - [y_i, y_j], negated."""
+        b = []
+        tab = at.get(t, {})
+        for i, j, terms in below[t]:
+            w = _brk(tab, y[i], y[j], n, p)
+            for k, x in terms:
+                yk = y[k]
+                for r in span[t]:
+                    w[r] -= x * yk[r]
+            b.extend(w[r] % p for r in span[t])
+        return b
+
+    def jacobian(t, x):
+        """The L_t parts of the relations as linear maps of the L_(t-1)
+        parts of the x_a.  Only products of two generators reach them,
+        through the brackets of those parts with the classes, so the map
+        depends on the classes alone."""
+        cols = span[t - 1]
+        d = len(cols)
+        tab = at.get(t, {})
+        left = [[_brk(tab, x[g], units[r], n, p) for r in cols]
+                for g in range(m)]
+        right = [[_brk(tab, units[r], x[g], n, p) for r in cols]
+                 for g in range(m)]
+        rows = []
+        for i, j, terms in below[t]:
+            deriv = [[0] * n for _ in range(m * d)]
+            if layer[i] + layer[j] == 2:
+                # d/dx of sum s [x_a, x_b] over the words (a, b) of
+                # length 2, minus [x_i, x_j]
+                for coef, a, b in [(-1, i, j)] + [
+                        (s, *pairs[k]) for k, s in terms if layer[k] == 2]:
+                    for q in range(d):
+                        for row, vec in ((deriv[a * d + q], right[b][q]),
+                                         (deriv[b * d + q], left[a][q])):
+                            for r in span[t]:
+                                row[r] += coef * vec[r]
+            for r in span[t]:
+                rows.append([dv[r] % p for dv in deriv])
+        return _prepare(rows, m * d, p)
+
+    inv_words = _inv_mat(words, p)
+    levels = [LevelCounts("class %d" % (a + 1)) for a in range(m)]
+    levels += [LevelCounts("layer %d" % t) for t in range(3, depth + 1)]
     found = []
-    state = {"count": 0}
-    p = prime
+    count = [0]
 
-    def leaf(img_rows):
+    def tick(level):
+        if count[0] >= cap:
+            raise _Capped
+        count[0] += 1
+        level.tried += 1
+
+    def leaf(y, level):
+        img_rows = [tuple(sum(v[r] * basis[r][t] for r in range(n)) % p
+                          for t in range(n)) for v in y]
         cols = []
         for i in range(n):
             acc = [0] * n
-            for j, c in enumerate(mem_inv[i]):
+            for j, c in enumerate(inv_words[i]):
                 if c:
                     iw = img_rows[j]
                     for t in range(n):
@@ -357,6 +533,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         for cvec in cols:
             _absorb(rank_rows, cvec, p)
         if len(rank_rows) != n:
+            level.rank += 1
             return
         for i in range(n):
             for j in range(n):
@@ -367,39 +544,72 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
                     for t in range(n):
                         lhs[t] = (lhs[t] + c * cv[t]) % p
                 if lhs != _brk(tab_t, cols[i], cols[j], n, p):
+                    level.relations += 1
                     return
+        level.found += 1
         found.append(tuple(tuple(cols[c][r] for c in range(n))
                            for r in range(n)))
         if len(found) >= max_found:
             raise _Done
 
-    def rec(level, img_rows, cls_rows):
-        for img in _images(n, p):
-            state["count"] += 1
-            if state["count"] > cap:
-                raise _Capped
-            if not _indep(cls_rows, img, p):
+    def classes(a, x, y, cls_rows):
+        level = levels[a]
+        pad = (0,) * (n - m)
+        for v in _images(m, p):
+            tick(level)
+            rows2 = cls_rows.copy()
+            if not _absorb(rows2, v, p):
+                level.dependent += 1
                 continue
-            trial = img_rows.copy()
-            if not _replay(levels[level], trial, img, tab_t, n, p):
-                continue
-            if level + 1 == m:
-                leaf(trial)
+            y2 = y.copy()
+            y2[a] = v + pad
+            for k, g, w, tab in new_words[a]:
+                y2[k] = _brk(tab, y2[g], y2[w], n, p)
+            for i, j, lead, tab in checks[a]:
+                diff = _brk(tab, y2[i], y2[j], n, p)
+                for k, s in lead:
+                    diff = [(e - s * f) % p for e, f in zip(diff, y2[k])]
+                if any(diff):
+                    level.relations += 1
+                    break
             else:
-                cls2 = cls_rows.copy()
-                _absorb(cls2, img, p)
-                rec(level + 1, trial, cls2)
+                settle(a + 1, x + [y2[a]], y2, rows2, {})
+
+    def settle(s, x, y, cls_rows, systems):
+        """Carry a candidate that passed level s - 1 on to level s."""
+        if s < m:
+            return classes(s, x, y, cls_rows)
+        done = levels[s - 1]
+        if s == len(levels):
+            return leaf(images(x), done)
+        t = s - m + 3
+        if t not in systems:
+            systems[t] = jacobian(t, x)
+        sols = _solutions(systems[t], rhs(t, images(x)), p)
+        if sols is None:
+            done.inconsistent += 1
+            return
+        cols = span[t - 1]
+        d = len(cols)
+        level = levels[s]
+        for delta in sols:
+            tick(level)
+            x2 = [list(v) for v in x]
+            for g in range(m):
+                for q, r in enumerate(cols):
+                    x2[g][r] = delta[g * d + q]
+            settle(s + 1, x2, None, None, systems)
 
     status = "exhausted"
     try:
-        rec(0, [], sq_t)
+        settle(0, [], [None] * n, [], None)
     except _Capped:
         status = "capped"
     except _Done:
         pass
     if found:
         status = "found"
-    return SearchResult(status, prime, state["count"], tuple(found))
+    return SearchResult(status, prime, count[0], tuple(found), tuple(levels))
 
 
 # ---------------------------------------------------------------- lifting
@@ -408,6 +618,8 @@ def _lift_scalar(e, p, i_res, bound):
     """Smallest preimage of e in Q(i), ordered by (|im|, |re|, den)."""
     best = None
     for den in range(1, bound + 1):
+        if den % p == 0:
+            continue    # no preimage has a denominator that p divides
         t = e * den % p
         for b in range(-bound, bound + 1):
             a = (t - b * i_res) % p
@@ -447,6 +659,7 @@ class Certification:
     prime: int               # prime behind the certificate or 0
     candidates: int          # total candidates consumed
     detail: str
+    searches: tuple = ()     # the SearchResult of each prime searched
 
     @property
     def isomorphic(self) -> bool | None:
@@ -457,16 +670,29 @@ class Certification:
         return None
 
 
+def _unliftable(rows, prime, bound=6):
+    """(row, column, residue) of the first entry, counted from 1, that
+    has no preimage in `lift_witness`'s box, or None."""
+    i_res = PrimeField(prime).i_residue
+    for r, row in enumerate(rows):
+        for c, e in enumerate(row):
+            if _lift_scalar(e % prime, prime, i_res, bound) is None:
+                return r + 1, c + 1, e % prime
+    return None
+
+
 def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
             primes=DEFAULT_PRIMES, cap: int = DEFAULT_CAP,
             lift_attempts: int = 25) -> Certification:
     """Decide isomorphism as far as the exact tools allow.
 
     Distinct invariant signatures certify non-isomorphism.  Otherwise a
-    modular witness search runs prime by prime; any hit is lifted to Q(i)
-    and re-verified exactly, and only an exact verification yields
-    CERTIFIED.  Hits at two primes without a lifting give EVIDENCE;
-    everything else is INCONCLUSIVE.
+    modular witness search runs prime by prime; its first hit is lifted
+    to Q(i) and re-verified exactly, and only when that fails is the search
+    repeated for up to `lift_attempts` hits.  Only an exact verification
+    yields CERTIFIED.  Hits at two primes without a lifting give EVIDENCE;
+    everything else is INCONCLUSIVE.  When no hit lifts, the detail names
+    the first matrix entry that had no preimage in the lifting box.
     """
     sig_s = signature(source)
     sig_t = signature(target)
@@ -477,31 +703,48 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     total = 0
     hit_primes = []
     notes = []
+    searches = []
     for prime in primes:
+        tried = 0
+        miss = None
         try:
-            res = adapted_search(source, target, prime=prime, cap=cap,
-                                 max_found=lift_attempts)
+            # the first witness usually lifts; only when it does not is
+            # the search run again for up to lift_attempts witnesses
+            for want in sorted({1, lift_attempts}):
+                res = adapted_search(source, target, prime=prime, cap=cap,
+                                     max_found=want)
+                searches.append(res)
+                total += res.candidates
+                for rows in res.matrices[tried:]:
+                    m = lift_witness(rows, prime)
+                    if m is None:
+                        miss = miss or _unliftable(rows, prime)
+                    elif verify_witness(source, target, m) is None:
+                        return Certification(
+                            CERTIFIED, m, prime, total,
+                            f"witness found mod {prime} and verified exactly",
+                            tuple(searches))
+                tried = len(res.matrices)
+                if tried < want:
+                    break
         except BadPrime as ex:
             notes.append(str(ex))
             continue
-        total += res.candidates
         if res.matrices:
             hit_primes.append(prime)
-            for rows in res.matrices:
-                m = lift_witness(rows, prime)
-                if m is not None and verify_witness(source, target, m) is None:
-                    return Certification(
-                        CERTIFIED, m, prime, total,
-                        f"witness found mod {prime} and verified exactly")
+            why = ("entry (%d,%d) = %d mod %d has no preimage in the box"
+                   % (miss + (prime,)) if miss
+                   else "every lift fails the exact check")
             notes.append(f"{len(res.matrices)} witnesses mod {prime}, "
-                         "none lifted")
+                         f"none lifted: {why}")
         else:
             notes.append(f"search {res.status} mod {prime} without witness")
         if len(hit_primes) >= 2:
             return Certification(EVIDENCE, None, hit_primes[-1], total,
-                                 "; ".join(notes))
+                                 "; ".join(notes), tuple(searches))
     return Certification(INCONCLUSIVE, None, 0, total,
-                         "; ".join(notes) or "no usable prime")
+                         "; ".join(notes) or "no usable prime",
+                         tuple(searches))
 
 
 # ------------------------------------------------------------- fixture file

@@ -93,6 +93,24 @@ def test_iso_search_certified(capsys):
     assert "candidates" in out
 
 
+def test_iso_search_counters_on_stderr(capsys):
+    code, out, err = run(capsys, "iso", "search", "--a", "A_116:alpha=2",
+                         "--b", "A_116:alpha=-2")
+    assert code == 0
+    assert "candidates considered: 16\n" in out
+    assert "tried" not in out and "search mod" not in out
+    lines = err.splitlines()
+    assert lines[0] == "search mod 13: found after 16 candidates"
+    assert lines[1].split() == ["level", "tried", "dependent", "relations",
+                                "inconsistent", "rank", "found", "passed"]
+    rows = [line.split() for line in lines[2:]]
+    assert [r[:2] for r in rows] == [["class", "1"], ["class", "2"],
+                                     ["layer", "3"]]
+    assert sum(int(r[2]) for r in rows) == 16
+    for r in rows:
+        assert int(r[2]) == sum(int(x) for x in r[3:])
+
+
 def test_iso_search_distinct(capsys):
     code, out, _ = run(capsys, "iso", "search", "--a", "A_1", "--b", "A_16")
     assert code == 0

@@ -5,18 +5,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from leibkit.algebra import LeibnizAlgebra
 from leibkit.catalogue import instantiate, sample_params
 from leibkit.iso import (
     CERTIFIED,
+    DEFAULT_CAP,
     DISTINCT,
     INCONCLUSIVE,
     BadPrime,
     FixtureError,
+    _absorb,
     _int_table,
     _mod_structure,
     _structural_dims,
+    _unliftable,
     adapted_search,
     certify,
     compose_witnesses,
@@ -108,6 +113,97 @@ def test_adapted_search_finds_remark_pair(catalogue):
     assert verify_witness(source, target, lifted) is None
 
 
+def assert_counts_add_up(result):
+    assert sum(level.tried for level in result.levels) == result.candidates
+    for level in result.levels:
+        assert level.passed >= 0, level
+    # only a complete map reaches the leaf check
+    leaf = result.levels[-1]
+    assert leaf.passed == 0
+    assert sum(level.found for level in result.levels) == \
+        len(result.matrices)
+
+
+def test_layered_search_a5_at_29(catalogue):
+    entry = catalogue.entry("A_5")
+    source = instantiate(entry, {"alpha": 2})
+    target = instantiate(entry, {"alpha": -2})
+    result = adapted_search(source, target, prime=29, cap=DEFAULT_CAP)
+    assert result.status == "found"
+    assert [level.level for level in result.levels] == \
+        ["class 1", "class 2", "layer 3", "layer 4"]
+    assert_counts_add_up(result)
+    lifted = lift_witness(result.matrices[0], 29)
+    assert lifted is not None
+    assert verify_witness(source, target, lifted) is None
+
+
+def _m2_points(catalogue):
+    """First points with dim A/A^2 = 2 whose search is defined mod 5."""
+    points = []
+    for entry in catalogue:
+        alg = instantiate(entry, sample_params(entry, 1)[0])
+        if alg.lower_central_dims()[1] != 3:
+            continue
+        try:
+            adapted_search(alg, alg, prime=5)
+        except BadPrime:
+            continue
+        points.append((entry.name, alg))
+    return points
+
+
+@pytest.fixture(scope="module")
+def m2_points(catalogue):
+    return _m2_points(catalogue)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_layered_search_finds_base_changes_mod_5(m2_points, data):
+    name, alg = data.draw(st.sampled_from(m2_points))
+    entries = data.draw(st.lists(st.integers(-2, 2), min_size=25,
+                                 max_size=25))
+    rows = [entries[5 * r:5 * r + 5] for r in range(5)]
+    # invertible mod 5, so the moved table reduces mod 5 to an algebra
+    # isomorphic to the reduction of the original
+    echelon = []
+    for row in rows:
+        _absorb(echelon, [x % 5 for x in row], 5)
+    assume(len(echelon) == 5)
+    result = adapted_search(alg, alg.base_change(Matrix(rows)), prime=5)
+    assert result.status == "found", name
+    assert_counts_add_up(result)
+
+
+def test_layered_search_exhausts_mod_5(catalogue):
+    a = instantiate(catalogue.entry("A_136"))
+    b = instantiate(catalogue.entry("A_137"))
+    assert a.lower_central_dims() == b.lower_central_dims()
+    result = adapted_search(a, b, prime=5)
+    assert result.status == "exhausted"
+    assert not result.matrices
+    assert_counts_add_up(result)
+    assert sum(level.relations for level in result.levels) > 0
+
+
+def test_lift_failure_names_the_entry(catalogue):
+    alg = instantiate(catalogue.entry("A_5"), {"alpha": 2})
+    shear = [[int(r == c) for c in range(5)] for r in range(5)]
+    shear[2][1] = 100
+    cert = certify(alg, alg.base_change(Matrix(shear)), primes=(1009,))
+    assert cert.status == INCONCLUSIVE
+    misses = [(rows, _unliftable(rows, 1009))
+              for rows in cert.searches[-1].matrices
+              if lift_witness(rows, 1009) is None]
+    rows, (r, c, e) = misses[0]
+    assert rows[r - 1][c - 1] == e
+    assert cert.detail == ("25 witnesses mod 1009, none lifted: entry "
+                           "(%d,%d) = %d mod 1009 has no preimage in the box"
+                           % (r, c, e))
+    assert _unliftable(((1, 0), (0, 7)), 13) is None
+
+
 def test_adapted_search_exhausts_small_cap(catalogue):
     a = instantiate(catalogue.entry("A_1"))
     b = instantiate(catalogue.entry("A_3"))
@@ -141,10 +237,10 @@ def test_int_table_and_mod_structure(catalogue):
     alg = instantiate(catalogue.entry("A_1"))
     tab = _int_table(alg, field)
     assert tab[(1, 0)] == ((2, 12),)
-    dims, sq_rows = _mod_structure(tab, 5, 13)
+    dims, series = _mod_structure(tab, 5, 13)
     assert dims[0] == (5, 3, 2, 1, 0)
     assert dims == _structural_dims(alg)
-    assert len(sq_rows) == 3
+    assert [len(rows) for rows in series] == [3, 2, 1, 0]
     quarter = LeibnizAlgebra(2, {(0, 0): {1: GaussianRational(Fraction(1, 4))}})
     assert _int_table(quarter, field) == {(0, 0): ((1, 10),)}
     assert _int_table(LeibnizAlgebra(5, {(0, 0): {4: GaussianRational(13)}}),
