@@ -15,6 +15,7 @@ inputs produce byte-identical reports.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -25,8 +26,8 @@ from .catalogue import (CatalogueError, ConstraintViolated, EntryReport,
 from .forms import BilinearForm2, congruence_canonical
 from .invariants import signature
 from .iso import (CERTIFIED, DEFAULT_CAP, DEFAULT_PRIMES, DISTINCT,
-                  EVIDENCE, INCONCLUSIVE, FixtureError, certify,
-                  load_fixtures, verify_witness)
+                  EVIDENCE, INCONCLUSIVE, FixtureError, LevelCounts,
+                  certify, load_fixtures, verify_witness)
 from .linalg import Matrix
 from .scalars import PrimeField
 
@@ -216,8 +217,9 @@ def cmd_iso_verify(args):
     return 1 if failed else 0
 
 
-_COUNTERS = ("tried", "dependent", "relations", "inconsistent", "rank",
-             "found", "passed")
+# every counter of LevelCounts, then the candidates that went on
+_COUNTERS = tuple(f.name for f in dataclasses.fields(LevelCounts)
+                  if f.name != "level") + ("passed",)
 
 
 def cmd_iso_search(args):

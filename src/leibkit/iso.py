@@ -614,18 +614,21 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
 
 # ---------------------------------------------------------------- lifting
 
-def _lift_scalar(e, p, i_res, bound):
-    """Smallest preimage of e in Q(i), ordered by (|im|, |re|, den)."""
+_LIFT_BOX = 6   # bound on |re|, |im| and the denominator of a lifted entry
+
+
+def _lift_scalar(e, p, i_res):
+    """Smallest preimage of e in the box, ordered by (|im|, |re|, den)."""
     best = None
-    for den in range(1, bound + 1):
+    for den in range(1, _LIFT_BOX + 1):
         if den % p == 0:
             continue    # no preimage has a denominator that p divides
         t = e * den % p
-        for b in range(-bound, bound + 1):
+        for b in range(-_LIFT_BOX, _LIFT_BOX + 1):
             a = (t - b * i_res) % p
             if a > p // 2:
                 a -= p
-            if abs(a) > bound:
+            if abs(a) > _LIFT_BOX:
                 continue
             key = (abs(b), abs(a), den, b < 0, a < 0)
             if best is None or key < best[0]:
@@ -634,7 +637,7 @@ def _lift_scalar(e, p, i_res, bound):
     return None if best is None else best[1]
 
 
-def lift_witness(rows, prime: int, bound: int = 6) -> Matrix | None:
+def lift_witness(rows, prime: int) -> Matrix | None:
     """Entry-wise lift of a mod-p matrix to Q(i); None when an entry has
     no preimage inside the search box."""
     field = PrimeField(prime)
@@ -642,7 +645,7 @@ def lift_witness(rows, prime: int, bound: int = 6) -> Matrix | None:
     for row in rows:
         out = []
         for e in row:
-            s = _lift_scalar(e % prime, prime, field.i_residue, bound)
+            s = _lift_scalar(e % prime, prime, field.i_residue)
             if s is None:
                 return None
             out.append(s)
@@ -670,13 +673,13 @@ class Certification:
         return None
 
 
-def _unliftable(rows, prime, bound=6):
+def _unliftable(rows, prime):
     """(row, column, residue) of the first entry, counted from 1, that
     has no preimage in `lift_witness`'s box, or None."""
     i_res = PrimeField(prime).i_residue
     for r, row in enumerate(rows):
         for c, e in enumerate(row):
-            if _lift_scalar(e % prime, prime, i_res, bound) is None:
+            if _lift_scalar(e % prime, prime, i_res) is None:
                 return r + 1, c + 1, e % prime
     return None
 

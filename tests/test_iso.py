@@ -261,6 +261,20 @@ def test_lift_witness_values():
     lifted = lift_witness(rows, field_p)
     assert lifted == Matrix([[-1, 0], [0, GaussianRational(1, 0) / 2]])
     assert lift_witness(((5, 0), (0, 1)), 13) is not None  # 5 is i mod 13
+    # no preimage has a denominator divisible by p: 2 = -1/2 mod 5, not 0/5
+    assert lift_witness(((2, 0), (0, 1)), 5) == \
+        Matrix([[GaussianRational(-1, 0) / 2, 0], [0, 1]])
+
+
+def test_certify_mod_5(catalogue):
+    alg = instantiate(catalogue.entry("A_1"))
+    shear = [[int(r == c) for c in range(5)] for r in range(5)]
+    shear[0][1] = 1
+    moved = alg.base_change(Matrix(shear))
+    cert = certify(alg, moved, primes=(5,))
+    assert cert.status == CERTIFIED
+    assert cert.prime == 5
+    assert verify_witness(alg, moved, cert.matrix) is None
 
 
 def test_certify_distinct(catalogue):
