@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import AmbientMismatch, Matrix, Subspace, one_like
-from .scalars import GaussianRational
+from .linalg import AmbientMismatch, Matrix, Subspace
+from .scalars import ONE, ZERO
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,15 @@ def _clean_table(table):
 class LeibnizAlgebra:
     """Left Leibniz algebra given by sparse structure constants.
 
-    Scalars may live in Q(i) or a quadratic extension of it; the `one`
-    attribute pins the field when the table alone cannot (e.g. the abelian
-    algebra).  Instances are treated as immutable, so each derived subspace
-    (series, Leib, annihilators, center) is computed on first use and kept
-    on the instance.
+    Scalars may live in Q(i) or a quadratic extension of it, and one
+    table may hold both kinds.  Instances are treated as immutable, so
+    each derived subspace (series, Leib, annihilators, center) is computed
+    on first use and kept on the instance.
     """
 
-    __slots__ = ("n", "table", "one", "zero", "_derived")
+    __slots__ = ("n", "table", "_derived")
 
-    def __init__(self, n: int, table: dict, one=None):
-        one = one if one is not None else GaussianRational(1)
+    def __init__(self, n: int, table: dict):
         table = _clean_table(table)
         for (i, j), comps in table.items():
             if not (0 <= i < n and 0 <= j < n):
@@ -66,8 +64,6 @@ class LeibnizAlgebra:
                     raise IndexError(f"component index {k} outside basis")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "one", one)
-        object.__setattr__(self, "zero", one - one)
         object.__setattr__(self, "_derived", {})
 
     def __setattr__(self, name, value):
@@ -99,7 +95,7 @@ class LeibnizAlgebra:
             for k, s in comps.items():
                 t = acc.get(k)
                 acc[k] = c * s if t is None else t + c * s
-        return tuple(acc.get(k, self.zero) for k in range(self.n))
+        return tuple(acc.get(k, ZERO) for k in range(self.n))
 
     def _bracket_sparse(self, u: dict, v: dict) -> dict:
         acc = {}
@@ -123,22 +119,22 @@ class LeibnizAlgebra:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = self._bracket_sparse({i: self.one},
+                    lhs = self._bracket_sparse({i: ONE},
                                                self.bracket_basis(j, k))
                     r1 = self._bracket_sparse(self.bracket_basis(i, j),
-                                              {k: self.one})
-                    r2 = self._bracket_sparse({j: self.one},
+                                              {k: ONE})
+                    r2 = self._bracket_sparse({j: ONE},
                                               self.bracket_basis(i, k))
                     defect = dict(lhs)
                     for term in (r1, r2):
                         for m, s in term.items():
-                            t = defect.get(m, self.zero) - s
+                            t = defect.get(m, ZERO) - s
                             if t.is_zero():
                                 defect.pop(m, None)
                             else:
                                 defect[m] = t
                     if defect:
-                        vec = tuple(defect.get(m, self.zero) for m in range(n))
+                        vec = tuple(defect.get(m, ZERO) for m in range(n))
                         return LeibnizViolation(i, j, k, vec)
         return None
 
@@ -164,7 +160,7 @@ class LeibnizAlgebra:
         return value
 
     def _basis_vec(self, i):
-        return tuple(self.one if k == i else self.zero for k in range(self.n))
+        return tuple(ONE if k == i else ZERO for k in range(self.n))
 
     def full_space(self) -> Subspace:
         return self._once("full", lambda: Subspace(
@@ -231,8 +227,8 @@ class LeibnizAlgebra:
                 for k, s in lhs.items():
                     comp[k] = s
                 for k, s in rhs.items():
-                    comp[k] = comp.get(k, self.zero) + s
-                vecs.append(tuple(comp.get(k, self.zero) for k in range(self.n)))
+                    comp[k] = comp.get(k, ZERO) + s
+                vecs.append(tuple(comp.get(k, ZERO) for k in range(self.n)))
         return Subspace(self.n, vecs)
 
     def _annihilator(self, side: str) -> Subspace:
@@ -244,7 +240,7 @@ class LeibnizAlgebra:
             for i in range(n):
                 pair = (i, j) if side == "left" else (j, i)
                 for k, s in self.table.get(pair, {}).items():
-                    comp_rows.setdefault(k, [self.zero] * n)[i] = s
+                    comp_rows.setdefault(k, [ZERO] * n)[i] = s
             rows.extend(comp_rows.values())
         if not rows:
             return self.full_space()
@@ -286,11 +282,4 @@ class LeibnizAlgebra:
                 comps = {k: s for k, s in enumerate(new) if not s.is_zero()}
                 if comps:
                     table[(a, b)] = comps
-        return LeibnizAlgebra(n, table, one=one_like(p_matrix.rows[0][0]) if n else self.one)
-
-    def map_scalars(self, fn, one) -> "LeibnizAlgebra":
-        table = {}
-        for (i, j), comps in self.table.items():
-            row = {k: fn(s) for k, s in comps.items()}
-            table[(i, j)] = row
-        return LeibnizAlgebra(self.n, table, one=one)
+        return LeibnizAlgebra(n, table)

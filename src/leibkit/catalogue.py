@@ -306,6 +306,9 @@ def parse_catalogue(path=None):
 
 # ----------------------------------------------------------- sampling
 
+_SAMPLE_BUDGET = 500000   # candidate points sample_params examines at most
+
+
 def _sample_stream():
     i = GaussianRational(0, 1)
     half = Fraction(1, 2)
@@ -338,13 +341,13 @@ def _index_tuples(m, width):
                 yield idx
 
 
-def sample_params(entry, count=3, budget=500000):
+def sample_params(entry, count=3):
     """Deterministic admissible parameter points for a catalogue entry.
 
     Single-parameter entries walk a fixed scalar stream; multi-parameter
     entries walk tuples of stream values graded by the largest stream index
     used. Raises NoAdmissiblePoint when the stream cannot supply `count`
-    admissible points within the candidate budget.
+    admissible points within `_SAMPLE_BUDGET` candidates.
     """
     if not entry.params:
         return [{}]
@@ -353,7 +356,7 @@ def sample_params(entry, count=3, budget=500000):
     examined = 0
     for idx in _index_tuples(len(entry.params), len(stream)):
         examined += 1
-        if examined > budget:
+        if examined > _SAMPLE_BUDGET:
             break
         env = {p: stream[k] for p, k in zip(entry.params, idx)}
         if _admissible(entry, env):
@@ -444,7 +447,9 @@ class EntryReport:
         return all(p.passed for p in self.points)
 
 
-def _check_point(entry, values):
+def verify_point(entry, values=None):
+    """Run every per-point check at one explicit parameter assignment."""
+    values = dict(values or {})
     algebra = instantiate(entry, values)
     sig = signature(algebra)
     outcomes = []
@@ -503,11 +508,6 @@ def _check_point(entry, values):
     return PointReport(tuple(sorted(values.items())), tuple(outcomes), sig)
 
 
-def verify_point(entry, values=None):
-    """Run every per-point check at one explicit parameter assignment."""
-    return _check_point(entry, dict(values or {}))
-
-
 def verify_entry(entry, samples=3):
     """Check one entry at `samples` admissible points.
 
@@ -515,5 +515,5 @@ def verify_entry(entry, samples=3):
     non-split necessary condition Z(A) <= A^2, every claimed dimension,
     and the applicable dimension bounds.
     """
-    return EntryReport(entry.name, tuple(_check_point(entry, v) for v in
+    return EntryReport(entry.name, tuple(verify_point(entry, v) for v in
                                          sample_params(entry, samples)))

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from .algebra import LeibnizAlgebra
 from .linalg import Matrix
 from .scalars import (
+    ONE,
+    ZERO,
     GaussianRational,
     QuadExtElem,
     QuadExtField,
@@ -44,8 +46,6 @@ class ExtensionTowerNeeded(ArithmeticError):
 
 
 _HALF = GaussianRational(1) / 2
-_ONE = GaussianRational(1)
-_ZERO = GaussianRational(0)
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,9 @@ def _form_value(s: Matrix, u, v):
 def _diagonalize_candidates(s: Matrix):
     """Yield (u, v', a0, b0) with [u v'] diagonalizing s to diag(a0, b0);
     one candidate per choice of u in a fixed order."""
-    basis_pairs = (((_ONE, _ZERO), (_ZERO, _ONE)),
-                   ((_ZERO, _ONE), (_ONE, _ZERO)),
-                   ((_ONE, _ONE), (_ZERO, _ONE)))
+    basis_pairs = (((ONE, ZERO), (ZERO, ONE)),
+                   ((ZERO, ONE), (ONE, ZERO)),
+                   ((ONE, ONE), (ZERO, ONE)))
     for u, v in basis_pairs:
         a0 = _form_value(s, u, u)
         if a0.is_zero():
@@ -307,10 +307,10 @@ def _canonical_mixed_iv(s: Matrix, kappa) -> CanonicalResult:
     assert len(kernel) == 1
     u = kernel[0]
     # any vector outside the kernel is anisotropic for a rank-1 form
-    w = (_ONE, _ZERO)
+    w = (ONE, ZERO)
     a0 = _form_value(s, w, w)
     if a0.is_zero():
-        w = (_ZERO, _ONE)
+        w = (ZERO, ONE)
         a0 = _form_value(s, w, w)
     r, ext = _sqrt_allowing_extension(a0)
     q2 = (w[0] * r.inv(), w[1] * r.inv())
@@ -387,9 +387,7 @@ def extract_v_form(algebra: LeibnizAlgebra) -> tuple[BilinearForm2, AdaptedBasis
     _, _, pivots = Matrix(sq.basis).rref()
     free = [c for c in range(n) if c not in pivots]
     assert len(free) == 2
-    one = algebra.one
-    zero = algebra.zero
-    comp = [tuple(one if k == c else zero for k in range(n)) for c in free]
+    comp = [tuple(ONE if k == c else ZERO for k in range(n)) for c in free]
 
     cols = chosen + [ell]
     entries = []
@@ -397,7 +395,7 @@ def extract_v_form(algebra: LeibnizAlgebra) -> tuple[BilinearForm2, AdaptedBasis
         row_entries = []
         for b in range(2):
             w = algebra.bracket(comp[a], comp[b])
-            coeffs = _solve_in_span(cols, w, zero)
+            coeffs = _solve_in_span(cols, w)
             row_entries.append(coeffs[-1])
         entries.append(row_entries)
     form = BilinearForm2(Matrix(entries))
@@ -406,14 +404,14 @@ def extract_v_form(algebra: LeibnizAlgebra) -> tuple[BilinearForm2, AdaptedBasis
     return form, record
 
 
-def _solve_in_span(cols, target, zero):
+def _solve_in_span(cols, target):
     """Coefficients expressing target in the given (independent) columns."""
     k = len(cols)
     aug = Matrix([[c[r] for c in cols] + [target[r]] for r in range(len(target))])
     red, rank, pivots = aug.rref()
     if k in pivots:
         raise HypothesisViolation("product falls outside the derived subalgebra")
-    coeffs = [zero] * k
+    coeffs = [ZERO] * k
     for i, p in enumerate(pivots):
         coeffs[p] = red.rows[i][k]
     return coeffs

@@ -27,8 +27,8 @@ from .catalogue import instantiate as cat_instantiate
 from .catalogue import parse_catalogue as cat_parse
 from .invariants import signature
 from .linalg import Matrix
-from .scalars import (DenominatorDividesP, GaussianRational, PrimeField,
-                      QuadExtElem, reduce_mod_p)
+from .scalars import (ZERO, DenominatorDividesP, GaussianRational,
+                      PrimeField, QuadExtElem, reduce_mod_p)
 
 CERTIFIED = "certified"
 EVIDENCE = "evidence"
@@ -66,11 +66,10 @@ def verify_witness(source: LeibnizAlgebra, target: LeibnizAlgebra,
     if matrix.rank() != n:
         return "matrix is singular"
     cols = _columns(matrix)
-    zero = source.zero
     for i in range(n):
         for j in range(n):
             w = source.bracket_basis(i, j)
-            lhs = matrix.apply(tuple(w.get(k, zero) for k in range(n)))
+            lhs = matrix.apply(tuple(w.get(k, ZERO) for k in range(n)))
             rhs = target.bracket(cols[i], cols[j])
             if tuple(lhs) != tuple(rhs):
                 return f"product ({i + 1},{j + 1}) is not preserved"
@@ -615,6 +614,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
 # ---------------------------------------------------------------- lifting
 
 _LIFT_BOX = 6   # bound on |re|, |im| and the denominator of a lifted entry
+_LIFT_ATTEMPTS = 25   # witnesses per prime that certify tries to lift
 
 
 def _lift_scalar(e, p, i_res):
@@ -685,14 +685,13 @@ def _unliftable(rows, prime):
 
 
 def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
-            primes=DEFAULT_PRIMES, cap: int = DEFAULT_CAP,
-            lift_attempts: int = 25) -> Certification:
+            primes=DEFAULT_PRIMES, cap: int = DEFAULT_CAP) -> Certification:
     """Decide isomorphism as far as the exact tools allow.
 
     Distinct invariant signatures certify non-isomorphism.  Otherwise a
     modular witness search runs prime by prime; its first hit is lifted
     to Q(i) and re-verified exactly, and only when that fails is the search
-    repeated for up to `lift_attempts` hits.  Only an exact verification
+    repeated for up to `_LIFT_ATTEMPTS` hits.  Only an exact verification
     yields CERTIFIED.  Hits at two primes without a lifting give EVIDENCE;
     everything else is INCONCLUSIVE.  When no hit lifts, the detail names
     the first matrix entry that had no preimage in the lifting box.
@@ -712,8 +711,8 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         miss = None
         try:
             # the first witness usually lifts; only when it does not is
-            # the search run again for up to lift_attempts witnesses
-            for want in sorted({1, lift_attempts}):
+            # the search run again for up to _LIFT_ATTEMPTS witnesses
+            for want in (1, _LIFT_ATTEMPTS):
                 res = adapted_search(source, target, prime=prime, cap=cap,
                                      max_found=want)
                 searches.append(res)
@@ -788,9 +787,9 @@ class WitnessFixture:
     def realize(self, catalogue=None):
         """Return (source algebra, target algebra, witness matrix).
 
-        When any matrix entry lies in a quadratic extension, both
-        algebras and the remaining entries are embedded into that
-        field so the check runs over a single scalar type.
+        Entries may lie in one quadratic extension of Q(i); they mix
+        with the Q(i) entries and with the Q(i) algebras as they stand.
+        Raises FixtureError when two entries need different radicals.
         """
         if catalogue is None:
             catalogue = _shipped_catalogue()
@@ -798,19 +797,11 @@ class WitnessFixture:
         tgt = _fixture_side(self.target, catalogue)
         entries = [[exprs.parse_scalar(t) for t in row]
                    for row in self.matrix_text]
-        field = None
-        for row in entries:
-            for v in row:
-                if isinstance(v, QuadExtElem):
-                    if field is not None and field.d != v.field.d:
-                        raise FixtureError(
-                            "%s: mixed radicals in one witness" % self.label)
-                    field = v.field
-        if field is not None:
-            entries = [[v if isinstance(v, QuadExtElem) else field.embed(v)
-                        for v in row] for row in entries]
-            src = src.map_scalars(field.embed, field.one)
-            tgt = tgt.map_scalars(field.embed, field.one)
+        radicals = {v.field for row in entries for v in row
+                    if isinstance(v, QuadExtElem)}
+        if len(radicals) > 1:
+            raise FixtureError("%s: mixed radicals in one witness"
+                               % self.label)
         return src, tgt, Matrix(entries)
 
 

@@ -4,14 +4,15 @@ Everything here is written for small fixed dimension (ambient spaces of
 dimension 5, matrices at most 10 x 10 or so) and exact scalars, so the
 implementation favors clarity and determinism over asymptotics.  Row
 echelon uses the first nonzero entry in column order as pivot, which makes
-reduced forms canonical for a given row space.
+reduced forms canonical for a given row space.  Q(i) entries and entries
+of one quadratic extension may share a matrix or a subspace.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussianRational
+from .scalars import ONE, ZERO, GaussianRational
 
 
 class AmbientMismatch(ValueError):
@@ -35,10 +36,12 @@ def _coerce_scalar(x):
 class Matrix:
     """Immutable dense matrix; rows is a tuple of tuples of scalars.
 
-    Scalars may be GaussianRational or QuadExtElem; the only requirement
-    is field arithmetic plus is_zero()/inv() duck typing through the usual
-    operators.  int and Fraction entries are promoted to GaussianRational
-    on construction.
+    Entries may be GaussianRational or QuadExtElem, and one matrix may
+    hold both: the two kinds mix in arithmetic and in equality.  The only
+    requirement is field arithmetic plus is_zero()/inv() duck typing
+    through the usual operators.  int and Fraction entries are promoted
+    to GaussianRational on construction.  Identity blocks and kernel
+    vectors are built from ONE and ZERO.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -60,10 +63,9 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
-    def identity(n, one=None):
-        one = one if one is not None else GaussianRational(1)
-        zero = one - one
-        return Matrix([[one if r == c else zero for c in range(n)] for r in range(n)])
+    def identity(n):
+        return Matrix([[ONE if r == c else ZERO for c in range(n)]
+                       for r in range(n)])
 
     def __getitem__(self, rc):
         r, c = rc
@@ -81,25 +83,6 @@ class Matrix:
         body = "; ".join(", ".join(repr(x) for x in row) for row in self.rows)
         return f"Matrix[{body}]"
 
-    def __add__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise AmbientMismatch("matrix shapes differ")
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise AmbientMismatch("matrix shapes differ")
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.rows])
-
-    def scale(self, c):
-        c = _coerce_scalar(c)
-        return Matrix([[c * a for a in row] for row in self.rows])
-
     def __matmul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
@@ -107,14 +90,6 @@ class Matrix:
             ot = other.transpose().rows
             return Matrix([[_dot(row, col) for col in ot] for row in self.rows])
         return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self.__matmul__(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def transpose(self):
         return Matrix([[self.rows[r][c] for r in range(self.nrows)]
@@ -164,9 +139,7 @@ class Matrix:
         if self.nrows != self.ncols:
             raise SingularMatrix("not square")
         n = self.nrows
-        one = _find_one(self)
-        zero = one - one
-        aug = Matrix([list(self.rows[r]) + [one if c == r else zero for c in range(n)]
+        aug = Matrix([list(self.rows[r]) + [ONE if c == r else ZERO for c in range(n)]
                       for r in range(n)])
         red, _, pivots = aug.rref()
         # [A|I] always has rank n; A is invertible iff no pivot spills into
@@ -183,13 +156,11 @@ class Matrix:
         """
         red, rank, pivots = self.rref()
         nc = self.ncols
-        one = _find_one(self)
-        zero = one - one
         free = [c for c in range(nc) if c not in pivots]
         basis = []
         for fc in free:
-            vec = [zero] * nc
-            vec[fc] = one
+            vec = [ZERO] * nc
+            vec[fc] = ONE
             for i, pc in enumerate(pivots):
                 vec[pc] = -red.rows[i][fc]
             basis.append(tuple(vec))
@@ -203,21 +174,6 @@ def _dot(u, v):
     for a, b in it:
         acc = acc + a * b
     return acc
-
-
-def one_like(x):
-    """Multiplicative identity of the field an entry lives in (works on zero)."""
-    field = getattr(x, "field", None)
-    if field is not None:
-        return field.one
-    return GaussianRational(1)
-
-
-def _find_one(m: Matrix):
-    for row in m.rows:
-        for x in row:
-            return one_like(x)
-    return GaussianRational(1)
 
 
 class Subspace:

@@ -11,7 +11,12 @@ Two element kinds cover every coefficient the kernel manipulates:
   radicals are out of scope by design.
 
 Plain rationals are ``fractions.Fraction`` values; they coerce into either
-element kind.  Both types are immutable and hashable.
+element kind.  Q(i) values mix freely with extension values: arithmetic
+and equality coerce the Q(i) operand into the extension, and an
+extension value with no sqrt(d) part hashes like its Q(i) value, so a
+matrix or a table may hold both kinds.  The kernel's constants are
+``ONE`` and ``ZERO`` whatever field the entries live in.  Both types are
+immutable and hashable.
 
 ``PrimeField`` is a descriptor, not an element type: it checks that p is a
 prime with p = 1 (mod 4) and fixes the residue r with r*r = -1 (mod p)
@@ -174,23 +179,6 @@ class GaussianRational:
 
     def __neg__(self):
         return _triple(-self._a, -self._b, self._d)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inv() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def conj(self) -> "GaussianRational":
-        return _triple(self._a, -self._b, self._d)
 
     # -- predicates and ordering ----------------------------------------
 
@@ -373,20 +361,6 @@ class QuadExtElem:
 
     def __neg__(self):
         return QuadExtElem(-self.a, -self.b, self.field)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inv() ** (-k)
-        out = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()

@@ -213,7 +213,7 @@ def test_criterion_6_witness_fixtures(witness_fixtures, catalogue):
             failures.append(fixture.label + " (reverse)")
             continue
         loop = compose_witnesses(m, back)
-        if loop != Matrix.identity(5, one=src.one):
+        if loop != Matrix.identity(5):
             failures.append(fixture.label + " (composition)")
         if verify_witness(src, src, loop) is not None:
             failures.append(fixture.label + " (loop)")

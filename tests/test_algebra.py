@@ -138,7 +138,6 @@ def test_scaling_a_generator_rescales_products():
     assert scaled.table == {(0, 0): {1: GaussianRational(4)}}
 
 
-def test_map_scalars_drops_zeros():
-    alg = SQUARE2
-    mapped = alg.map_scalars(lambda s: s * GaussianRational(0), GaussianRational(1))
-    assert mapped.table == {}
+def test_constructor_drops_zero_products():
+    alg = LeibnizAlgebra(2, {(0, 0): {1: GaussianRational(0)}})
+    assert alg.table == {}

@@ -150,7 +150,7 @@ def test_no_admissible_point(tmp_path, catalogue):
     path.write_text(json.dumps(doc))
     bad = parse_catalogue(path)
     with pytest.raises(NoAdmissiblePoint):
-        sample_params(bad.entry("X_1"), 1, budget=500)
+        sample_params(bad.entry("X_1"), 1)
 
 
 def test_parse_rejects_duplicates(tmp_path, catalogue):

@@ -30,7 +30,8 @@ from leibkit.iso import (
     verify_witness,
 )
 from leibkit.linalg import Matrix, SingularMatrix
-from leibkit.scalars import GaussianRational, PrimeField, QuadExtField
+from leibkit.scalars import (GaussianRational, PrimeField, QuadExtElem,
+                             QuadExtField)
 
 
 def small_invertible(rng, n=5):
@@ -61,7 +62,8 @@ def test_witness_failure_modes(catalogue):
     assert verify_witness(alg, alg, Matrix.identity(4)) is not None
     small = LeibnizAlgebra(4, {})
     assert verify_witness(alg, small, Matrix.identity(5)) is not None
-    scaled = Matrix.identity(5).scale(2)
+    scaled = Matrix([[2 if r == c else 0 for c in range(5)]
+                     for r in range(5)])
     assert verify_witness(alg, alg, scaled) is not None  # not a homomorphism
 
 
@@ -91,8 +93,8 @@ def test_composition_law(catalogue):
 
 def test_witness_over_extension(catalogue):
     field = QuadExtField(2)
-    alg = instantiate(catalogue.entry("A_1")).map_scalars(field.embed, field.one)
-    p = Matrix.identity(5, one=field.one)
+    alg = instantiate(catalogue.entry("A_1"))
+    p = Matrix.identity(5)
     rows = [list(r) for r in p.rows]
     rows[4][4] = field.sqrt_d
     p = Matrix(rows)
@@ -318,6 +320,20 @@ def test_fixtures_all_verify(witness_fixtures, catalogue):
             fixture.label
 
 
+def test_extension_witness_rejected_when_wrong(witness_fixtures, catalogue):
+    # the Q(i) algebras meet the Q(sqrt 2) witness without an embedding
+    fixture = next(f for f in witness_fixtures if f.label == "radical-A_5")
+    src, tgt, m = fixture.realize(catalogue)
+    assert isinstance(src.table[(0, 0)][4], GaussianRational)
+    assert isinstance(m[2, 2], GaussianRational)
+    # entry (5, 4) is sqrt(2)/4; negating it changes only sqrt(2) parts
+    assert isinstance(m[4, 3], QuadExtElem)
+    rows = [list(row) for row in m.rows]
+    rows[4][3] = -rows[4][3]
+    assert verify_witness(src, tgt, Matrix(rows)) is not None
+    assert verify_witness(tgt, src, m.inv()) is None
+
+
 def test_fixture_realize_shapes(witness_fixtures, catalogue):
     for fixture in witness_fixtures:
         src, tgt, matrix = fixture.realize(catalogue)
@@ -384,3 +400,15 @@ def test_fixture_parse_validation(tmp_path):
         path.write_text(json.dumps({"witnesses": [rec]}))
         with pytest.raises(FixtureError, match="^witness (x|0)[ :]"):
             load_fixtures(path)
+
+
+def test_fixture_realize_rejects_two_radicals(tmp_path, catalogue):
+    rows = [["1" if r == c else "0" for c in range(5)] for r in range(5)]
+    rows[0][0], rows[1][1] = "sqrt(2)", "sqrt(3)"
+    rec = {"label": "x", "source": {"products": []},
+           "target": {"products": []}, "matrix": rows}
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"witnesses": [rec]}))
+    (fixture,) = load_fixtures(path)
+    with pytest.raises(FixtureError, match="^x: mixed radicals"):
+        fixture.realize(catalogue)

@@ -34,7 +34,6 @@ def test_gaussian_arithmetic_concrete():
     assert a - b == GaussianRational(-2, 3)
     assert a * b == GaussianRational(5, 5)
     assert -a == GaussianRational(-1, -2)
-    assert a.conj() == GaussianRational(1, -2)
 
 
 def test_gaussian_mixed_operands():
@@ -47,13 +46,10 @@ def test_gaussian_mixed_operands():
     assert a != "1+i"
 
 
-def test_gaussian_inv_and_pow():
+def test_gaussian_inv():
     a = GaussianRational(1, 1)
     assert a.inv() == GaussianRational(Fraction(1, 2), Fraction(-1, 2))
     assert a * a.inv() == GaussianRational(1)
-    assert a ** 2 == GaussianRational(0, 2)
-    assert a ** 0 == GaussianRational(1)
-    assert a ** -2 == GaussianRational(0, Fraction(-1, 2))
     with pytest.raises(ZeroDivisionError):
         GaussianRational(0).inv()
 
@@ -124,8 +120,7 @@ def test_quadext_arithmetic():
     x = one + s
     assert x.inv() == -one + s  # (1+s)(-1+s) = 2-1
     assert x * x.inv() == one
-    assert x ** 2 == f.embed(3) + s * 2
-    assert (x ** -1) * x == one
+    assert x * x == f.embed(3) + s * 2
 
 
 def test_quadext_sqrt():
@@ -193,13 +188,6 @@ def _ref_inv(u):
     return (u[0] / n, -u[1] / n)
 
 
-def _ref_pow(u, k):
-    out = (Fraction(1), Fraction(0))
-    for _ in range(abs(k)):
-        out = _ref_mul(out, u)
-    return _ref_inv(out) if k < 0 else out
-
-
 def _triple(x):
     return tuple(getattr(x, slot) for slot in GaussianRational.__slots__)
 
@@ -238,13 +226,11 @@ def test_gaussian_matches_fraction_pairs():
         x, y = GaussianRational(*u), GaussianRational(*v)
         assert _pair(x) == u and _pair(y) == v
         q = _rand_fraction(rng)
-        k = rng.randint(-3, 3)
         results = {
             "add": (x + y, (u[0] + v[0], u[1] + v[1])),
             "sub": (x - y, (u[0] - v[0], u[1] - v[1])),
             "mul": (x * y, _ref_mul(u, v)),
             "neg": (-x, (-u[0], -u[1])),
-            "conj": (x.conj(), (u[0], -u[1])),
             "add int": (x + 3, (u[0] + 3, u[1])),
             "rsub int": (2 - x, (2 - u[0], -u[1])),
             "mul frac": (q * x, (q * u[0], q * u[1])),
@@ -258,8 +244,6 @@ def test_gaussian_matches_fraction_pairs():
             results["rdiv frac"] = (q / GaussianRational(q, 1),
                                     _ref_mul((q, Fraction(0)),
                                              _ref_inv((q, Fraction(1)))))
-        if any(u) or k >= 0:
-            results["pow"] = (x ** k, _ref_pow(u, k))
         for name, (got, want) in results.items():
             assert _pair(got) == want, name
             _assert_normal(got)
