@@ -139,15 +139,9 @@ class LeibnizAlgebra:
         return None
 
     def is_lie(self) -> bool:
-        # in characteristic 0, antisymmetry is equivalent to vanishing squares
-        for (i, j), comps in self.table.items():
-            other = self.table.get((j, i), {})
-            if set(comps) != set(other):
-                return False
-            for k, s in comps.items():
-                if not (s + other[k]).is_zero():
-                    return False
-        return True
+        # in characteristic 0, antisymmetry is equivalent to vanishing
+        # squares, that is to Leib(A) = 0
+        return self.leib_ideal().dim == 0
 
     # -- derived structure -------------------------------------------------
 

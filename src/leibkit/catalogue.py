@@ -464,43 +464,37 @@ def verify_point(entry, values=None):
         "" if sig.dim_leib >= 1 else "squares span nothing"))
 
     outcomes.append(CheckOutcome(
-        "nilpotent", algebra.is_nilpotent(),
-        "" if algebra.is_nilpotent() else "lower central series stalls"))
+        "nilpotent", sig.nilpotent,
+        "" if sig.nilpotent else "lower central series stalls"))
 
-    center = algebra.center()
-    non_split_ok = algebra.lower_central_term(2).contains_space(center)
+    non_split_ok = sig.dim_center_cap_sq == sig.dim_center
     outcomes.append(CheckOutcome(
         "center_in_square", non_split_ok,
         "" if non_split_ok else "center exceeds the derived subalgebra"))
 
     claims = entry.claims
     observed = {
-        "dim_sq": sig.lower_central_dims[1]
-        if len(sig.lower_central_dims) > 1 else 0,
-        "dim_cube": sig.lower_central_dims[2]
-        if len(sig.lower_central_dims) > 2 else 0,
-        "dim_fourth": sig.lower_central_dims[3]
-        if len(sig.lower_central_dims) > 3 else 0,
+        "dim_sq": algebra.lower_central_term(2).dim,
+        "dim_cube": algebra.lower_central_term(3).dim,
+        "dim_fourth": algebra.lower_central_term(4).dim,
         "dim_leib": sig.dim_leib,
         "dim_center": sig.dim_center,
     }
-    for field in ("dim_sq", "dim_cube", "dim_fourth", "dim_leib",
-                  "dim_center"):
+    for field, got in observed.items():
         want = getattr(claims, field)
         if want is None:
             continue
-        got = observed[field]
         outcomes.append(CheckOutcome(
             "claim_%s" % field, got == want,
             "" if got == want else "claimed %d, computed %d" % (want, got)))
     if claims.leib_equals_center is not None:
-        got = algebra.leib_ideal() == center
+        got = algebra.leib_ideal() == algebra.center()
         want = claims.leib_equals_center
         outcomes.append(CheckOutcome(
             "claim_leib_equals_center", got == want,
             "" if got == want else "claimed %s, computed %s" % (want, got)))
 
-    for rep in (check_center_bound(algebra),) + check_derived_bound(algebra):
+    for rep in (check_center_bound(sig),) + check_derived_bound(sig):
         ok = rep.holds is not False
         outcomes.append(CheckOutcome(
             "bound_%s" % rep.name, ok, "" if ok else str(rep)))

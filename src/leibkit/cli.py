@@ -39,10 +39,8 @@ STATUS_LABEL = {
 }
 
 
-class UsageError(SystemExit):
-    def __init__(self, message):
-        print("error: %s" % message, file=sys.stderr)
-        super().__init__(2)
+class UsageError(ValueError):
+    """A bad option value or argument; `main` prints it and exits 2."""
 
 
 def _require_positive(flag, value):
@@ -137,10 +135,7 @@ def _signature_collisions(reports):
     for sig, names in groups.items():
         if len(names) < 2:
             continue
-        doc = sig.as_dict()
-        doc["lower_central_dims"] = list(doc["lower_central_dims"])
-        doc["derived_dims"] = list(doc["derived_dims"])
-        out.append({"signature": doc, "entries": names})
+        out.append({"signature": sig.as_dict(), "entries": names})
     return out
 
 
@@ -425,7 +420,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CatalogueError, FixtureError, NoAdmissiblePoint,
+    except (UsageError, CatalogueError, FixtureError, NoAdmissiblePoint,
             ConstraintViolated, OSError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2

@@ -51,11 +51,10 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[str], allow_params: bool, allow_sqrt: bool):
+    def __init__(self, tokens: list[str], literal: bool):
         self.tokens = tokens
         self.pos = 0
-        self.allow_params = allow_params
-        self.allow_sqrt = allow_sqrt
+        self.literal = literal
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -117,7 +116,7 @@ class _Parser:
         if tok == "i":
             return ("i",)
         if tok == "sqrt":
-            if not self.allow_sqrt:
+            if not self.literal:
                 raise ExprSyntaxError("sqrt is not allowed in this context")
             self.expect("(")
             sign = 1
@@ -137,7 +136,7 @@ class _Parser:
             self.expect(")")
             return ("sqrt", sign * val)
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and tok not in _RESERVED:
-            if not self.allow_params:
+            if self.literal:
                 raise ExprSyntaxError(f"parameter {tok!r} not allowed in a scalar literal")
             return ("param", tok)
         raise ExprSyntaxError(f"unexpected token {tok!r}")
@@ -147,12 +146,16 @@ class _Parser:
         return nxt is not None and nxt.isdigit()
 
 
-def parse_expr(text: str, allow_params: bool = True, allow_sqrt: bool = False):
-    """Parse expression text into an AST tuple tree."""
+def parse_expr(text: str, literal: bool = False):
+    """Parse expression text into an AST tuple tree.
+
+    The default is the catalogue grammar (parameters, no sqrt); with
+    `literal` it is the scalar-literal grammar (sqrt, no parameters).
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise ExprSyntaxError("empty expression")
-    return _Parser(tokens, allow_params, allow_sqrt).parse()
+    return _Parser(tokens, literal).parse()
 
 
 def free_params(ast) -> set[str]:
@@ -206,7 +209,7 @@ def evaluate(ast, env: dict[str, GaussianRational] | None = None):
 
 def parse_scalar(text: str):
     """Parse a parameter-free scalar literal (sqrt allowed)."""
-    return evaluate(parse_expr(text, allow_params=False, allow_sqrt=True))
+    return evaluate(parse_expr(text, literal=True))
 
 
 def _format_fraction(f: Fraction) -> str:

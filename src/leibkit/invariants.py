@@ -27,6 +27,11 @@ class InvariantSignature:
     dim_sq_bracket_sq: int
     is_lie: bool
 
+    @property
+    def nilpotent(self) -> bool:
+        """The lower central series reaches 0."""
+        return self.lower_central_dims[-1] == 0
+
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

@@ -76,11 +76,6 @@ def verify_witness(source: LeibnizAlgebra, target: LeibnizAlgebra,
     return None
 
 
-def compose_witnesses(first: Matrix, second: Matrix) -> Matrix:
-    """Witness for A -> C from witnesses A -> B and B -> C."""
-    return second @ first
-
-
 # ---------------------------------------------------------------- mod-p side
 
 def _int_table(alg: LeibnizAlgebra, field: PrimeField) -> dict:
@@ -663,14 +658,6 @@ class Certification:
     candidates: int          # total candidates consumed
     detail: str
     searches: tuple = ()     # the SearchResult of each prime searched
-
-    @property
-    def isomorphic(self) -> bool | None:
-        if self.status == CERTIFIED:
-            return True
-        if self.status == DISTINCT:
-            return False
-        return None
 
 
 def _unliftable(rows, prime):

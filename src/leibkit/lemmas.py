@@ -11,13 +11,16 @@ Derived bound: if dim A^2 = n - k, dim Leib(A) = 1 and dim A^3 = t then
 
 Part (ii) at k = 2, t = 1 gives the bound 4, which rules out any
 5-dimensional algebra with dim A^2 = 3, dim A^3 = 1 and Leib(A) = Z(A) = A^3.
+
+The checks read only an algebra's `InvariantSignature`: every hypothesis
+and every quantity in these bounds is a dimension recorded there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LeibnizAlgebra
+from .invariants import InvariantSignature
 
 
 def center_bound(k: int) -> int:
@@ -62,39 +65,41 @@ class BoundsReport:
         return f"{self.name}: {self.observed} <= {self.bound} {verdict}"
 
 
-def check_center_bound(algebra: LeibnizAlgebra) -> BoundsReport:
+def _inapplicable(sig: InvariantSignature) -> str | None:
+    """Why neither bound applies to an algebra with signature `sig`, or
+    None when both lemmas' hypotheses hold."""
+    if not sig.nilpotent:
+        return "algebra is not nilpotent"
+    if sig.dim_leib != 1:
+        return f"dim Leib = {sig.dim_leib}, need 1"
+    return None
+
+
+def check_center_bound(sig: InvariantSignature) -> BoundsReport:
     name = "center-bound"
-    if not algebra.is_nilpotent():
-        return BoundsReport(name, False, "algebra is not nilpotent")
-    if algebra.leib_ideal().dim != 1:
-        return BoundsReport(name, False,
-                            f"dim Leib = {algebra.leib_ideal().dim}, need 1")
-    n = algebra.n
-    k = n - algebra.center().dim
-    sq = algebra.lower_central_term(2).dim
-    return BoundsReport(name, True, f"k={k}", bound=center_bound(k), observed=sq)
+    reason = _inapplicable(sig)
+    if reason is not None:
+        return BoundsReport(name, False, reason)
+    k = sig.dim - sig.dim_center
+    return BoundsReport(name, True, f"k={k}", bound=center_bound(k),
+                        observed=sig.lower_central_dims[1])
 
 
-def check_derived_bound(algebra: LeibnizAlgebra) -> tuple[BoundsReport, BoundsReport]:
+def check_derived_bound(sig: InvariantSignature) -> tuple[BoundsReport, BoundsReport]:
     """Reports for parts (i) and (ii); part (ii) is inapplicable unless
     Leib(A) lies inside A^3."""
     name_i, name_ii = "derived-bound-i", "derived-bound-ii"
-    if not algebra.is_nilpotent():
-        rep = BoundsReport(name_i, False, "algebra is not nilpotent")
-        return rep, BoundsReport(name_ii, False, "algebra is not nilpotent")
-    leib = algebra.leib_ideal()
-    if leib.dim != 1:
-        reason = f"dim Leib = {leib.dim}, need 1"
+    reason = _inapplicable(sig)
+    if reason is not None:
         return (BoundsReport(name_i, False, reason),
                 BoundsReport(name_ii, False, reason))
-    n = algebra.n
-    sq = algebra.lower_central_term(2)
-    cube = algebra.lower_central_term(3)
-    k = n - sq.dim
-    t = cube.dim
+    # nilpotent with A^2 != 0, so the series lists A^2 and A^3
+    n = sig.dim
+    k = n - sig.lower_central_dims[1]
+    t = sig.lower_central_dims[2]
     rep_i = BoundsReport(name_i, True, f"k={k}, t={t}",
                          bound=derived_bound_i(k, t), observed=n)
-    if cube.contains_space(leib):
+    if sig.dim_leib_cap_cube == sig.dim_leib:
         rep_ii = BoundsReport(name_ii, True, f"k={k}, t={t}, Leib in A^3",
                               bound=derived_bound_ii(k, t), observed=n)
     else:

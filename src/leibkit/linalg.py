@@ -216,22 +216,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim={self.dim} of F^{self.ambient})"
 
-    def contains(self, vec) -> bool:
-        vec = tuple(_coerce_scalar(x) for x in vec)
-        if len(vec) != self.ambient:
-            raise AmbientMismatch("vector length differs from ambient dimension")
-        if all(x.is_zero() for x in vec):
-            return True
-        if not self.basis:
-            return False
-        stacked = Matrix(list(self.basis) + [list(vec)])
-        return stacked.rank() == self.dim
-
-    def contains_space(self, other: "Subspace") -> bool:
-        if self.ambient != other.ambient:
-            raise AmbientMismatch("ambient dimensions differ")
-        return all(self.contains(v) for v in other.basis)
-
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise AmbientMismatch("ambient dimensions differ")

@@ -21,7 +21,7 @@ from leibkit.forms import (
     section_two_eligible,
 )
 from leibkit.invariants import signature
-from leibkit.iso import CERTIFIED, EVIDENCE, certify, compose_witnesses, verify_witness
+from leibkit.iso import CERTIFIED, EVIDENCE, certify, verify_witness
 from leibkit.lemmas import exclusion_instance
 from leibkit.linalg import Matrix, SingularMatrix
 from leibkit.scalars import GaussianRational, QuadExtField
@@ -212,7 +212,7 @@ def test_criterion_6_witness_fixtures(witness_fixtures, catalogue):
         if verify_witness(tgt, src, back) is not None:
             failures.append(fixture.label + " (reverse)")
             continue
-        loop = compose_witnesses(m, back)
+        loop = back @ m
         if loop != Matrix.identity(5):
             failures.append(fixture.label + " (composition)")
         if verify_witness(src, src, loop) is not None:

@@ -10,7 +10,7 @@ from leibkit.cli import main
 
 
 def run(capsys, *argv):
-    # usage failures surface as SystemExit(2); fold them into the code
+    # argparse failures surface as SystemExit(2); fold them into the code
     try:
         code = main(list(argv))
     except SystemExit as ex:
@@ -217,6 +217,28 @@ def test_misuse_exits_2(capsys, tmp_path, argv, file_text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# [e1,e2] = e2 and [e3,e3] = e4: the lower central series stalls at
+# A^3 = span(e2), so dims are (5, 2, 1) and dim A^4 = 1
+STALLED_CATALOGUE = json.dumps({
+    "dimension": 5,
+    "cases": {"c": {"claims": {"dim_sq": 2, "dim_cube": 0,
+                               "dim_fourth": 0}}},
+    "entries": [{"name": "X_1", "case": "c", "products": [
+        {"left": 1, "right": 2, "components": {"2": "1"}},
+        {"left": 3, "right": 3, "components": {"4": "1"}}]}]})
+
+
+def test_stalled_series_claims(capsys, tmp_path):
+    path = tmp_path / "stalled.json"
+    path.write_text(STALLED_CATALOGUE)
+    code, out, err = run(capsys, "verify", "--catalogue", str(path))
+    assert code == 1 and err == ""
+    assert "nilpotent: FAIL (lower central series stalls)" in out
+    assert "claim_dim_sq" not in out
+    assert "claim_dim_cube: FAIL (claimed 0, computed 1)" in out
+    assert "claim_dim_fourth: FAIL (claimed 0, computed 1)" in out
 
 
 def test_missing_catalogue_file(capsys):

@@ -53,7 +53,9 @@ def test_parse_scalar_rejects_params():
 def test_sqrt_gated():
     with pytest.raises(ExprSyntaxError):
         parse_expr("sqrt(2)")  # default grammar has no radicals
-    parse_expr("sqrt(2)", allow_sqrt=True)
+    parse_expr("sqrt(2)", literal=True)
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("alpha", literal=True)  # literals have no parameters
 
 
 def test_syntax_errors():

@@ -6,6 +6,7 @@ from leibkit.algebra import LeibnizAlgebra
 from leibkit.catalogue import instantiate, sample_params
 from leibkit.invariants import signature
 from leibkit.linalg import Matrix, SingularMatrix
+from leibkit.scalars import GaussianRational
 
 
 def test_abelian_signature():
@@ -65,3 +66,53 @@ def test_base_change_invariance_sample(catalogue):
                 except SingularMatrix:
                     continue
             assert signature(alg.base_change(p)) == sig
+
+
+def _antisymmetric(alg):
+    for (i, j), comps in alg.table.items():
+        other = alg.table.get((j, i), {})
+        if set(comps) != set(other):
+            return False
+        if any(not (s + other[k]).is_zero() for k, s in comps.items()):
+            return False
+    return True
+
+
+# not nilpotent, Z(A) outside A^2 and Leib(A) outside A^3; then a Lie algebra
+STALLED = LeibnizAlgebra(5, {(0, 1): {1: GaussianRational(1)},
+                             (2, 2): {3: GaussianRational(1)}})
+HEISENBERG = LeibnizAlgebra(5, {(0, 1): {2: GaussianRational(1)},
+                                (1, 0): {2: GaussianRational(-1)}})
+
+
+def test_signature_facts_match_direct_computation(catalogue):
+    rng = random.Random(8)
+    algebras = [STALLED, HEISENBERG]
+    for entry in catalogue:
+        alg = instantiate(entry, sample_params(entry, 1)[0])
+        algebras.append(alg)
+        if rng.random() < 0.25:  # about a quarter also get a base change
+            while True:
+                p = Matrix([[rng.randint(-2, 2) for _ in range(5)]
+                            for _ in range(5)])
+                try:
+                    p.inv()
+                    break
+                except SingularMatrix:
+                    continue
+            algebras.append(alg.base_change(p))
+    seen = set()
+    for alg in algebras:
+        sig = signature(alg)
+        sq = alg.lower_central_term(2)
+        cube = alg.lower_central_term(3)
+        center, leib = alg.center(), alg.leib_ideal()
+        facts = (sig.nilpotent,
+                 sig.dim_center_cap_sq == sig.dim_center,
+                 sig.dim_leib_cap_cube == sig.dim_leib,
+                 alg.is_lie())
+        assert facts == (alg.is_nilpotent(), (sq + center) == sq,
+                         (cube + leib) == cube, _antisymmetric(alg))
+        seen.add(facts)
+    # each fact is seen both true and false
+    assert all({f[k] for f in seen} == {True, False} for k in range(4))

@@ -1,6 +1,7 @@
 """Dimension-bound lemmas and the k=2, t=1 exclusion instance."""
 
 from leibkit.catalogue import instantiate
+from leibkit.invariants import signature
 from leibkit.lemmas import (
     center_bound,
     check_center_bound,
@@ -29,23 +30,26 @@ def test_exclusion_instance():
 
 
 def test_center_bound_on_entries(catalogue):
-    report = check_center_bound(instantiate(catalogue.entry("A_1")))
+    report = check_center_bound(signature(instantiate(catalogue.entry("A_1"))))
     assert report.applicable
     assert report.observed == 3  # dim A^2
     assert report.bound == center_bound(4)  # center has codim 4
     assert report.holds is True
-    skipped = check_center_bound(instantiate(catalogue.entry("A_16")))
+    skipped = check_center_bound(
+        signature(instantiate(catalogue.entry("A_16"))))
     assert not skipped.applicable
     assert skipped.holds is None
     assert "not applicable" in str(skipped)
 
 
 def test_derived_bounds_on_entries(catalogue):
-    first, second = check_derived_bound(instantiate(catalogue.entry("A_1")))
+    first, second = check_derived_bound(
+        signature(instantiate(catalogue.entry("A_1"))))
     assert first.name == "derived-bound-i"
     assert second.name == "derived-bound-ii"
     assert first.applicable and first.holds is True
     assert second.holds in (True, None)
     for name in ("A_16", "A_42"):
-        for rep in check_derived_bound(instantiate(catalogue.entry(name))):
+        for rep in check_derived_bound(
+                signature(instantiate(catalogue.entry(name)))):
             assert rep.holds in (True, None)

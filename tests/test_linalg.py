@@ -106,16 +106,6 @@ def test_subspace_canonical_basis():
         Subspace(3, [(1, 0)])
 
 
-def test_subspace_contains():
-    s = Subspace(3, [(1, 0, 0), (0, 1, 0)])
-    assert s.contains((5, -2, 0))
-    assert not s.contains((0, 0, 1))
-    assert s.contains((0, 0, 0))
-    assert Subspace(3, []).contains((0, 0, 0))
-    assert s.contains_space(Subspace(3, [(1, 1, 0)]))
-    assert not s.contains_space(Subspace(3, [(1, 1, 1)]))
-
-
 def test_subspace_sum_and_intersection():
     a = Subspace(3, [(1, 0, 0), (0, 1, 0)])
     b = Subspace(3, [(0, 1, 0), (0, 0, 1)])
