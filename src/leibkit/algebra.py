@@ -225,14 +225,14 @@ class LeibnizAlgebra:
                 vecs.append(tuple(comp.get(k, ZERO) for k in range(self.n)))
         return Subspace(self.n, vecs)
 
-    def _annihilator(self, side: str) -> Subspace:
+    def _annihilator(self, left: bool) -> Subspace:
         # rows: one linear constraint per (probe basis vector j, component k)
         rows = []
         n = self.n
         for j in range(n):
             comp_rows = {}
             for i in range(n):
-                pair = (i, j) if side == "left" else (j, i)
+                pair = (i, j) if left else (j, i)
                 for k, s in self.table.get(pair, {}).items():
                     comp_rows.setdefault(k, [ZERO] * n)[i] = s
             rows.extend(comp_rows.values())
@@ -243,11 +243,11 @@ class LeibnizAlgebra:
 
     def left_annihilator(self) -> Subspace:
         """{x : [x, a] = 0 for all a}; contains the squares ideal."""
-        return self._once("left", lambda: self._annihilator("left"))
+        return self._once("left_ann", lambda: self._annihilator(True))
 
     def right_annihilator(self) -> Subspace:
         """{x : [a, x] = 0 for all a}."""
-        return self._once("right", lambda: self._annihilator("right"))
+        return self._once("right_ann", lambda: self._annihilator(False))
 
     def center(self) -> Subspace:
         return self._once("center", self._center)

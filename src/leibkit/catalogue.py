@@ -4,6 +4,10 @@ The shipped table lists 277 records grouped into cases; each case carries the
 dimension claims shared by its members. Entries are parametric: coefficients
 are expressions over the entry's parameters, and admissibility is a
 conjunction of nonzero constraints plus optional any-nonzero clauses.
+
+This module is the one reader of the JSON product layout, a list of
+{left: i, right: j, components: {k: text}} records; witness files read
+their inline tables with the same `parse_products` and `product_table`.
 """
 
 import functools
@@ -33,6 +37,8 @@ class ConstraintViolated(ValueError):
 class NoAdmissiblePoint(RuntimeError):
     """The deterministic sample stream found too few admissible points."""
 
+
+DIMENSION = 5  # the n of the classification, for catalogue and witness files
 
 CLAIM_FIELDS = ("dim_sq", "dim_cube", "dim_fourth", "dim_leib",
                 "dim_center", "leib_equals_center")
@@ -81,7 +87,6 @@ class CatalogueEntry:
     products: tuple
     claims: Claims
     iso: Optional[IsoCriteria] = None
-    notes: Optional[str] = None
 
     @property
     def is_parametric(self):
@@ -89,7 +94,8 @@ class CatalogueEntry:
 
 
 class Catalogue:
-    """Parsed catalogue with name lookup and canonical serialization.
+    """Parsed catalogue with name lookup.  Nothing writes one back; its
+    product reader `parse_products` also reads witness files' inline tables.
 
     `sha256` is the hex digest of the file text the catalogue was parsed
     from, so a report names exactly the table it checked.
@@ -117,47 +123,24 @@ class Catalogue:
     def names(self):
         return [e.name for e in self.entries]
 
-    def to_document(self):
-        cases = {cid: {"claims": claims.as_dict()}
-                 for cid, claims in self.cases.items()}
-        entries = []
-        for e in self.entries:
-            rec = {
-                "name": e.name,
-                "case": e.case,
-                "params": list(e.params),
-                "constraints": list(e.constraints),
-                "products": [
-                    {"left": p.left, "right": p.right,
-                     "components": {str(k): text for k, text, _ in p.components}}
-                    for p in e.products
-                ],
-            }
-            if e.constraints_any:
-                rec["constraints_any"] = [list(cl) for cl in e.constraints_any]
-            if e.notes:
-                rec["notes"] = e.notes
-            if e.iso is not None:
-                iso = {"statement": e.iso.statement,
-                       "pairs": [dict(p) for p in e.iso.pairs]}
-                if e.iso.invariant is not None:
-                    iso["invariant"] = e.iso.invariant
-                rec["iso"] = iso
-            entries.append(rec)
-        return {"dimension": self.dimension, "cases": cases, "entries": entries}
 
-    def dumps(self):
-        return json.dumps(self.to_document(), indent=1) + "\n"
+def parse_expr_checked(text, params, where, literal=False):
+    """The AST of expression `text`, or CatalogueError naming `where`.
 
-
-def _parse_expr_checked(text, params, where):
+    The default is the catalogue grammar over the declared `params`; with
+    `literal` it is the scalar-literal grammar, and the literal is also
+    evaluated once, so that e.g. 1/(1-1) fails here and not at use.
+    """
     if not isinstance(text, str):
         raise CatalogueError("%s: expression %r is not a string"
                              % (where, text))
     try:
-        ast = exprs.parse_expr(text)
-    except exprs.ExprSyntaxError as e:
-        raise CatalogueError("%s: bad expression %r (%s)" % (where, text, e))
+        ast = exprs.parse_expr(text, literal)
+        if literal:
+            exprs.evaluate(ast)
+    except (ValueError, ZeroDivisionError, FieldMismatch) as e:
+        raise CatalogueError("%s: bad expression %r (%s)"
+                             % (where, text, e)) from None
     stray = exprs.free_params(ast) - set(params)
     if stray:
         raise CatalogueError("%s: expression %r uses undeclared %s"
@@ -190,32 +173,21 @@ def _parse_claims(rec, where):
     return Claims(**rec)
 
 
-def _parse_entry(rec, dimension, cases):
-    name = _expect(rec, dict, "catalogue entry").get("name")
-    if not isinstance(name, str) or not name:
-        raise CatalogueError("entry without a name")
-    where = "entry %s" % name
-    case = rec.get("case")
-    if case not in cases:
-        raise CatalogueError("%s: unknown case %r" % (where, case))
-    params = tuple(rec.get("params", ()))
-    constraints = tuple(rec.get("constraints", ()))
-    for text in constraints:
-        _parse_expr_checked(text, params, where)
-    constraints_any = tuple(
-        tuple(cl) for cl in rec.get("constraints_any", ()))
-    for clause in constraints_any:
-        if not clause:
-            raise CatalogueError("%s: empty any-clause" % where)
-        for text in clause:
-            _parse_expr_checked(text, params, where)
+def parse_products(recs, dimension, params, where, literal=False):
+    """Products from a JSON list of product records.
 
+    Indices are JSON integers 1..dimension, a component key is one of
+    "1".."dimension" and its value an expression (see parse_expr_checked
+    for `params` and `literal`); a pair listed twice or a product without
+    components is an error.  Raises CatalogueError naming `where`.
+    """
+    keys = {str(k): k for k in range(1, dimension + 1)}
     products = []
     seen = set()
-    for prec in _expect(rec.get("products", []), list, "%s products" % where):
+    for prec in _expect(recs, list, "%s products" % where):
         _expect(prec, dict, "%s product" % where)
         i, j = prec.get("left"), prec.get("right")
-        if not (isinstance(i, int) and isinstance(j, int)
+        if not (type(i) is int and type(j) is int   # true is no index
                 and 1 <= i <= dimension and 1 <= j <= dimension):
             raise CatalogueError("%s: bad product indices %r, %r"
                                  % (where, i, j))
@@ -227,20 +199,40 @@ def _parse_entry(rec, dimension, cases):
         components = _expect(prec.get("components", {}), dict,
                              "%s components" % where)
         for key, text in components.items():
-            try:
-                k = int(key)
-            except ValueError:
+            if key not in keys:
                 raise CatalogueError("%s: bad component index %r"
-                                     % (where, key)) from None
-            if not 1 <= k <= dimension:
-                raise CatalogueError("%s: component index %d out of range"
-                                     % (where, k))
-            ast = _parse_expr_checked(text, params, where)
-            comps.append((k, text, ast))
+                                     % (where, key))
+            comps.append((keys[key], text,
+                          parse_expr_checked(text, params, where, literal)))
         if not comps:
             raise CatalogueError("%s: empty product [%d, %d]" % (where, i, j))
         comps.sort()
         products.append(Product(i, j, tuple(comps)))
+    return tuple(products)
+
+
+def _parse_entry(rec, dimension, cases):
+    name = _expect(rec, dict, "catalogue entry").get("name")
+    if not isinstance(name, str) or not name:
+        raise CatalogueError("entry without a name")
+    where = "entry %s" % name
+    case = rec.get("case")
+    if case not in cases:
+        raise CatalogueError("%s: unknown case %r" % (where, case))
+    params = tuple(rec.get("params", ()))
+    constraints = tuple(rec.get("constraints", ()))
+    for text in constraints:
+        parse_expr_checked(text, params, where)
+    constraints_any = tuple(
+        tuple(cl) for cl in rec.get("constraints_any", ()))
+    for clause in constraints_any:
+        if not clause:
+            raise CatalogueError("%s: empty any-clause" % where)
+        for text in clause:
+            parse_expr_checked(text, params, where)
+
+    products = parse_products(rec.get("products", []), dimension, params,
+                              where)
 
     iso = None
     irec = rec.get("iso")
@@ -252,19 +244,19 @@ def _parse_entry(rec, dimension, cases):
                 if p not in params:
                     raise CatalogueError("%s: iso map names foreign "
                                          "parameter %r" % (where, p))
-                _parse_expr_checked(text, params, where)
+                parse_expr_checked(text, params, where)
                 items.append((p, text))
             pairs.append(tuple(items))
         invariant = irec.get("invariant")
         if invariant is not None:
-            _parse_expr_checked(invariant, params, where)
+            parse_expr_checked(invariant, params, where)
         iso = IsoCriteria(statement=irec.get("statement", ""),
                           pairs=tuple(pairs), invariant=invariant)
 
     return CatalogueEntry(
         name=name, case=case, params=params, constraints=constraints,
-        constraints_any=constraints_any, products=tuple(products),
-        claims=cases[case], iso=iso, notes=rec.get("notes"))
+        constraints_any=constraints_any, products=products,
+        claims=cases[case], iso=iso)
 
 
 def parse_catalogue(path=None):
@@ -284,7 +276,7 @@ def parse_catalogue(path=None):
         raise CatalogueError("invalid JSON: %s" % e)
 
     dimension = _expect(doc, dict, "catalogue document").get("dimension")
-    if dimension != 5:
+    if dimension != DIMENSION:
         raise CatalogueError("unsupported dimension %r" % dimension)
     cases = {}
     for cid, crec in _expect(doc.get("cases", {}), dict, "cases").items():
@@ -392,8 +384,14 @@ def instantiate(entry, values=None):
     if not _admissible(entry, env):
         raise ConstraintViolated("%s: parameter values violate the "
                                  "admissibility constraints" % entry.name)
+    return LeibnizAlgebra(DIMENSION, product_table(entry.products, env))
+
+
+def product_table(products, env=None):
+    """The LeibnizAlgebra table {(i, j): {k: value}} (0-based, zeros
+    dropped) of parsed products, evaluated at the parameter values `env`."""
     table = {}
-    for prod in entry.products:
+    for prod in products:
         row = {}
         for k, _text, ast in prod.components:
             val = exprs.evaluate(ast, env)
@@ -401,7 +399,7 @@ def instantiate(entry, values=None):
                 row[k - 1] = val
         if row:
             table[(prod.left - 1, prod.right - 1)] = row
-    return LeibnizAlgebra(5, table)
+    return table
 
 
 # ----------------------------------------------------------- verification

@@ -345,11 +345,22 @@ class AdaptedBasis:
     matrix: Matrix
 
 
-def section_two_eligible(algebra: LeibnizAlgebra) -> bool:
+def _section_two_violation(algebra: LeibnizAlgebra) -> str | None:
+    """Which hypothesis of Section 2 (nilpotent, dim A^2 = n - 2,
+    dim Leib = 1) the algebra breaks, or None when it meets them all."""
     if not algebra.is_nilpotent():
-        return False
+        return "algebra is not nilpotent"
     sq = algebra.lower_central_term(2)
-    return sq.dim == algebra.n - 2 and algebra.leib_ideal().dim == 1
+    if sq.dim != algebra.n - 2:
+        return f"dim A^2 = {sq.dim}, need {algebra.n - 2}"
+    leib = algebra.leib_ideal()
+    if leib.dim != 1:
+        return f"dim Leib = {leib.dim}, need 1"
+    return None
+
+
+def section_two_eligible(algebra: LeibnizAlgebra) -> bool:
+    return _section_two_violation(algebra) is None
 
 
 def extract_v_form(algebra: LeibnizAlgebra) -> tuple[BilinearForm2, AdaptedBasis]:
@@ -360,16 +371,12 @@ def extract_v_form(algebra: LeibnizAlgebra) -> tuple[BilinearForm2, AdaptedBasis
     and basis extension are chosen canonically so the result is
     reproducible, and the canonical kind does not depend on the choices.
     """
+    reason = _section_two_violation(algebra)
+    if reason is not None:
+        raise HypothesisViolation(reason)
     n = algebra.n
-    if not algebra.is_nilpotent():
-        raise HypothesisViolation("algebra is not nilpotent")
     sq = algebra.lower_central_term(2)
-    if sq.dim != n - 2:
-        raise HypothesisViolation(f"dim A^2 = {sq.dim}, need {n - 2}")
-    leib = algebra.leib_ideal()
-    if leib.dim != 1:
-        raise HypothesisViolation(f"dim Leib = {leib.dim}, need 1")
-    ell = leib.basis[0]
+    ell = algebra.leib_ideal().basis[0]
 
     # extend span{ell} to A^2 greedily along the RREF basis of A^2
     chosen = []

@@ -14,7 +14,6 @@ each deeper layer of their images as an affine system mod p.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -23,6 +22,8 @@ from importlib import resources
 
 from . import exprs
 from .algebra import LeibnizAlgebra
+from .catalogue import (DIMENSION, CatalogueError, parse_expr_checked,
+                        parse_products, product_table)
 from .catalogue import instantiate as cat_instantiate
 from .catalogue import parse_catalogue as cat_parse
 from .invariants import signature
@@ -339,9 +340,9 @@ def _words(tab, gens, series, n, p):
     return rows, pairs
 
 
-def _rebase(tab, basis, n, p):
-    """The int table written in the given basis rows."""
-    inv = _inv_mat(basis, p)
+def _rebase(tab, basis, inv, n, p):
+    """The int table written in the given basis rows, whose inverse is
+    `inv`."""
     out = {}
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
@@ -404,8 +405,9 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     words, pairs = _words(tab_s, gens, series_s, n, p)
     if len(words) != n:
         raise BadPrime(f"{prime} breaks generation by the complement")
-    src = _rebase(tab_s, words, n, p)
-    tgt = _rebase(tab_t, basis, n, p)
+    inv_words = _inv_mat(words, p)
+    src = _rebase(tab_s, words, inv_words, n, p)
+    tgt = _rebase(tab_t, basis, _inv_mat(basis, p), n, p)
     # word k has length layer[k], and [A^i, A^j] lies in A^(i+j)
     for tab in (src, tgt):
         if any(layer[k] < layer[i] + layer[j]
@@ -499,7 +501,6 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
                 rows.append([dv[r] % p for dv in deriv])
         return _prepare(rows, m * d, p)
 
-    inv_words = _inv_mat(words, p)
     levels = [LevelCounts("class %d" % (a + 1)) for a in range(m)]
     levels += [LevelCounts("layer %d" % t) for t in range(3, depth + 1)]
     found = []
@@ -741,33 +742,27 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
 _REALIZE_CACHE = {}
 
 
-def _fixture_side(spec, catalogue):
-    if "entry" in spec:
-        entry = catalogue.entry(spec["entry"])
+def _fixture_side(side, catalogue):
+    if isinstance(side, dict):
+        entry = catalogue.entry(side["entry"])
         values = {p: exprs.parse_scalar(t)
-                  for p, t in spec.get("params", {}).items()}
+                  for p, t in side.get("params", {}).items()}
         return cat_instantiate(entry, values)
-    table = {}
-    for prod in spec["products"]:
-        row = {}
-        for k, text in prod["components"].items():
-            row[int(k) - 1] = exprs.parse_scalar(text)
-        if row:
-            table[(prod["left"] - 1, prod["right"] - 1)] = row
-    return LeibnizAlgebra(5, table)
+    return LeibnizAlgebra(DIMENSION, product_table(side))
 
 
 @dataclass(frozen=True)
 class WitnessFixture:
     """One stored base change between two recorded algebras.
 
-    `source` and `target` each name a catalogue entry (with parameter
-    values) or carry an inline product table; `matrix_text` holds the
-    witness entries as scalar literals.
+    `source` and `target` each hold a catalogue entry spec, a dict with
+    the entry name and its parameter literals, or an inline product table
+    parsed by the catalogue's reader; `matrix_text` holds the witness
+    entries as scalar literals.
     """
     label: str
-    source: dict
-    target: dict
+    source: dict | tuple
+    target: dict | tuple
     matrix_text: tuple
     note: str
 
@@ -798,57 +793,25 @@ def _shipped_catalogue():
     return _REALIZE_CACHE["catalogue"]
 
 
-@functools.lru_cache(maxsize=None)
-def _scalar_problem(text):
-    """Why `text` is not a scalar literal, or None when it is one (a
-    witness file repeats a few texts such as "0" many times)."""
-    try:
-        exprs.parse_scalar(text)
-    except (ValueError, ZeroDivisionError) as ex:
-        return str(ex)
-    return None
-
-
 def _check_scalar(text, where):
-    """Raise FixtureError unless `text` is a scalar literal."""
-    if not isinstance(text, str):
-        raise FixtureError("%s: %r is not a scalar string" % (where, text))
-    problem = _scalar_problem(text)
-    if problem is not None:
-        raise FixtureError("%s: bad scalar %r (%s)" % (where, text, problem))
+    """Raise CatalogueError unless `text` is a scalar literal."""
+    parse_expr_checked(text, (), where, literal=True)
 
 
-def _check_side(spec, where):
-    """Validate one side's entry parameters or inline product table, so
-    that realizing it cannot fail on the file's shape."""
-    if "entry" in spec:
-        params = spec.get("params", {})
-        if not isinstance(spec["entry"], str) or not isinstance(params, dict):
-            raise FixtureError("%s: entry must be a name and params an object"
-                               % where)
-        for text in params.values():
-            _check_scalar(text, "%s params" % where)
-        return
-    products = spec["products"]
-    if not isinstance(products, list):
-        raise FixtureError("%s: products must be an array" % where)
-    for prod in products:
-        if (not isinstance(prod, dict)
-                or not {"left", "right", "components"} <= set(prod)):
-            raise FixtureError("%s: a product needs the keys left, right "
-                               "and components" % where)
-        if any(type(prod[key]) is not int or not 1 <= prod[key] <= 5
-               for key in ("left", "right")):
-            raise FixtureError("%s: product indices must be integers 1..5"
-                               % where)
-        comps = prod["components"]
-        if not isinstance(comps, dict):
-            raise FixtureError("%s: components must be an object" % where)
-        for key, text in comps.items():
-            if key not in ("1", "2", "3", "4", "5"):
-                raise FixtureError("%s: bad component index %r"
-                                   % (where, key))
-            _check_scalar(text, "%s components" % where)
+def _parse_side(spec, where):
+    """One side as realize takes it: the entry spec with its parameter
+    literals checked, or the inline table read by the catalogue's reader,
+    so that realizing it cannot fail on the file's shape."""
+    if "products" in spec:
+        return parse_products(spec["products"], DIMENSION, (), where,
+                              literal=True)
+    params = spec.get("params", {})
+    if not isinstance(spec["entry"], str) or not isinstance(params, dict):
+        raise FixtureError("%s: entry must be a name and params an object"
+                           % where)
+    for text in params.values():
+        _check_scalar(text, "%s params" % where)
+    return spec
 
 
 def _parse_fixture(rec, where):
@@ -860,24 +823,27 @@ def _parse_fixture(rec, where):
     if not isinstance(rec["label"], str):
         raise FixtureError("%s: label must be a string" % where)
     where = "witness %s" % rec["label"]
+    sides = []
     for side in ("source", "target"):
         spec = rec[side]
         if (not isinstance(spec, dict)
                 or ("entry" in spec) == ("products" in spec)):
             raise FixtureError("%s: %s must name an entry or carry products"
                                % (where, side))
-        _check_side(spec, "%s %s" % (where, side))
+        sides.append(_parse_side(spec, "%s %s" % (where, side)))
     rows = rec["matrix"]
-    if (not isinstance(rows, list) or len(rows) != 5
-            or any(not isinstance(r, list) or len(r) != 5 for r in rows)):
-        raise FixtureError("%s: matrix must be 5x5" % where)
+    if (not isinstance(rows, list) or len(rows) != DIMENSION
+            or any(not isinstance(r, list) or len(r) != DIMENSION
+                   for r in rows)):
+        raise FixtureError("%s: matrix must be %dx%d"
+                           % (where, DIMENSION, DIMENSION))
     for row in rows:
         for text in row:
             _check_scalar(text, "%s matrix" % where)
     return WitnessFixture(
         label=rec["label"],
-        source=rec["source"],
-        target=rec["target"],
+        source=sides[0],
+        target=sides[1],
         matrix_text=tuple(tuple(r) for r in rows),
         note=rec.get("note", ""),
     )
@@ -886,6 +852,8 @@ def _parse_fixture(rec, where):
 def load_fixtures(path=None):
     """Load the stored witness list (default: the shipped file).
 
+    Scalars and inline product tables are read by the catalogue's
+    expression and product readers, in the scalar-literal grammar.
     Raises FixtureError when the file is not a witness document.
     """
     if path is None:
@@ -901,6 +869,9 @@ def load_fixtures(path=None):
     records = doc.get("witnesses", []) if isinstance(doc, dict) else None
     if not isinstance(records, list):
         raise FixtureError("expected an object with a \"witnesses\" array")
-    return tuple(_parse_fixture(rec, "witness %d" % k)
-                 for k, rec in enumerate(records))
+    try:
+        return tuple(_parse_fixture(rec, "witness %d" % k)
+                     for k, rec in enumerate(records))
+    except CatalogueError as ex:  # a scalar or an inline table
+        raise FixtureError(str(ex)) from None
 

@@ -1,6 +1,8 @@
 """Shared fixtures; the catalogue and witness file parse once per session."""
 
+import json
 import sys
+from importlib import resources
 
 import pytest
 
@@ -11,6 +13,14 @@ from leibkit.iso import load_fixtures
 @pytest.fixture(scope="session")
 def catalogue():
     return parse_catalogue()
+
+
+@pytest.fixture(scope="session")
+def shipped_document():
+    """The shipped catalogue file as parsed JSON; shared, so copy before
+    changing it."""
+    return json.loads((resources.files("leibkit") / "data" /
+                       "catalogue.json").read_text())
 
 
 @pytest.fixture(scope="session")

@@ -182,10 +182,29 @@ IRRATIONAL_PARAM_WITNESS = json.dumps({"witnesses": [{
     "label": "w", "source": {"entry": "A_5", "params": {"alpha": "sqrt(2)"}},
     "target": {"entry": "A_5", "params": {"alpha": "2"}},
     "matrix": IDENTITY}]})
+# the [1,1] product listed twice in an inline table
+TWICE_LISTED_WITNESS = json.dumps({"witnesses": [{
+    "label": "x", "source": {"products": [
+        {"left": 1, "right": 1, "components": {"5": "1"}}] * 2},
+    "target": {"products": [
+        {"left": 1, "right": 1, "components": {"5": "1"}}]},
+    "matrix": IDENTITY}]})
 BAD_CLAIM_CATALOGUE = json.dumps({
     "dimension": 5, "cases": {"c": {"claims": {"dim_sq": "x"}}},
     "entries": [{"name": "X_1", "case": "c", "products": [
         {"left": 1, "right": 1, "components": {"5": "1"}}]}]})
+
+
+def one_product_catalogue(product):
+    return json.dumps({
+        "dimension": 5, "cases": {"c": {"claims": {}}},
+        "entries": [{"name": "X_1", "case": "c", "products": [product]}]})
+
+
+BOOL_INDEX_CATALOGUE = one_product_catalogue(
+    {"left": True, "right": 1, "components": {"5": "1"}})
+PADDED_KEY_CATALOGUE = one_product_catalogue(
+    {"left": 1, "right": 1, "components": {"05": "1"}})
 
 
 @pytest.mark.parametrize("argv, file_text", [
@@ -207,6 +226,9 @@ BAD_CLAIM_CATALOGUE = json.dumps({
     (["iso", "verify", "--fixtures", "FILE"], UNKNOWN_ENTRY_WITNESS),
     (["iso", "verify", "--fixtures", "FILE"], IRRATIONAL_PARAM_WITNESS),
     (["invariants", "--entry", "A_5:beta=1"], None),
+    (["verify", "--catalogue", "FILE"], BOOL_INDEX_CATALOGUE),
+    (["verify", "--catalogue", "FILE"], PADDED_KEY_CATALOGUE),
+    (["iso", "verify", "--fixtures", "FILE"], TWICE_LISTED_WITNESS),
 ])
 def test_misuse_exits_2(capsys, tmp_path, argv, file_text):
     if file_text is not None:

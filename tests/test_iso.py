@@ -368,6 +368,7 @@ def test_fixture_parse_validation(tmp_path):
         lambda r: r["matrix"][0].__setitem__(0, 1),
         lambda r: r["matrix"][4].__setitem__(4, "1/(1-1)"),
         lambda r: r["matrix"][1].__setitem__(1, "alpha"),
+        lambda r: r["matrix"][1].__setitem__(1, "sqrt(2)*sqrt(3)"),
         lambda r: r["source"]["products"].append({"left": 1, "right": 1}),
         lambda r: r["source"]["products"].append({"components": {}}),
         lambda r: r["target"]["products"].append(
@@ -382,6 +383,9 @@ def test_fixture_parse_validation(tmp_path):
             dict(product, components={"5": "2+"})),
         lambda r: r["target"]["products"].append(
             dict(product, components=["1"])),
+        lambda r: r["target"]["products"].append(
+            dict(product, components={})),
+        lambda r: r["target"]["products"].extend([product, product]),
         lambda r: r.__setitem__("source", {"products": {}}),
         lambda r: r.__setitem__("source", {"entry": "A_5",
                                            "params": {"alpha": "2*"}}),
