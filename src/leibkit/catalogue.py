@@ -67,7 +67,7 @@ class Product:
     """One bracket [x_left, x_right] with 1-based component expressions."""
     left: int
     right: int
-    components: tuple  # ((k, expr-text, ast), ...) sorted by k
+    components: tuple  # ((k, ast), ...) sorted by k
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,6 @@ class IsoCriteria:
 @dataclass(frozen=True)
 class CatalogueEntry:
     name: str
-    case: str
     params: tuple
     constraints: tuple        # expr texts, each required nonzero
     constraints_any: tuple    # clauses; each clause needs one nonzero member
@@ -101,8 +100,7 @@ class Catalogue:
     from, so a report names exactly the table it checked.
     """
 
-    def __init__(self, dimension, cases, entries, sha256):
-        self.dimension = dimension
+    def __init__(self, cases, entries, sha256):
         self.cases = dict(cases)
         self.entries = tuple(entries)
         self.by_name = {e.name: e for e in self.entries}
@@ -128,17 +126,15 @@ def parse_expr_checked(text, params, where, literal=False):
     """The AST of expression `text`, or CatalogueError naming `where`.
 
     The default is the catalogue grammar over the declared `params`; with
-    `literal` it is the scalar-literal grammar, and the literal is also
-    evaluated once, so that e.g. 1/(1-1) fails here and not at use.
+    `literal` it is the scalar-literal grammar.  The parser folds
+    constants, so e.g. 1/(1-1) fails here and not at use.
     """
     if not isinstance(text, str):
         raise CatalogueError("%s: expression %r is not a string"
                              % (where, text))
     try:
         ast = exprs.parse_expr(text, literal)
-        if literal:
-            exprs.evaluate(ast)
-    except (ValueError, ZeroDivisionError, FieldMismatch) as e:
+    except ValueError as e:
         raise CatalogueError("%s: bad expression %r (%s)"
                              % (where, text, e)) from None
     stray = exprs.free_params(ast) - set(params)
@@ -148,12 +144,15 @@ def parse_expr_checked(text, params, where, literal=False):
     return ast
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string"}
+
+
 def _expect(value, kind, what):
     """Return `value`, or raise CatalogueError unless it is of JSON type
-    `kind` (dict for an object, list for an array)."""
+    `kind` (dict for an object, list for an array, str for a string)."""
     if not isinstance(value, kind):
         raise CatalogueError("%s must be a JSON %s"
-                             % (what, "object" if kind is dict else "array"))
+                             % (what, _JSON_TYPES[kind]))
     return value
 
 
@@ -173,22 +172,22 @@ def _parse_claims(rec, where):
     return Claims(**rec)
 
 
-def parse_products(recs, dimension, params, where, literal=False):
+def parse_products(recs, params, where, literal=False):
     """Products from a JSON list of product records.
 
-    Indices are JSON integers 1..dimension, a component key is one of
-    "1".."dimension" and its value an expression (see parse_expr_checked
+    Indices are JSON integers 1..DIMENSION, a component key is one of
+    "1".."DIMENSION" and its value an expression (see parse_expr_checked
     for `params` and `literal`); a pair listed twice or a product without
     components is an error.  Raises CatalogueError naming `where`.
     """
-    keys = {str(k): k for k in range(1, dimension + 1)}
+    keys = {str(k): k for k in range(1, DIMENSION + 1)}
     products = []
     seen = set()
     for prec in _expect(recs, list, "%s products" % where):
         _expect(prec, dict, "%s product" % where)
         i, j = prec.get("left"), prec.get("right")
         if not (type(i) is int and type(j) is int   # true is no index
-                and 1 <= i <= dimension and 1 <= j <= dimension):
+                and 1 <= i <= DIMENSION and 1 <= j <= DIMENSION):
             raise CatalogueError("%s: bad product indices %r, %r"
                                  % (where, i, j))
         if (i, j) in seen:
@@ -202,7 +201,7 @@ def parse_products(recs, dimension, params, where, literal=False):
             if key not in keys:
                 raise CatalogueError("%s: bad component index %r"
                                      % (where, key))
-            comps.append((keys[key], text,
+            comps.append((keys[key],
                           parse_expr_checked(text, params, where, literal)))
         if not comps:
             raise CatalogueError("%s: empty product [%d, %d]" % (where, i, j))
@@ -211,50 +210,69 @@ def parse_products(recs, dimension, params, where, literal=False):
     return tuple(products)
 
 
-def _parse_entry(rec, dimension, cases):
+def _parse_params(rec, where):
+    """The entry's parameter names: distinct ASCII identifiers other than
+    the grammar's `i` and `sqrt`."""
+    params = tuple(_expect(rec.get("params", []), list, "%s params" % where))
+    for k, p in enumerate(params):
+        if (not isinstance(p, str) or not p.isascii() or not p.isidentifier()
+                or p in ("i", "sqrt")):
+            raise CatalogueError("%s: bad parameter name %s"
+                                 % (where, json.dumps(p)))
+        if p in params[:k]:
+            raise CatalogueError("%s: parameter %r listed twice" % (where, p))
+    return params
+
+
+def _parse_iso(irec, params, where):
+    _expect(irec, dict, "%s iso" % where)
+    pairs = []
+    for pmap in _expect(irec.get("pairs", []), list, "%s iso pairs" % where):
+        items = []
+        for p, text in _expect(pmap, dict, "%s iso pair" % where).items():
+            if p not in params:
+                raise CatalogueError("%s: iso map names foreign "
+                                     "parameter %r" % (where, p))
+            parse_expr_checked(text, params, where)
+            items.append((p, text))
+        pairs.append(tuple(items))
+    statement = _expect(irec.get("statement", ""), str,
+                        "%s iso statement" % where)
+    invariant = irec.get("invariant")
+    if invariant is not None:
+        parse_expr_checked(invariant, params, where)
+    return IsoCriteria(statement=statement, pairs=tuple(pairs),
+                       invariant=invariant)
+
+
+def _parse_entry(rec, cases):
     name = _expect(rec, dict, "catalogue entry").get("name")
     if not isinstance(name, str) or not name:
         raise CatalogueError("entry without a name")
     where = "entry %s" % name
-    case = rec.get("case")
+    case = _expect(rec.get("case"), str, "%s case" % where)
     if case not in cases:
         raise CatalogueError("%s: unknown case %r" % (where, case))
-    params = tuple(rec.get("params", ()))
-    constraints = tuple(rec.get("constraints", ()))
+    params = _parse_params(rec, where)
+    constraints = tuple(_expect(rec.get("constraints", []), list,
+                                "%s constraints" % where))
     for text in constraints:
         parse_expr_checked(text, params, where)
     constraints_any = tuple(
-        tuple(cl) for cl in rec.get("constraints_any", ()))
+        tuple(_expect(cl, list, "%s any-clause" % where))
+        for cl in _expect(rec.get("constraints_any", []), list,
+                          "%s constraints_any" % where))
     for clause in constraints_any:
         if not clause:
             raise CatalogueError("%s: empty any-clause" % where)
         for text in clause:
             parse_expr_checked(text, params, where)
 
-    products = parse_products(rec.get("products", []), dimension, params,
-                              where)
-
-    iso = None
+    products = parse_products(rec.get("products", []), params, where)
     irec = rec.get("iso")
-    if irec is not None:
-        pairs = []
-        for pmap in irec.get("pairs", ()):
-            items = []
-            for p, text in pmap.items():
-                if p not in params:
-                    raise CatalogueError("%s: iso map names foreign "
-                                         "parameter %r" % (where, p))
-                parse_expr_checked(text, params, where)
-                items.append((p, text))
-            pairs.append(tuple(items))
-        invariant = irec.get("invariant")
-        if invariant is not None:
-            parse_expr_checked(invariant, params, where)
-        iso = IsoCriteria(statement=irec.get("statement", ""),
-                          pairs=tuple(pairs), invariant=invariant)
-
+    iso = None if irec is None else _parse_iso(irec, params, where)
     return CatalogueEntry(
-        name=name, case=case, params=params, constraints=constraints,
+        name=name, params=params, constraints=constraints,
         constraints_any=constraints_any, products=products,
         claims=cases[case], iso=iso)
 
@@ -287,12 +305,12 @@ def parse_catalogue(path=None):
     entries = []
     names = set()
     for rec in _expect(doc.get("entries", []), list, "entries"):
-        entry = _parse_entry(rec, dimension, cases)
+        entry = _parse_entry(rec, cases)
         if entry.name in names:
             raise CatalogueError("duplicate entry name %r" % entry.name)
         names.add(entry.name)
         entries.append(entry)
-    return Catalogue(dimension, cases, entries,
+    return Catalogue(cases, entries,
                      hashlib.sha256(text.encode()).hexdigest())
 
 
@@ -393,7 +411,7 @@ def product_table(products, env=None):
     table = {}
     for prod in products:
         row = {}
-        for k, _text, ast in prod.components:
+        for k, ast in prod.components:
             val = exprs.evaluate(ast, env)
             if not val.is_zero():
                 row[k - 1] = val

@@ -261,16 +261,13 @@ def _parse_form_literal(text):
     rows = s[2:-2].split("],[")
     if len(rows) != 2:
         raise UsageError("need exactly two rows")
-    out = []
-    for row in rows:
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise UsageError("need exactly two entries per row")
-        try:
-            out.append([exprs.parse_scalar(p) for p in parts])
-        except ValueError as ex:
-            raise UsageError(str(ex))
-    return Matrix(out)
+    rows = [row.split(",") for row in rows]
+    if any(len(parts) != 2 for parts in rows):
+        raise UsageError("need exactly two entries per row")
+    try:
+        return Matrix(exprs.parse_scalar_rows(rows))
+    except ValueError as ex:
+        raise UsageError(str(ex))
 
 
 def cmd_canon(args):

@@ -1,24 +1,36 @@
 """Coefficient-expression grammar: parsing, evaluation, formatting.
 
-The catalogue stores every structure-constant coefficient as a string in a
-small arithmetic grammar over Q(i) with named parameters:
+The catalogue stores every structure-constant coefficient as a string over
+Q(i) with named parameters.  The text is read by Python's own parser, with
+Python's precedence and left associativity, and may use only these nodes:
 
-    expr     := term (('+'|'-') term)*
-    term     := factor ('*' factor | '/' factor)*
-    factor   := '-' factor | '(' expr ')' | rational | 'i' | param-name
-    rational := int ('/' posint)?
+    e1 + e2    e1 - e2    e1 * e2    e1 / e2    -e    (e)
+    integer    i    param-name
+
+so -a*b is (-a)*b and alpha/2/3 is (alpha/2)/3.  Names are ASCII
+identifiers; `i` is the imaginary unit and every other name is a
+parameter.  Python keywords such as `lambda` are ordinary names here.
 
 Scalar literals (witness files, CLI arguments) use the same grammar with
-parameters disallowed and one extra atom, sqrt(<rational>), which may land
-in a quadratic extension of Q(i).
+parameters disallowed and one extra node, sqrt(q) for a rational constant
+q, which may land in a quadratic extension of Q(i).
+
+Parsing folds every constant subexpression into one ("num", scalar) leaf,
+so a literal parses to a single leaf; a division by a constant zero and a
+constant that mixes two different radicals are syntax errors.  The other
+nodes are ("param", name), ("neg", e) and (op, e1, e2) for op in add, sub,
+mul, div.
 """
 
 from __future__ import annotations
 
+import ast as pyast
 import re
 from fractions import Fraction
 
 from .scalars import (
+    I,
+    FieldMismatch,
     GaussianRational,
     QuadExtElem,
     QuadExtField,
@@ -27,123 +39,62 @@ from .scalars import (
 
 
 class ExprSyntaxError(ValueError):
-    """Raised on malformed expression text; carries the offending position."""
+    """Raised on malformed expression text."""
 
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[()+\-*/])")
+_BAD_CHAR_RE = re.compile(r"[^0-9A-Za-z_()+\-*/\s]")
+# every name gets a leading "_": no keyword starts with one, and 1e3, 0x10,
+# 1_000 and 2i become Python syntax errors
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-_RESERVED = {"i", "sqrt"}
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ExprSyntaxError(f"unexpected character at position {pos}: {rest[:10]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+_BINOPS = {pyast.Add: "add", pyast.Sub: "sub", pyast.Mult: "mul",
+           pyast.Div: "div"}
 
 
-class _Parser:
-    def __init__(self, tokens: list[str], literal: bool):
-        self.tokens = tokens
-        self.pos = 0
-        self.literal = literal
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str):
-        got = self.take()
-        if got != tok:
-            raise ExprSyntaxError(f"expected {tok!r}, got {got!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            raise ExprSyntaxError(f"trailing input: {self.peek()!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def factor(self):
-        tok = self.peek()
-        if tok == "-":
-            self.take()
-            return ("neg", self.factor())
-        if tok == "(":
-            self.take()
-            node = self.expr()
-            self.expect(")")
-            return node
-        tok = self.take()
-        if tok.isdigit():
-            num = int(tok)
-            if self.peek() == "/" and self._next_is_posint():
-                self.take()
-                den = int(self.take())
-                if den == 0:
-                    raise ExprSyntaxError("zero denominator in rational literal")
-                return ("num", Fraction(num, den))
-            return ("num", Fraction(num))
-        if tok == "i":
-            return ("i",)
-        if tok == "sqrt":
-            if not self.literal:
-                raise ExprSyntaxError("sqrt is not allowed in this context")
-            self.expect("(")
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            n = self.take()
-            if not n.isdigit():
-                raise ExprSyntaxError("sqrt argument must be a rational literal")
-            val = Fraction(int(n))
-            if self.peek() == "/":
-                self.take()
-                d = self.take()
-                if not d.isdigit() or int(d) == 0:
-                    raise ExprSyntaxError("bad denominator in sqrt argument")
-                val /= int(d)
-            self.expect(")")
-            return ("sqrt", sign * val)
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and tok not in _RESERVED:
-            if self.literal:
-                raise ExprSyntaxError(f"parameter {tok!r} not allowed in a scalar literal")
-            return ("param", tok)
-        raise ExprSyntaxError(f"unexpected token {tok!r}")
-
-    def _next_is_posint(self):
-        nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        return nxt is not None and nxt.isdigit()
+def _walk(node, literal):
+    """The tuple AST of an admitted Python expression node, constants
+    folded; ExprSyntaxError on any other node."""
+    if isinstance(node, pyast.BinOp) and type(node.op) in _BINOPS:
+        kind = _BINOPS[type(node.op)]
+        tree = (kind, _walk(node.left, literal), _walk(node.right, literal))
+        left, right = tree[1], tree[2]
+        if kind == "div" and right[0] == "num" and right[1].is_zero():
+            raise ExprSyntaxError("division by zero")
+        if left[0] != "num" or right[0] != "num":
+            return tree
+        try:
+            return ("num", evaluate(tree))
+        except FieldMismatch:
+            raise ExprSyntaxError("mixed radicals in a constant") from None
+    if isinstance(node, pyast.UnaryOp) and isinstance(node.op, pyast.USub):
+        a = _walk(node.operand, literal)
+        return ("num", -a[1]) if a[0] == "num" else ("neg", a)
+    if isinstance(node, pyast.Constant) and type(node.value) is int:
+        return ("num", GaussianRational(node.value))
+    if isinstance(node, pyast.Name):
+        name = node.id[1:]
+        if name == "i":
+            return ("num", I)
+        if name == "sqrt":
+            raise ExprSyntaxError("sqrt must be called on one argument")
+        if literal:
+            raise ExprSyntaxError(
+                f"parameter {name!r} not allowed in a scalar literal")
+        return ("param", name)
+    if (isinstance(node, pyast.Call) and isinstance(node.func, pyast.Name)
+            and node.func.id == "_sqrt"):
+        if not literal:
+            raise ExprSyntaxError("sqrt is not allowed in this context")
+        if len(node.args) != 1:  # no commas: only sqrt() gets here
+            raise ExprSyntaxError("sqrt must be called on one argument")
+        arg = _walk(node.args[0], literal)[1]  # a literal folds to one leaf
+        if not (isinstance(arg, GaussianRational) and arg.is_rational()):
+            raise ExprSyntaxError("sqrt argument must be a rational constant")
+        root = gaussian_sqrt(arg)
+        return ("num", root if root is not None else QuadExtField(arg).sqrt_d)
+    # unparse shows the node as written, less the "_" of each name
+    raise ExprSyntaxError("unsupported syntax %r"
+                          % re.sub(r"\b_", "", pyast.unparse(node)))
 
 
 def parse_expr(text: str, literal: bool = False):
@@ -152,10 +103,20 @@ def parse_expr(text: str, literal: bool = False):
     The default is the catalogue grammar (parameters, no sqrt); with
     `literal` it is the scalar-literal grammar (sqrt, no parameters).
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise ExprSyntaxError(
+            f"unexpected character {bad.group()!r} at position {bad.start()}")
+    source = _NAME_RE.sub(lambda m: "_" + m[0], " ".join(text.split()))
+    if not source:
         raise ExprSyntaxError("empty expression")
-    return _Parser(tokens, literal).parse()
+    try:
+        return _walk(pyast.parse(source, mode="eval").body, literal)
+    except SyntaxError as ex:  # also "too many nested parentheses"
+        # Python's advice after a ";" (e.g. an 0o prefix) does not apply
+        raise ExprSyntaxError(ex.msg.split(";")[0]) from None
+    except (RecursionError, MemoryError):  # MemoryError: parser stack
+        raise ExprSyntaxError("expression nested too deeply") from None
 
 
 def free_params(ast) -> set[str]:
@@ -170,7 +131,7 @@ def free_params(ast) -> set[str]:
 
 
 def evaluate(ast, env: dict[str, GaussianRational] | None = None):
-    """Evaluate an AST over Q(i) (or a quadratic extension if sqrt demands).
+    """Evaluate an AST at the parameter values `env`.
 
     Division by an expression evaluating to zero raises ZeroDivisionError;
     the catalogue's constraint lists are required to make that unreachable.
@@ -178,9 +139,7 @@ def evaluate(ast, env: dict[str, GaussianRational] | None = None):
     env = env or {}
     kind = ast[0]
     if kind == "num":
-        return GaussianRational(ast[1])
-    if kind == "i":
-        return GaussianRational(0, 1)
+        return ast[1]
     if kind == "param":
         try:
             return env[ast[1]]
@@ -188,12 +147,6 @@ def evaluate(ast, env: dict[str, GaussianRational] | None = None):
             raise KeyError(f"no value bound for parameter {ast[1]!r}") from None
     if kind == "neg":
         return -evaluate(ast[1], env)
-    if kind == "sqrt":
-        arg = GaussianRational(ast[1])
-        root = gaussian_sqrt(arg)
-        if root is not None:
-            return root
-        return QuadExtField(arg).sqrt_d
     a = evaluate(ast[1], env)
     b = evaluate(ast[2], env)
     if kind == "add":
@@ -208,8 +161,18 @@ def evaluate(ast, env: dict[str, GaussianRational] | None = None):
 
 
 def parse_scalar(text: str):
-    """Parse a parameter-free scalar literal (sqrt allowed)."""
-    return evaluate(parse_expr(text, literal=True))
+    """The value of a scalar literal (sqrt allowed, no parameters)."""
+    return parse_expr(text, literal=True)[1]
+
+
+def parse_scalar_rows(rows):
+    """Rows of scalar literals as rows of scalars, for one matrix: raises
+    ExprSyntaxError when two entries need different radicals."""
+    values = [[parse_scalar(t) for t in row] for row in rows]
+    if len({v.field for row in values for v in row
+            if isinstance(v, QuadExtElem)}) > 1:
+        raise ExprSyntaxError("mixed radicals in one matrix")
+    return values
 
 
 def _format_fraction(f: Fraction) -> str:

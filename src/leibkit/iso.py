@@ -29,7 +29,7 @@ from .catalogue import parse_catalogue as cat_parse
 from .invariants import signature
 from .linalg import Matrix
 from .scalars import (ZERO, DenominatorDividesP, GaussianRational,
-                      PrimeField, QuadExtElem, reduce_mod_p)
+                      PrimeField, reduce_mod_p)
 
 CERTIFIED = "certified"
 EVIDENCE = "evidence"
@@ -764,7 +764,6 @@ class WitnessFixture:
     source: dict | tuple
     target: dict | tuple
     matrix_text: tuple
-    note: str
 
     def realize(self, catalogue=None):
         """Return (source algebra, target algebra, witness matrix).
@@ -777,13 +776,10 @@ class WitnessFixture:
             catalogue = _shipped_catalogue()
         src = _fixture_side(self.source, catalogue)
         tgt = _fixture_side(self.target, catalogue)
-        entries = [[exprs.parse_scalar(t) for t in row]
-                   for row in self.matrix_text]
-        radicals = {v.field for row in entries for v in row
-                    if isinstance(v, QuadExtElem)}
-        if len(radicals) > 1:
-            raise FixtureError("%s: mixed radicals in one witness"
-                               % self.label)
+        try:  # each literal was checked at load; only a mix can fail
+            entries = exprs.parse_scalar_rows(self.matrix_text)
+        except exprs.ExprSyntaxError as ex:
+            raise FixtureError("%s: %s" % (self.label, ex)) from None
         return src, tgt, Matrix(entries)
 
 
@@ -803,8 +799,7 @@ def _parse_side(spec, where):
     literals checked, or the inline table read by the catalogue's reader,
     so that realizing it cannot fail on the file's shape."""
     if "products" in spec:
-        return parse_products(spec["products"], DIMENSION, (), where,
-                              literal=True)
+        return parse_products(spec["products"], (), where, literal=True)
     params = spec.get("params", {})
     if not isinstance(spec["entry"], str) or not isinstance(params, dict):
         raise FixtureError("%s: entry must be a name and params an object"
@@ -845,7 +840,6 @@ def _parse_fixture(rec, where):
         source=sides[0],
         target=sides[1],
         matrix_text=tuple(tuple(r) for r in rows),
-        note=rec.get("note", ""),
     )
 
 

@@ -201,6 +201,26 @@ def one_product_catalogue(product):
         "entries": [{"name": "X_1", "case": "c", "products": [product]}]})
 
 
+def one_entry_catalogue(**fields):
+    """A one-entry catalogue whose entry has one parameter, alpha, unless
+    `fields` says otherwise."""
+    entry = {"name": "X_1", "case": "c", "params": ["alpha"], "products": [
+        {"left": 1, "right": 1, "components": {"5": "alpha"}}]}
+    return json.dumps({"dimension": 5, "cases": {"c": {"claims": {}}},
+                       "entries": [dict(entry, **fields)]})
+
+
+# every entry field of the wrong shape, then a constant zero divisor
+MALFORMED_ENTRY_CATALOGUES = [one_entry_catalogue(**fields) for fields in (
+    {"params": 5}, {"params": ["alpha", 1]}, {"params": "alpha"},
+    {"params": ["alpha", "alpha"]}, {"params": ["alpha", "i"]},
+    {"params": ["alpha", "2x"]},
+    {"constraints": 5}, {"constraints_any": [5]}, {"constraints_any": 5},
+    {"iso": 3}, {"iso": {"pairs": [1]}}, {"iso": {"pairs": 1}},
+    {"iso": {"statement": 3}}, {"case": [1]},
+    {"products": [{"left": 1, "right": 1,
+                   "components": {"5": "1/(1-1)"}}]})]
+
 BOOL_INDEX_CATALOGUE = one_product_catalogue(
     {"left": True, "right": 1, "components": {"5": "1"}})
 PADDED_KEY_CATALOGUE = one_product_catalogue(
@@ -229,6 +249,13 @@ PADDED_KEY_CATALOGUE = one_product_catalogue(
     (["verify", "--catalogue", "FILE"], BOOL_INDEX_CATALOGUE),
     (["verify", "--catalogue", "FILE"], PADDED_KEY_CATALOGUE),
     (["iso", "verify", "--fixtures", "FILE"], TWICE_LISTED_WITNESS),
+    (SEARCH[:2] + ["--a", "A_5:alpha=1/(1-1)", "--b", "A_5:alpha=2"], None),
+    (SEARCH[:2] + ["--a", "A_5:alpha=sqrt(2)*sqrt(3)", "--b", "A_5:alpha=2"],
+     None),
+    (["canon", "[[1/(1-1),0],[0,1]]"], None),
+    (["canon", "[[sqrt(2),0],[0,sqrt(3)]]"], None),
+    *[(["verify", "--catalogue", "FILE"], text)
+      for text in MALFORMED_ENTRY_CATALOGUES],
 ])
 def test_misuse_exits_2(capsys, tmp_path, argv, file_text):
     if file_text is not None:
