@@ -11,7 +11,7 @@ from leibkit.invariants import signature
 
 def main():
     cat = parse_catalogue()
-    names = cat.names()
+    names = [e.name for e in cat]
     print(f"catalogue holds {len(names)} records "
           f"({sum(1 for n in names if n.startswith('A_'))} A-family, "
           f"{sum(1 for n in names if n.startswith('R_'))} R-family)")

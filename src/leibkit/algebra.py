@@ -34,6 +34,10 @@ class LeibnizViolation:
                 f"[e{self.j+1},[e{self.i+1},e{self.k+1}]]; defect {self.defect}")
 
 
+def _support(vec) -> dict:
+    return {i: x for i, x in enumerate(vec) if not x.is_zero()}
+
+
 def _clean_table(table):
     out = {}
     for (i, j), comps in table.items():
@@ -87,14 +91,7 @@ class LeibnizAlgebra:
         """Bilinear extension of the bracket to coordinate vectors."""
         if len(u) != self.n or len(v) != self.n:
             raise AmbientMismatch("vector length differs from algebra dimension")
-        acc = {}
-        for (i, j), comps in self.table.items():
-            c = u[i] * v[j]
-            if c.is_zero():
-                continue
-            for k, s in comps.items():
-                t = acc.get(k)
-                acc[k] = c * s if t is None else t + c * s
+        acc = self._bracket_sparse(_support(u), _support(v))
         return tuple(acc.get(k, ZERO) for k in range(self.n))
 
     def _bracket_sparse(self, u: dict, v: dict) -> dict:
@@ -171,23 +168,25 @@ class LeibnizAlgebra:
 
     def _lower_central_series(self):
         whole = self.full_space()
-        return self._series(lambda last: self.subspace_product(whole, last))
+        return self._series([whole],
+                            lambda last: self.subspace_product(whole, last))
 
     def derived_series(self) -> tuple[Subspace, ...]:
         return self._once("derived", self._derived_series)
 
     def _derived_series(self):
-        return self._series(lambda last: self.subspace_product(last, last))
+        # A^(2) = [A, A] is A^2, which the lower central series already holds
+        return self._series(list(self.lower_central_series()[:2]),
+                            lambda last: self.subspace_product(last, last))
 
-    def _series(self, step):
-        series = [self.full_space()]
-        while True:
+    @staticmethod
+    def _series(series, step):
+        """Extend `series` by step(last) until a term is 0 or repeats."""
+        while series[-1].dim != 0:
             nxt = step(series[-1])
             if nxt == series[-1]:
                 break
             series.append(nxt)
-            if nxt.dim == 0:
-                break
         return tuple(series)
 
     def lower_central_term(self, k: int) -> Subspace:
@@ -205,25 +204,16 @@ class LeibnizAlgebra:
         return self.lower_central_series()[-1].dim == 0
 
     def leib_ideal(self) -> Subspace:
-        """span{[a, a]}: squares of basis vectors plus polarizations."""
+        """span{[a, a]}: the squares of e_i and of e_i + e_j."""
         return self._once("leib", self._leib_ideal)
 
     def _leib_ideal(self):
-        vecs = []
-        for i in range(self.n):
-            e_i = self._basis_vec(i)
-            vecs.append(self.bracket(e_i, e_i))
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                lhs = self.bracket_basis(i, j)
-                rhs = self.bracket_basis(j, i)
-                comp = {}
-                for k, s in lhs.items():
-                    comp[k] = s
-                for k, s in rhs.items():
-                    comp[k] = comp.get(k, ZERO) + s
-                vecs.append(tuple(comp.get(k, ZERO) for k in range(self.n)))
-        return Subspace(self.n, vecs)
+        # the square of e_i + e_j adds the polarised square [e_i, e_j] +
+        # [e_j, e_i] to those of e_i and e_j
+        n = self.n
+        sums = [tuple(ONE if k in (i, j) else ZERO for k in range(n))
+                for i in range(n) for j in range(i, n)]
+        return Subspace(n, [self.bracket(x, x) for x in sums])
 
     def _annihilator(self, left: bool) -> Subspace:
         # rows: one linear constraint per (probe basis vector j, component k)

@@ -53,14 +53,6 @@ class Claims:
     dim_center: Optional[int] = None
     leib_equals_center: Optional[bool] = None
 
-    def as_dict(self):
-        out = {}
-        for f in CLAIM_FIELDS:
-            v = getattr(self, f)
-            if v is not None:
-                out[f] = v
-        return out
-
 
 @dataclass(frozen=True)
 class Product:
@@ -117,9 +109,6 @@ class Catalogue:
             return self.by_name[name]
         except KeyError:
             raise CatalogueError("no catalogue entry named %r" % name) from None
-
-    def names(self):
-        return [e.name for e in self.entries]
 
 
 def parse_expr_checked(text, params, where, literal=False):

@@ -367,58 +367,31 @@ def extract_v_form(algebra: LeibnizAlgebra) -> tuple[BilinearForm2, AdaptedBasis
     """The form f(u, v) = (coefficient of the Leib generator in [u, v]) on
     the RREF-complement of A^2, with the basis record.
 
-    Requires dim A^2 = n - 2, dim Leib = 1 and nilpotency; the complement
-    and basis extension are chosen canonically so the result is
-    reproducible, and the canonical kind does not depend on the choices.
+    Requires dim A^2 = n - 2, dim Leib = 1 and nilpotency.  The RREF rows
+    of A^2 carry 1 at their own pivot and 0 at the others, so w in A^2 is
+    the sum of w[p_r] times row r.  Let s be the last row whose pivot p_s
+    is a nonzero coordinate of the Leib generator l.  The other rows and l
+    form a basis of A^2, in which the coefficient of l in w is
+    w[p_s] / l[p_s].  The complement is spanned by the unit vectors at
+    the non-pivot coordinates.  Every choice is canonical, so the result
+    is reproducible, and the canonical kind does not depend on it.
     """
     reason = _section_two_violation(algebra)
     if reason is not None:
         raise HypothesisViolation(reason)
     n = algebra.n
-    sq = algebra.lower_central_term(2)
+    rows = algebra.lower_central_term(2).basis
     ell = algebra.leib_ideal().basis[0]
-
-    # extend span{ell} to A^2 greedily along the RREF basis of A^2
-    chosen = []
-    span_rows = [list(ell)]
-    current = 1
-    for row in sq.basis:
-        trial = Matrix(span_rows + [list(row)])
-        if trial.rank() > current:
-            chosen.append(row)
-            span_rows.append(list(row))
-            current += 1
-    assert current == sq.dim
-
-    # complement: standard basis vectors at the non-pivot coordinates of A^2
-    _, _, pivots = Matrix(sq.basis).rref()
+    pivots = [next(c for c, x in enumerate(row) if not x.is_zero())
+              for row in rows]
+    s = max(r for r, p in enumerate(pivots) if not ell[p].is_zero())
+    p_s = pivots[s]
     free = [c for c in range(n) if c not in pivots]
-    assert len(free) == 2
     comp = [tuple(ONE if k == c else ZERO for k in range(n)) for c in free]
-
-    cols = chosen + [ell]
-    entries = []
-    for a in range(2):
-        row_entries = []
-        for b in range(2):
-            w = algebra.bracket(comp[a], comp[b])
-            coeffs = _solve_in_span(cols, w)
-            row_entries.append(coeffs[-1])
-        entries.append(row_entries)
+    cols = list(rows[:s] + rows[s + 1:]) + [ell]
+    entries = [[algebra.bracket(u, v)[p_s] / ell[p_s] for v in comp]
+               for u in comp]
     form = BilinearForm2(Matrix(entries))
     basis_matrix = Matrix([[vec[r] for vec in (comp + cols)] for r in range(n)])
     record = AdaptedBasis(tuple(comp), tuple(cols), basis_matrix)
     return form, record
-
-
-def _solve_in_span(cols, target):
-    """Coefficients expressing target in the given (independent) columns."""
-    k = len(cols)
-    aug = Matrix([[c[r] for c in cols] + [target[r]] for r in range(len(target))])
-    red, rank, pivots = aug.rref()
-    if k in pivots:
-        raise HypothesisViolation("product falls outside the derived subalgebra")
-    coeffs = [ZERO] * k
-    for i, p in enumerate(pivots):
-        coeffs[p] = red.rows[i][k]
-    return coeffs

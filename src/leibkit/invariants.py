@@ -47,10 +47,11 @@ def signature(algebra: LeibnizAlgebra) -> InvariantSignature:
     cube = algebra.lower_central_term(3)
     leib = algebra.leib_ideal()
     center = algebra.center()
+    derived_dims = algebra.derived_dims()
     return InvariantSignature(
         dim=algebra.n,
         lower_central_dims=algebra.lower_central_dims(),
-        derived_dims=algebra.derived_dims(),
+        derived_dims=derived_dims,
         dim_leib=leib.dim,
         dim_center=center.dim,
         dim_left_ann=algebra.left_annihilator().dim,
@@ -58,6 +59,7 @@ def signature(algebra: LeibnizAlgebra) -> InvariantSignature:
         dim_center_cap_sq=center.intersect(sq).dim,
         dim_leib_cap_cube=leib.intersect(cube).dim,
         dim_sq_bracket_whole=algebra.subspace_product(sq, whole).dim,
-        dim_sq_bracket_sq=algebra.subspace_product(sq, sq).dim,
+        # [A^2, A^2] is A^(3); the series is constant past its last term
+        dim_sq_bracket_sq=derived_dims[min(2, len(derived_dims) - 1)],
         is_lie=algebra.is_lie(),
     )

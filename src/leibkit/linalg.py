@@ -186,15 +186,13 @@ class Subspace:
     __slots__ = ("ambient", "basis")
 
     def __init__(self, ambient: int, vectors):
-        rows = [tuple(_coerce_scalar(x) for x in v) for v in vectors]
-        for v in rows:
-            if len(v) != ambient:
-                raise AmbientMismatch("vector length differs from ambient dimension")
-        if rows:
-            red, rank, _ = Matrix(rows).rref()
-            basis = tuple(red.rows[:rank])
-        else:
-            basis = ()
+        vectors = list(vectors)
+        if any(len(v) != ambient for v in vectors):
+            raise AmbientMismatch("vector length differs from ambient dimension")
+        basis = ()
+        if vectors:  # Matrix coerces the entries
+            red, rank, _ = Matrix(vectors).rref()
+            basis = red.rows[:rank]
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
 

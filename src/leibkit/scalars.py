@@ -293,10 +293,6 @@ class QuadExtField:
         return self.embed(0)
 
     @property
-    def one(self):
-        return self.embed(1)
-
-    @property
     def sqrt_d(self):
         return QuadExtElem(ZERO, ONE, self)
 

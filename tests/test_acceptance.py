@@ -11,7 +11,7 @@ import time
 import pytest
 
 from leibkit.algebra import LeibnizAlgebra
-from leibkit.catalogue import instantiate, sample_params, verify_entry
+from leibkit.catalogue import Claims, instantiate, sample_params, verify_entry
 from leibkit.forms import (
     BilinearForm2,
     CanonicalKind,
@@ -101,8 +101,8 @@ def test_criterion_1_catalogue_complete(catalogue, full_run):
 def test_criterion_2_hypothesis_conformance(catalogue, full_run):
     reports, _ = full_run
     for name in ("A_1", "A_2", "A_3", "A_4", "A_5", "A_6", "A_7"):
-        assert catalogue.entry(name).claims.as_dict() == {
-            "dim_sq": 3, "dim_cube": 2, "dim_fourth": 1, "dim_leib": 1}
+        assert catalogue.entry(name).claims == Claims(
+            dim_sq=3, dim_cube=2, dim_fourth=1, dim_leib=1)
     assert signature(instantiate(catalogue.entry("A_16"))).lower_central_dims[1] == 4
     failures = sorted({(r.entry, o.check) for r in reports for p in r.points
                        for o in p.outcomes

@@ -8,6 +8,7 @@ import pytest
 from leibkit.algebra import LeibnizAlgebra
 from leibkit.catalogue import (
     CatalogueError,
+    Claims,
     ConstraintViolated,
     NoAdmissiblePoint,
     instantiate,
@@ -21,7 +22,7 @@ from leibkit.scalars import GaussianRational, QuadExtField
 
 def test_record_count_and_names(catalogue):
     assert len(catalogue) == 277
-    names = catalogue.names()
+    names = [e.name for e in catalogue]
     assert names[0] == "A_1" and names[-1] == "R_15"
     assert "A_246" not in names
     assert "A_246a" in names and "A_246b" in names
@@ -110,8 +111,8 @@ def test_parametric_point_labels(catalogue):
 
 
 def test_claims_round_trip(catalogue):
-    claims = catalogue.entry("A_5").claims.as_dict()
-    assert claims == {"dim_sq": 3, "dim_cube": 2, "dim_fourth": 1, "dim_leib": 1}
+    claims = catalogue.entry("A_5").claims
+    assert claims == Claims(dim_sq=3, dim_cube=2, dim_fourth=1, dim_leib=1)
 
 
 def test_iso_criteria_present(catalogue):

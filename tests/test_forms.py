@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from leibkit.catalogue import instantiate
+from leibkit.catalogue import instantiate, sample_params
 from leibkit.forms import (
     BilinearForm2,
     CanonicalKind,
@@ -99,7 +99,7 @@ def test_single_extension_covers_rational_input():
 
 def test_extension_tower_refused():
     f = QuadExtField(2)
-    nested = Matrix([[f.sqrt_d, f.zero], [f.zero, f.one]])
+    nested = Matrix([[f.sqrt_d, f.zero], [f.zero, f.embed(1)]])
     with pytest.raises(ExtensionTowerNeeded):
         congruence_canonical(BilinearForm2(nested))
 
@@ -158,3 +158,30 @@ def test_extract_v_form(catalogue):
     basis.matrix.inv()  # the adapted basis really is a basis
     with pytest.raises(HypothesisViolation):
         extract_v_form(instantiate(catalogue.entry("A_16")))
+    # [u, v] lies in A^2, so in the adapted basis its complement
+    # coordinates vanish, and its last one, on the Leib generator, is f(u, v)
+    rng = random.Random(5)
+    extracted = 0
+    for entry in catalogue:
+        first = instantiate(entry, sample_params(entry, 1)[0])
+        if not section_two_eligible(first):
+            continue
+        moved = []
+        while len(moved) < 3:
+            p = Matrix([[rng.randint(-3, 3) for _ in range(5)]
+                        for _ in range(5)])
+            try:
+                p.inv()
+            except SingularMatrix:
+                continue
+            moved.append(first.base_change(p))
+        for alg in [first] + moved:
+            form, record = extract_v_form(alg)
+            to_adapted = record.matrix.inv()
+            for a, u in enumerate(record.complement):
+                for b, v in enumerate(record.complement):
+                    coords = to_adapted.apply(alg.bracket(u, v))
+                    assert all(x.is_zero() for x in coords[:2])
+                    assert coords[-1] == form.matrix[a, b]
+            extracted += 1
+    assert extracted == 4 * 15

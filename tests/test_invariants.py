@@ -5,8 +5,8 @@ import random
 from leibkit.algebra import LeibnizAlgebra
 from leibkit.catalogue import instantiate, sample_params
 from leibkit.invariants import signature
-from leibkit.linalg import Matrix, SingularMatrix
-from leibkit.scalars import GaussianRational
+from leibkit.linalg import Matrix, SingularMatrix, Subspace
+from leibkit.scalars import ZERO, GaussianRational
 
 
 def test_abelian_signature():
@@ -85,6 +85,41 @@ HEISENBERG = LeibnizAlgebra(5, {(0, 1): {2: GaussianRational(1)},
                                 (1, 0): {2: GaussianRational(-1)}})
 
 
+# the earlier formulas, kept as references for the ones in the package
+
+def _derived_by_squares(alg):
+    """A, [A, A], ... by [last, last] from A, up to 0 or a repeat."""
+    series = [alg.full_space()]
+    while series[-1].dim != 0:
+        nxt = alg.subspace_product(series[-1], series[-1])
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+    return tuple(series)
+
+
+def _leib_by_polarisation(alg):
+    """The squares [e_i, e_i] and the sums [e_i, e_j] + [e_j, e_i]."""
+    vecs = []
+    for i in range(alg.n):
+        for j in range(i, alg.n):
+            comps = dict(alg.bracket_basis(i, j))
+            if j != i:
+                for k, s in alg.bracket_basis(j, i).items():
+                    comps[k] = comps.get(k, ZERO) + s
+            vecs.append(tuple(comps.get(k, ZERO) for k in range(alg.n)))
+    return Subspace(alg.n, vecs)
+
+
+def _bracket_by_table(alg, u, v):
+    """The double sum of u_i v_j [e_i, e_j] over the whole table."""
+    acc = [ZERO] * alg.n
+    for (i, j), comps in alg.table.items():
+        for k, s in comps.items():
+            acc[k] = acc[k] + u[i] * v[j] * s
+    return tuple(acc)
+
+
 def test_signature_facts_match_direct_computation(catalogue):
     rng = random.Random(8)
     algebras = [STALLED, HEISENBERG]
@@ -101,6 +136,9 @@ def test_signature_facts_match_direct_computation(catalogue):
                 except SingularMatrix:
                     continue
             algebras.append(alg.base_change(p))
+            cols = p.transpose().rows
+            assert all(alg.bracket(u, v) == _bracket_by_table(alg, u, v)
+                       for u in cols for v in cols)
     seen = set()
     for alg in algebras:
         sig = signature(alg)
@@ -113,6 +151,34 @@ def test_signature_facts_match_direct_computation(catalogue):
                  alg.is_lie())
         assert facts == (alg.is_nilpotent(), (sq + center) == sq,
                          (cube + leib) == cube, _antisymmetric(alg))
+        assert alg.derived_series() == _derived_by_squares(alg)
+        assert sig.dim_sq_bracket_sq == alg.subspace_product(sq, sq).dim
+        assert leib == _leib_by_polarisation(alg)
         seen.add(facts)
     # each fact is seen both true and false
     assert all({f[k] for f in seen} == {True, False} for k in range(4))
+
+
+def test_signature_computes_each_product_once(catalogue, monkeypatch):
+    calls = []
+    product = LeibnizAlgebra.subspace_product
+
+    def counted(self, u_space, v_space):
+        calls.append(self)
+        return product(self, u_space, v_space)
+
+    monkeypatch.setattr(LeibnizAlgebra, "subspace_product", counted)
+    algebras = [LeibnizAlgebra(5, {}), STALLED, HEISENBERG]
+    algebras += [instantiate(entry, sample_params(entry, 1)[0])
+                 for entry in catalogue]
+    for alg in algebras:
+        fresh = LeibnizAlgebra(alg.n, alg.table)
+        calls.clear()
+        signature(fresh)
+        lower, derived = fresh.lower_central_series(), fresh.derived_series()
+        # one product per term after A, and after A^(2) = A^2; a series
+        # that stalls above 0 needs one more to see the repeat; one more
+        # for [A^2, A]
+        expected = (len(lower) - 1 + (lower[-1].dim != 0)
+                    + len(derived) - 2 + (derived[-1].dim != 0) + 1)
+        assert len(calls) == expected, alg

@@ -90,9 +90,10 @@ def test_inv_roundtrip():
 def test_quadext_matrix_inverse():
     f = QuadExtField(2)
     s = f.sqrt_d
-    m = Matrix([[f.one, s], [f.zero, f.one]])
-    assert m.inv() == Matrix([[f.one, -s], [f.zero, f.one]])
-    d = Matrix([[s, f.zero], [f.zero, f.one]])
+    one = f.embed(1)
+    m = Matrix([[one, s], [f.zero, one]])
+    assert m.inv() == Matrix([[one, -s], [f.zero, one]])
+    d = Matrix([[s, f.zero], [f.zero, one]])
     assert d @ d.inv() == Matrix.identity(2)
 
 

@@ -114,7 +114,7 @@ def test_quadext_field_rejects_squares():
 def test_quadext_arithmetic():
     f = QuadExtField(2)
     s = f.sqrt_d
-    one = f.one
+    one = f.embed(1)
     assert s * s == f.embed(2)
     assert (one + s) * (one - s) == f.embed(-1)
     x = one + s
