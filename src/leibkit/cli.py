@@ -62,13 +62,15 @@ def _entry_spec(text):
         if not rest:
             raise UsageError("empty parameter list in %r" % text)
         for piece in rest.split(","):
-            key, eq, val = piece.partition("=")
-            if not eq or not key.strip() or not val.strip():
+            key, eq, val = (x.strip() for x in piece.partition("="))
+            if not eq or not key or not val:
                 raise UsageError("bad parameter assignment %r" % piece)
+            if key in values:
+                raise UsageError("parameter %s given twice" % key)
             try:
-                values[key.strip()] = exprs.parse_scalar(val.strip())
+                values[key] = exprs.parse_scalar(val)
             except ValueError as ex:
-                raise UsageError("parameter %s: %s" % (key.strip(), ex))
+                raise UsageError("parameter %s: %s" % (key, ex))
     return name, values
 
 

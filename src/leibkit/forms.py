@@ -147,8 +147,9 @@ def _form_value(s: Matrix, u, v):
 
 
 def _diagonalize_candidates(s: Matrix):
-    """Yield (u, v', a0, b0) with [u v'] diagonalizing s to diag(a0, b0);
-    one candidate per choice of u in a fixed order."""
+    """Yield (u, v', a0, b0) with [u v'] diagonalizing s to diag(a0, b0),
+    one per choice of u in a fixed order; there is a first when s != 0.
+    Every [u v'] has determinant +-1, so a0*b0 = det s for each of them."""
     basis_pairs = (((ONE, ZERO), (ZERO, ONE)),
                    ((ZERO, ONE), (ONE, ZERO)),
                    ((ONE, ONE), (ZERO, ONE)))
@@ -172,22 +173,30 @@ def congruence_canonical(form: BilinearForm2) -> CanonicalResult:
     Q^T M Q equals the representative matrix exactly.  Q has entries in
     Q(i) or in a single quadratic extension (extension_d records the
     generator); two stacked extensions raise ExtensionTowerNeeded.
+
+    Every witness starts from the first diagonalization [u v'] of the
+    symmetric part S.  As a0*b0 = det S, b0 = 0 there exactly when S has
+    rank 1, which separates kinds (ii) and (iv) from (iii) and (v).
     """
     m = form.matrix
     if form.is_zero():
         return CanonicalResult(CanonicalKind("zero"), Matrix.identity(2))
     s = form.symmetric_part()
     kappa = form.skew_scale()
-    s_is_zero = all(s[a, b].is_zero() for a in range(2) for b in range(2))
 
-    if kappa.is_zero():
-        result = _canonical_symmetric(s)
-    elif s_is_zero:
+    if all(s[a, b].is_zero() for a in range(2) for b in range(2)):
         # Q^T (kappa J) Q = kappa det(Q) J; fix the determinant
         q = Matrix([[kappa.inv(), 0], [0, 1]])
         result = CanonicalResult(CanonicalKind("skew_i"), q)
     else:
-        result = _canonical_mixed(s, kappa)
+        candidates = _diagonalize_candidates(s)
+        u, v_prime, a0, b0 = first = next(candidates)
+        if b0.is_zero():
+            result = _canonical_rank_one(u, v_prime, a0, kappa)
+        elif kappa.is_zero():
+            result = _canonical_sym_rank2([first, *candidates])
+        else:
+            result = _canonical_mixed_v([first, *candidates], kappa)
 
     if not _verify(m, result.q, result.kind.rep_matrix()):
         raise AssertionError("internal error: witness fails to reproduce the "
@@ -195,19 +204,24 @@ def congruence_canonical(form: BilinearForm2) -> CanonicalResult:
     return result
 
 
-def _canonical_symmetric(s: Matrix) -> CanonicalResult:
-    rank = s.rank()
-    if rank == 1:
-        for u, v_prime, a0, b0 in _diagonalize_candidates(s):
-            assert b0.is_zero()
-            r, ext = _sqrt_allowing_extension(a0)
-            inv_r = r.inv()
-            q = Matrix([[u[0] * inv_r, v_prime[0]], [u[1] * inv_r, v_prime[1]]])
-            return CanonicalResult(CanonicalKind("sym_rank1_ii"), q, ext)
-        raise AssertionError("rank-1 symmetric form with no anisotropic vector")
+def _canonical_rank_one(u, v_prime, a0, kappa) -> CanonicalResult:
+    """Kinds (ii) and (iv), S of rank 1: v' spans its kernel, and
+    q1 = u/sqrt(a0) has S(q1, q1) = 1.  [q1 v'] takes S to diag(1, 0);
+    Q = [nu*v' q1] takes S + kappa*J to [[0, 1], [-1, 1]] once nu makes
+    kappa*det(Q) = 1."""
+    r, ext = _sqrt_allowing_extension(a0)
+    inv_r = r.inv()
+    q1 = (u[0] * inv_r, u[1] * inv_r)
+    if kappa.is_zero():
+        q = Matrix([[q1[0], v_prime[0]], [q1[1], v_prime[1]]])
+        return CanonicalResult(CanonicalKind("sym_rank1_ii"), q, ext)
+    nu = (kappa * (v_prime[0] * q1[1] - v_prime[1] * q1[0])).inv()
+    q = Matrix([[nu * v_prime[0], q1[0]], [nu * v_prime[1], q1[1]]])
+    return CanonicalResult(CanonicalKind("mixed_iv"), q, ext)
 
-    # rank 2: diagonalize, prefer witnesses needing no extension
-    candidates = list(_diagonalize_candidates(s))
+
+def _canonical_sym_rank2(candidates) -> CanonicalResult:
+    # prefer a diagonalization whose a0 and b0 both have roots in the field
     for u, v_prime, a0, b0 in candidates:
         ra = _sqrt_in_field(a0)
         rb = _sqrt_in_field(b0)
@@ -215,16 +229,9 @@ def _canonical_symmetric(s: Matrix) -> CanonicalResult:
             q = Matrix([[u[0] * ra.inv(), v_prime[0] * rb.inv()],
                         [u[1] * ra.inv(), v_prime[1] * rb.inv()]])
             return CanonicalResult(CanonicalKind("sym_rank2_iii"), q)
-    for u, v_prime, a0, b0 in candidates:
-        d = a0 * b0
-        rd = _sqrt_in_field(d)
-        if rd is None:
-            continue
-        # b0 = d/a0 and sqrt(d) is rational: rescale to a0*I, then use a
-        # sum-of-two-squares rotation, all without leaving the base field
-        q = _isotropic_rescale(u, v_prime, a0, a0 * rd.inv())
-        return CanonicalResult(CanonicalKind("sym_rank2_iii"), q)
-    # single extension: adjoin sqrt(a0*b0) for the first candidate
+    # a0*b0 = det S on every candidate, so its root lies in the field for
+    # all or for none: rescale the first to a0*I, then use a sum-of-two-
+    # squares rotation, adjoining sqrt(det S) only when it must
     u, v_prime, a0, b0 = candidates[0]
     root, ext = _sqrt_allowing_extension(a0 * b0)
     q = _isotropic_rescale(u, v_prime, a0, a0 * root.inv())
@@ -243,95 +250,52 @@ def _isotropic_rescale(u, v_prime, a0, scale2):
     return p1 @ r2
 
 
-def _canonical_mixed(s: Matrix, kappa) -> CanonicalResult:
-    det_s = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-    if det_s.is_zero():
-        return _canonical_mixed_iv(s, kappa)
-    inv = det_s * (kappa * kappa).inv()
-    minus_inv = -inv
-    root, ext_for_c = _sqrt_allowing_extension(minus_inv)
-    cands = []
-    for sg in (root, -root):
-        den = sg + 1
-        if not den.is_zero():
-            cands.append((sg - 1) / den)
-    assert cands, "both roots of -inv equal -1, impossible for inv != 0"
-    cands.sort(key=lambda c: c.lex_key())
-    c_min = cands[0]
-    # build a witness for whichever representative admits an in-field root,
-    # then swap down to the canonical one
-    for c_target in cands:
-        got = _mixed_v_witness(s, kappa, c_target, allow_extension=False)
-        if got is not None:
-            q, ext = got
-            if c_target != c_min:
-                q = q @ Matrix([[0, 1], [c_target.inv(), 0]])
-            return CanonicalResult(CanonicalKind("mixed_v", c_min), q,
-                                   ext_for_c if ext is None else ext)
-    got = _mixed_v_witness(s, kappa, c_min, allow_extension=True)
-    q, ext = got
-    return CanonicalResult(CanonicalKind("mixed_v", c_min), q,
-                           ext_for_c if ext is None else ext)
+def _canonical_mixed_v(candidates, kappa) -> CanonicalResult:
+    """Kind (v): -det S / kappa^2 = ((1+c)/(1-c))^2 fixes c up to c <-> 1/c,
+    and the canonical c is the lex-smaller of the two.  A witness for
+    either one whose root rho1 lies in the working field is swapped down
+    to the canonical c; failing that, the first candidate adjoins it."""
+    _, _, a0, b0 = candidates[0]
+    root, ext = _sqrt_allowing_extension(-(a0 * b0) * (kappa * kappa).inv())
+    cs = sorted(((sg - 1) / (sg + 1) for sg in (root, -root)
+                 if not (sg + 1).is_zero()), key=lambda c: c.lex_key())
+    c_min = cs[0]
+    for c in cs:
+        for u, v_prime, a0, _ in candidates:
+            r1 = _sqrt_in_field((1 + c) * _HALF * (2 * a0).inv())
+            if r1 is not None:
+                q = _mixed_v_witness(u, v_prime, kappa, c, r1)
+                if c != c_min:
+                    q = q @ Matrix([[0, 1], [c.inv(), 0]])
+                return CanonicalResult(CanonicalKind("mixed_v", c_min), q, ext)
+    # no root in the field; adjoining one raises if c_min already needed one
+    u, v_prime, a0, _ = candidates[0]
+    r1, ext = _sqrt_allowing_extension((1 + c_min) * _HALF * (2 * a0).inv())
+    q = _mixed_v_witness(u, v_prime, kappa, c_min, r1)
+    return CanonicalResult(CanonicalKind("mixed_v", c_min), q, ext)
 
 
-def _mixed_v_witness(s: Matrix, kappa, c, allow_extension: bool):
-    """Q with Q^T(S + kappa J)Q = [[0,1],[c,0]], or None if every
-    diagonalization needs a root outside the working field."""
-    mu = (1 + c) * _HALF
-    kappa_n = (1 - c) * _HALF
-    for u, v_prime, a0, b0 in _diagonalize_candidates(s):
-        rho1 = mu * (2 * a0).inv()
-        if allow_extension:
-            r1, ext = _sqrt_allowing_extension(rho1)
-        else:
-            r1 = _sqrt_in_field(rho1)
-            if r1 is None:
-                continue
-            ext = None
-        det_p1 = u[0] * v_prime[1] - u[1] * v_prime[0]
-        t = (1 - c) * (4 * det_p1 * kappa).inv()
-        r2 = t * r1.inv()
-        for r2_signed in (r2, -r2):
-            p1r = Matrix([[u[0] * r1, v_prime[0] * r2_signed],
-                          [u[1] * r1, v_prime[1] * r2_signed]])
-            q = p1r @ Matrix([[1, 1], [1, -1]])
-            det_q = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
-            if det_q * kappa == kappa_n:
-                return q, ext
-        raise AssertionError("determinant cannot be matched with either sign")
-    return None
+def _mixed_v_witness(u, v_prime, kappa, c, r1) -> Matrix:
+    """Q = [r1*u r2*v'] [[1, 1], [1, -1]] with Q^T(S + kappa J)Q equal to
+    [[0, 1], [c, 0]], for r1^2 = (1+c)/(4*a0).
 
-
-def _canonical_mixed_iv(s: Matrix, kappa) -> CanonicalResult:
-    kernel = Matrix(s.rows).nullspace()
-    assert len(kernel) == 1
-    u = kernel[0]
-    # any vector outside the kernel is anisotropic for a rank-1 form
-    w = (ONE, ZERO)
-    a0 = _form_value(s, w, w)
-    if a0.is_zero():
-        w = (ZERO, ONE)
-        a0 = _form_value(s, w, w)
-    r, ext = _sqrt_allowing_extension(a0)
-    q2 = (w[0] * r.inv(), w[1] * r.inv())
-    det_uq2 = u[0] * q2[1] - u[1] * q2[0]
-    nu = (kappa * det_uq2).inv()
-    q = Matrix([[nu * u[0], q2[0]], [nu * u[1], q2[1]]])
-    return CanonicalResult(CanonicalKind("mixed_iv"), q, ext)
+    det Q = -2*r1*r2*det[u v'], and the skew part needs
+    det(Q)*kappa = (1-c)/2; that fixes r2, sign included.  With it the
+    symmetric part comes out as (1+c)/2 * [[0, 1], [1, 0]] because
+    det S / kappa^2 = -(1+c)^2/(1-c)^2.
+    """
+    det_p1 = u[0] * v_prime[1] - u[1] * v_prime[0]
+    r2 = (c - 1) * (4 * det_p1 * kappa).inv() * r1.inv()
+    p1r = Matrix([[u[0] * r1, v_prime[0] * r2],
+                  [u[1] * r1, v_prime[1] * r2]])
+    return p1r @ Matrix([[1, 1], [1, -1]])
 
 
 def congruent(f1: BilinearForm2, f2: BilinearForm2) -> bool:
-    """Same congruence class; for kind (v) the parameters must agree up to
-    the c <-> 1/c flip (the stored representative already fixes one)."""
-    k1 = congruence_canonical(f1).kind
-    k2 = congruence_canonical(f2).kind
-    if k1.tag != k2.tag:
-        return False
-    if k1.tag != "mixed_v":
-        return True
-    if k1.c == k2.c:
-        return True
-    return not k2.c.is_zero() and k1.c == k2.c.inv()
+    """Same congruence class.  The canonical kind already fixes c as the
+    lex-smaller of c and 1/c, so the forms are congruent exactly when
+    their canonical kinds are equal."""
+    return congruence_canonical(f1).kind == congruence_canonical(f2).kind
 
 
 @dataclass(frozen=True)

@@ -193,29 +193,39 @@ def _solutions(prepared, b, p):
 
 
 def _balanced_vals(p):
-    vals = [0]
+    """The residues 0, 1, -1, 2, -2, ... of GF(p), one at a time."""
+    yield 0
     for k in range(1, (p - 1) // 2 + 1):
-        vals += [k, p - k]
-    return vals
+        yield k
+        yield p - k
 
 
 def _images(k, p):
     """All nonzero vectors of GF(p)^k, sparse ones first, small entries
-    first inside each block."""
-    nz = _balanced_vals(p)[1:]
+    first inside each block.
+
+    Vectors of weight 1 and 2 come straight from the lazy value order, so
+    a search that stops in them holds no table of size p; only the dense
+    block, reached when k >= 3, lists the p values for its product.
+    """
+    def nonzero():
+        return itertools.islice(_balanced_vals(p), 1, None)
+
     for pos in range(k):
-        for v in nz:
+        for v in nonzero():
             vec = [0] * k
             vec[pos] = v
             yield tuple(vec)
     for a in range(k):
         for b in range(a + 1, k):
-            for va in nz:
-                for vb in nz:
+            for va in nonzero():
+                for vb in nonzero():
                     vec = [0] * k
                     vec[a] = va
                     vec[b] = vb
                     yield tuple(vec)
+    if k < 3:
+        return
     for vec in itertools.product(_balanced_vals(p), repeat=k):
         if k - vec.count(0) > 2:
             yield vec

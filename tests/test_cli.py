@@ -93,6 +93,15 @@ def test_iso_search_certified(capsys):
     assert "candidates" in out
 
 
+def test_iso_search_large_prime(capsys):
+    # the search holds no table of size p, so an 18-digit prime is cheap
+    code, out, _ = run(capsys, "iso", "search", "--a", "A_17:alpha=2",
+                       "--b", "A_17:alpha=1/2",
+                       "--prime", "1000000000000000009", "--cap", "3")
+    assert code == 0
+    assert "candidates considered: 3\n" in out
+
+
 def test_iso_search_counters_on_stderr(capsys):
     code, out, err = run(capsys, "iso", "search", "--a", "A_116:alpha=2",
                          "--b", "A_116:alpha=-2")
@@ -256,6 +265,7 @@ PADDED_KEY_CATALOGUE = one_product_catalogue(
     (["canon", "[[sqrt(2),0],[0,sqrt(3)]]"], None),
     *[(["verify", "--catalogue", "FILE"], text)
       for text in MALFORMED_ENTRY_CATALOGUES],
+    (["verify", "--entry", "A_5:alpha=1,alpha=2"], None),
 ])
 def test_misuse_exits_2(capsys, tmp_path, argv, file_text):
     if file_text is not None:

@@ -1,5 +1,6 @@
 """Congruence canonical forms for 2x2 forms over Q(i) and extensions."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from leibkit.forms import (
     section_two_eligible,
 )
 from leibkit.linalg import Matrix, SingularMatrix
-from leibkit.scalars import GaussianRational, QuadExtField
+from leibkit.scalars import GaussianRational, QuadExtElem, QuadExtField
 
 
 def canon(rows):
@@ -185,3 +186,74 @@ def test_extract_v_form(catalogue):
                     assert coords[-1] == form.matrix[a, b]
             extracted += 1
     assert extracted == 4 * 15
+
+
+def _witness_corpus():
+    """1,500 seeded forms.  In each ten, six are lambda * P^T R P for a
+    representative R: one per kind with lambda in Q(i), and one with
+    lambda a square in Q(i)(sqrt d).  Three have random Q(i) entries and
+    one has random Q(i)(sqrt d) entries.  Together they reach every
+    witness path of congruence_canonical, ExtensionTowerNeeded included."""
+    rng = random.Random(1212)
+    small = [GaussianRational(a, b) for a in range(-2, 3) for b in range(-1, 2)]
+    units = small[5:10]  # 0, +-1, +-i: the sqrt(d) coefficients
+    scales = [GaussianRational(x) for x in (1, -1, 2, 3, 5, Fraction(1, 2))] \
+        + [GaussianRational(0, 1), GaussianRational(1, 1), GaussianRational(2, 1)]
+    cs = [GaussianRational(x)
+          for x in (2, Fraction(1, 2), 3, -2, -3, 4, 9, Fraction(1, 3))] \
+        + [GaussianRational(0, 1), GaussianRational(1, 2)]
+    reps = [[[0, 1], [-1, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 1]],
+            [[0, 1], [-1, 1]]]
+    fields = [QuadExtField(d) for d in (2, 3, -2, GaussianRational(1, 2))]
+    forms = []
+    for k in range(1500):
+        slot = k % 10
+        if slot < 5 or slot == 9:
+            r = slot if slot < 5 else rng.randrange(5)
+            rep = reps[r] if r < 4 else [[0, 1], [rng.choice(cs), 0]]
+            while True:
+                p = Matrix([[rng.randint(-3, 3) for _ in range(2)]
+                            for _ in range(2)])
+                if not (p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]).is_zero():
+                    break
+            m = p.transpose() @ Matrix(rep) @ p
+            lam = rng.choice(scales)
+            if slot == 9:
+                mu = QuadExtElem(rng.choice(small), rng.choice(units),
+                                 rng.choice(fields))
+                lam = mu * mu
+            forms.append(Matrix([[lam * x for x in row] for row in m.rows]))
+        elif slot < 8:
+            forms.append(Matrix([[rng.choice(small) for _ in range(2)]
+                                 for _ in range(2)]))
+        else:
+            f = rng.choice(fields)
+            forms.append(Matrix([[QuadExtElem(rng.choice(small),
+                                              rng.choice(units), f)
+                                  for _ in range(2)] for _ in range(2)]))
+    return forms
+
+
+def _scalar_text(x):
+    if isinstance(x, QuadExtElem):
+        return "%s[%r]:%r" % (type(x).__name__, x.field.d, x)
+    return "%s:%r" % (type(x).__name__, x)
+
+
+def test_canonical_witness_digest():
+    # kind, c, every entry of Q with its type, and extension_d, or the
+    # exception raised; the hash pins the exact witnesses, not just kinds
+    h = hashlib.sha256()
+    for m in _witness_corpus():
+        try:
+            res = congruence_canonical(BilinearForm2(m))
+        except ExtensionTowerNeeded as ex:
+            line = type(ex).__name__
+        else:
+            q = ";".join(",".join(_scalar_text(x) for x in row)
+                         for row in res.q.rows)
+            line = "%s|%r|%s|%r" % (res.kind.tag, res.kind.c, q,
+                                    res.extension_d)
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == ("2c67ebaea11bd7747f24785d1aee75dc"
+                             "38ba84483e6d72300a40142a84fcd1fd")

@@ -1,5 +1,6 @@
 """Witness verification, modular search, lifting, and the fixture file."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from leibkit.iso import (
     BadPrime,
     FixtureError,
     _absorb,
+    _images,
     _int_table,
     _mod_structure,
     _structural_dims,
@@ -184,6 +186,39 @@ def test_layered_search_exhausts_mod_5(catalogue):
     assert not result.matrices
     assert_counts_add_up(result)
     assert sum(level.relations for level in result.levels) > 0
+
+
+def _listed_images(k, p):
+    # the order the search enumerates in, written out as whole lists
+    vals = [0]
+    for x in range(1, (p - 1) // 2 + 1):
+        vals += [x, p - x]
+    nz = vals[1:]
+    out = []
+    for pos in range(k):
+        for v in nz:
+            vec = [0] * k
+            vec[pos] = v
+            out.append(tuple(vec))
+    for a in range(k):
+        for b in range(a + 1, k):
+            for va in nz:
+                for vb in nz:
+                    vec = [0] * k
+                    vec[a] = va
+                    vec[b] = vb
+                    out.append(tuple(vec))
+    out += [vec for vec in itertools.product(vals, repeat=k)
+            if k - vec.count(0) > 2]
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29])
+def test_images_order(p):
+    for k in range(5):
+        got = list(_images(k, p))
+        assert got == _listed_images(k, p)
+        assert len(got) == p ** k - 1
 
 
 def test_lift_failure_names_the_entry(catalogue):
