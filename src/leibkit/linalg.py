@@ -6,6 +6,13 @@ implementation favors clarity and determinism over asymptotics.  Row
 echelon uses the first nonzero entry in column order as pivot, which makes
 reduced forms canonical for a given row space.  Q(i) entries and entries
 of one quadratic extension may share a matrix or a subspace.
+
+The public constructors ``Matrix(rows)`` and ``Subspace(ambient, vectors)``
+promote int and Fraction entries of caller input to Q(i).  What the kernel
+builds from its own scalars (the results of ``rref``, ``transpose``, ``@``,
+``inv`` and ``identity``, and the spans of kernel vectors) goes through
+``Matrix._of`` and ``Subspace._span``, which trust their entries and
+skip that promotion.
 """
 
 from __future__ import annotations
@@ -41,31 +48,40 @@ class Matrix:
     requirement is field arithmetic plus is_zero()/inv() duck typing
     through the usual operators.  int and Fraction entries are promoted
     to GaussianRational on construction.  Identity blocks and kernel
-    vectors are built from ONE and ZERO.
+    vectors are built from ONE and ZERO.  A matrix with no rows may still
+    have columns: the transpose of an n x 0 matrix is 0 x n.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
         rows = tuple(tuple(_coerce_scalar(x) for x in row) for row in rows)
-        if rows:
-            width = len(rows[0])
-            for row in rows:
-                if len(row) != width:
-                    raise ValueError("ragged rows")
-        else:
-            width = 0
+        width = len(rows[0]) if rows else 0
+        for row in rows:
+            if len(row) != width:
+                raise ValueError("ragged rows")
+        self._set(rows, width)
+
+    @classmethod
+    def _of(cls, rows, ncols):
+        """A matrix on rows of field scalars the kernel built, each of
+        length ncols; entries are trusted, not promoted."""
+        m = object.__new__(cls)
+        m._set(tuple(map(tuple, rows)), ncols)
+        return m
+
+    def _set(self, rows, ncols):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", width)
+        object.__setattr__(self, "ncols", ncols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
     def identity(n):
-        return Matrix([[ONE if r == c else ZERO for c in range(n)]
-                       for r in range(n)])
+        return Matrix._of([[ONE if r == c else ZERO for c in range(n)]
+                           for r in range(n)], n)
 
     def __getitem__(self, rc):
         r, c = rc
@@ -74,7 +90,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.ncols == other.ncols and self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
@@ -88,12 +104,14 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise AmbientMismatch("inner dimensions differ")
             ot = other.transpose().rows
-            return Matrix([[_dot(row, col) for col in ot] for row in self.rows])
+            return Matrix._of([[_dot(row, col) for col in ot]
+                               for row in self.rows], other.ncols)
         return NotImplemented
 
     def transpose(self):
-        return Matrix([[self.rows[r][c] for r in range(self.nrows)]
-                       for c in range(self.ncols)])
+        if not self.rows:
+            return Matrix._of([()] * self.ncols, 0)
+        return Matrix._of(zip(*self.rows), self.nrows)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of scalars."""
@@ -130,7 +148,7 @@ class Matrix:
                     rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
             pivots.append(col)
             rank += 1
-        return Matrix(rows), rank, tuple(pivots)
+        return Matrix._of(rows, nc), rank, tuple(pivots)
 
     def rank(self):
         return self.rref()[1]
@@ -139,14 +157,15 @@ class Matrix:
         if self.nrows != self.ncols:
             raise SingularMatrix("not square")
         n = self.nrows
-        aug = Matrix([list(self.rows[r]) + [ONE if c == r else ZERO for c in range(n)]
-                      for r in range(n)])
+        aug = Matrix._of([self.rows[r] + tuple(ONE if c == r else ZERO
+                                               for c in range(n))
+                          for r in range(n)], 2 * n)
         red, _, pivots = aug.rref()
         # [A|I] always has rank n; A is invertible iff no pivot spills into
         # the identity block
         if pivots[:n] != tuple(range(n)):
             raise SingularMatrix("matrix is singular")
-        return Matrix([row[n:] for row in red.rows])
+        return Matrix._of([row[n:] for row in red.rows], n)
 
     def nullspace(self):
         """Basis of the right kernel as a tuple of vectors (tuples).
@@ -169,7 +188,10 @@ class Matrix:
 
 def _dot(u, v):
     it = iter(zip(u, v))
-    a, b = next(it)
+    first = next(it, None)
+    if first is None:
+        return ZERO
+    a, b = first
     acc = a * b
     for a, b in it:
         acc = acc + a * b
@@ -189,9 +211,20 @@ class Subspace:
         vectors = list(vectors)
         if any(len(v) != ambient for v in vectors):
             raise AmbientMismatch("vector length differs from ambient dimension")
+        self._reduce(ambient, Matrix(vectors))  # Matrix promotes the entries
+
+    @classmethod
+    def _span(cls, ambient, vectors):
+        """The span of vectors of field scalars the kernel built, each of
+        length ambient; entries are trusted, not promoted."""
+        space = object.__new__(cls)
+        space._reduce(ambient, Matrix._of(vectors, ambient))
+        return space
+
+    def _reduce(self, ambient, spanning):
         basis = ()
-        if vectors:  # Matrix coerces the entries
-            red, rank, _ = Matrix(vectors).rref()
+        if spanning.nrows:
+            red, rank, _ = spanning.rref()
             basis = red.rows[:rank]
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
@@ -217,7 +250,7 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise AmbientMismatch("ambient dimensions differ")
-        return Subspace(self.ambient, list(self.basis) + list(other.basis))
+        return Subspace._span(self.ambient, self.basis + other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -225,11 +258,9 @@ class Subspace:
         if not self.basis or not other.basis:
             return Subspace(self.ambient, [])
         # solve c*U = d*V: kernel of [U^T | -V^T]
-        u = Matrix(self.basis).transpose()
-        v = Matrix(other.basis).transpose()
-        cols = [list(row) + [-x for x in vrow]
-                for row, vrow in zip(u.rows, v.rows)]
-        kernel = Matrix(cols).nullspace()
+        cols = [urow + tuple(-x for x in vrow)
+                for urow, vrow in zip(zip(*self.basis), zip(*other.basis))]
+        kernel = Matrix._of(cols, self.dim + other.dim).nullspace()
         k = self.dim
         vecs = []
         for sol in kernel:
@@ -237,4 +268,4 @@ class Subspace:
             vec = [_dot(coeffs, [b[j] for b in self.basis])
                    for j in range(self.ambient)]
             vecs.append(vec)
-        return Subspace(self.ambient, vecs)
+        return Subspace._span(self.ambient, vecs)

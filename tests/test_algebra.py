@@ -1,12 +1,16 @@
 """Structure-constant algebras: bracket, identities, series, base change."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leibkit.algebra import LeibnizAlgebra, LeibnizViolation
-from leibkit.linalg import Matrix, SingularMatrix, Subspace
-from leibkit.scalars import GaussianRational
+from leibkit.catalogue import instantiate, sample_params
+from leibkit.linalg import AmbientMismatch, Matrix, SingularMatrix, Subspace
+from leibkit.scalars import ONE, ZERO, GaussianRational, QuadExtField
 
 
 # [e1,e1] = e2: the smallest non-Lie left Leibniz algebra
@@ -141,3 +145,154 @@ def test_scaling_a_generator_rescales_products():
 def test_constructor_drops_zero_products():
     alg = LeibnizAlgebra(2, {(0, 0): {1: GaussianRational(0)}})
     assert alg.table == {}
+
+
+def test_int_and_fraction_constants_are_promoted():
+    alg = LeibnizAlgebra(2, {(0, 0): {1: 1}, (0, 1): {1: Fraction(0)}})
+    assert alg == SQUARE2
+    assert all(type(s) is GaussianRational
+               for comps in alg.table.values() for s in comps.values())
+    assert alg.bracket((1, 0), (1, 0)) == (ZERO, ONE)
+    half = Fraction(1, 2)
+    assert alg.bracket((half, 0), (2, 0)) == (ZERO, ONE)
+    assert all(type(x) is GaussianRational
+               for x in alg.bracket((half, 0), (1, 0)))
+    assert LeibnizAlgebra(3, {(0, 1): {2: 1}, (1, 0): {2: -1}}) == HEIS
+
+
+# -- the Leibniz check against the triple loop over every (i, j, k) --------
+
+def _check_leibniz_by_triples(alg):
+    """The identity tested at all n^3 triples of basis vectors."""
+    n = alg.n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = alg._bracket_sparse({i: ONE}, alg.bracket_basis(j, k))
+                r1 = alg._bracket_sparse(alg.bracket_basis(i, j), {k: ONE})
+                r2 = alg._bracket_sparse({j: ONE}, alg.bracket_basis(i, k))
+                defect = dict(lhs)
+                for term in (r1, r2):
+                    for m, s in term.items():
+                        t = defect.get(m, ZERO) - s
+                        if t.is_zero():
+                            defect.pop(m, None)
+                        else:
+                            defect[m] = t
+                if defect:
+                    vec = tuple(defect.get(m, ZERO) for m in range(n))
+                    return LeibnizViolation(i, j, k, vec)
+    return None
+
+
+def _same_check(alg):
+    got, want = alg.check_leibniz(), _check_leibniz_by_triples(alg)
+    assert got == want
+    if want is not None:  # the same scalars, kind included
+        assert [type(x) for x in got.defect] == [type(x) for x in want.defect]
+    return got
+
+
+SQRT2 = QuadExtField(2)
+small = st.integers(-2, 2)
+gaussian = small.map(GaussianRational)
+with_root = st.tuples(small, small).map(
+    lambda ab: SQRT2.embed(ab[0]) + SQRT2.sqrt_d * GaussianRational(ab[1]))
+
+
+@st.composite
+def tables(draw, scalars):
+    """n <= 4 and a table of entries in [-2, 2]: either any table, or one
+    whose products all land in a block that brackets to 0, so the identity
+    holds, with one more product planted on top."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    comps = st.dictionaries(index, scalars, max_size=n)
+    if n == 1 or draw(st.booleans()):
+        return n, draw(st.dictionaries(st.tuples(index, index), comps,
+                                       max_size=n * n))
+    cut = draw(st.integers(1, n - 1))  # e_cut..e_n span a central block
+    low, high = st.integers(0, cut - 1), st.integers(cut, n - 1)
+    table = draw(st.dictionaries(st.tuples(low, low),
+                                 st.dictionaries(high, scalars, max_size=n),
+                                 max_size=cut * cut))
+    planted = draw(st.tuples(index, index))
+    table[planted] = draw(comps)
+    return n, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(gaussian))
+def test_sparse_check_matches_triple_loop(n_table):
+    _same_check(LeibnizAlgebra(*n_table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(st.one_of(gaussian, with_root)))
+def test_sparse_check_matches_triple_loop_with_roots(n_table):
+    _same_check(LeibnizAlgebra(*n_table))
+
+
+def test_sparse_check_on_catalogue_mutants(catalogue):
+    # the delete and negate mutants of criterion 9, on one entry
+    entry = catalogue.entry("A_1")
+    base = instantiate(entry, sample_params(entry, 1)[0])
+    outcomes = []
+    for key in sorted(base.table):
+        for op in ("delete", "negate"):
+            table = {k: dict(v) for k, v in base.table.items()}
+            if op == "delete":
+                del table[key]
+            else:
+                table[key] = {c: -v for c, v in table[key].items()}
+            outcomes.append(_same_check(LeibnizAlgebra(5, table)))
+    assert None in outcomes and any(outcomes)
+
+
+def test_check_leibniz_brackets_per_product(catalogue, monkeypatch):
+    # 3n^3 = 375 brackets at n = 5 whatever the table; the table has 7
+    # products, and at most 3n of them each may be spent
+    calls = []
+    sparse = LeibnizAlgebra._bracket_sparse
+
+    def counted(self, u, v):
+        calls.append(None)
+        return sparse(self, u, v)
+
+    monkeypatch.setattr(LeibnizAlgebra, "_bracket_sparse", counted)
+    alg = a1()
+    assert alg.check_leibniz() is None
+    assert len(calls) <= 3 * alg.n * len(alg.table)
+    for name in ("A_16", "A_242"):
+        entry = catalogue.entry(name)
+        alg = instantiate(entry, sample_params(entry, 1)[0])
+        calls.clear()
+        assert alg.check_leibniz() is None
+        assert len(calls) <= 3 * alg.n * len(alg.table)
+
+
+# -- products of subspaces ---------------------------------------------------
+
+def test_subspace_product_checks_ambient():
+    alg = a1()
+    with pytest.raises(AmbientMismatch):
+        alg.subspace_product(Subspace(4, [(1, 0, 0, 0)]), alg.full_space())
+    with pytest.raises(AmbientMismatch):
+        alg.subspace_product(alg.full_space(), Subspace(6, []))
+
+
+def test_subspace_product_matches_bracket_span(catalogue):
+    rng = random.Random(13)
+    for entry in list(catalogue)[::9]:
+        alg = instantiate(entry, sample_params(entry, 1)[0])
+        for _ in range(3):
+            u_space, v_space = (
+                Subspace(5, [[rng.randint(-2, 2) for _ in range(5)]
+                             for _ in range(rng.randint(0, 3))])
+                for _ in range(2))
+            want = Subspace(5, [alg.bracket(u, v) for u in u_space.basis
+                                for v in v_space.basis])
+            assert alg.subspace_product(u_space, v_space) == want
+        whole = alg.full_space()
+        assert (alg.subspace_product(whole, whole)
+                == alg.lower_central_term(2))

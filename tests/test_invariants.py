@@ -182,3 +182,25 @@ def test_signature_computes_each_product_once(catalogue, monkeypatch):
         expected = (len(lower) - 1 + (lower[-1].dim != 0)
                     + len(derived) - 2 + (derived[-1].dim != 0) + 1)
         assert len(calls) == expected, alg
+
+
+def test_signature_rref_count(catalogue, monkeypatch):
+    # signature reduces each subspace it builds once; 4,278 reductions
+    # over the first points is the count when the subspace products and
+    # the trusted kernel constructors were last reworked
+    calls = []
+    rref = Matrix.rref
+
+    def counted(self):
+        calls.append(None)
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    per_point = {}
+    for entry in catalogue:
+        alg = instantiate(entry, sample_params(entry, 1)[0])
+        calls.clear()
+        signature(LeibnizAlgebra(alg.n, alg.table))
+        per_point[entry.name] = len(calls)
+    assert per_point["A_1"] == 18
+    assert sum(per_point.values()) == 4278

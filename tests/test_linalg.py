@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from leibkit.linalg import AmbientMismatch, Matrix, SingularMatrix, Subspace
-from leibkit.scalars import GaussianRational, QuadExtField
+from leibkit.scalars import GaussianRational, QuadExtElem, QuadExtField
 
 
 def rand_matrix(rng, n=3, lo=-4, hi=4):
@@ -120,3 +120,47 @@ def test_subspace_sum_and_intersection():
         u = Subspace(4, [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)])
         v = Subspace(4, [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)])
         assert (u + v).dim + u.intersect(v).dim == u.dim + v.dim
+
+
+def test_empty_shapes():
+    three_by_zero = Matrix([[], [], []])
+    assert (three_by_zero.nrows, three_by_zero.ncols) == (3, 0)
+    t = three_by_zero.transpose()
+    assert (t.nrows, t.ncols) == (0, 3)
+    back = t.transpose()
+    assert (back.nrows, back.ncols) == (3, 0) and back == three_by_zero
+    assert t != Matrix([])
+    zero = GaussianRational(0)
+    assert Matrix([[], []]).apply([]) == (zero, zero)
+    assert three_by_zero @ t == Matrix([[0] * 3] * 3)
+
+
+def test_kernel_results_hold_field_scalars():
+    # rref, transpose, @ and inv trust their own entries; they must come
+    # out exactly as the promoting constructor would build them
+    rng = random.Random(15)
+    field = QuadExtField(3)
+    kinds = (GaussianRational, QuadExtElem)
+
+    def entry():
+        x = rng.randint(-3, 3)
+        roll = rng.random()
+        if roll < 0.3:
+            return Fraction(x, rng.randint(1, 4))
+        if roll < 0.4:
+            return field.embed(x) + field.sqrt_d * GaussianRational(x)
+        return x
+
+    for _ in range(40):
+        r, c, w = (rng.randint(1, 4) for _ in range(3))
+        a = Matrix([[entry() for _ in range(c)] for _ in range(r)])
+        b = Matrix([[entry() for _ in range(w)] for _ in range(c)])
+        results = [a.rref()[0], a.transpose(), a @ b]
+        if r == c:
+            try:
+                results.append(a.inv())
+            except SingularMatrix:
+                pass
+        for m in results:
+            assert all(type(x) in kinds for row in m.rows for x in row)
+            assert m == Matrix(m.rows)
