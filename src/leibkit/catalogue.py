@@ -5,9 +5,10 @@ dimension claims shared by its members. Entries are parametric: coefficients
 are expressions over the entry's parameters, and admissibility is a
 conjunction of nonzero constraints plus optional any-nonzero clauses.
 
-This module is the one reader of the JSON product layout, a list of
-{left: i, right: j, components: {k: text}} records; witness files read
-their inline tables with the same `parse_products` and `product_table`.
+This module is the one reader of the data files: `read_document` decodes
+both the catalogue and the witness file, and `parse_products` and
+`product_table` read the JSON product layout, a list of {left: i,
+right: j, components: {k: text}} records, in both.
 """
 
 import functools
@@ -111,26 +112,21 @@ class Catalogue:
             raise CatalogueError("no catalogue entry named %r" % name) from None
 
 
-def parse_expr_checked(text, params, where, literal=False):
+def parse_expr_checked(text, params, where):
     """The AST of expression `text`, or CatalogueError naming `where`.
 
-    The default is the catalogue grammar over the declared `params`; with
-    `literal` it is the scalar-literal grammar.  The parser folds
-    constants, so e.g. 1/(1-1) fails here and not at use.
+    `params` is as for exprs.parse_expr: the declared parameter names, or
+    None for a scalar literal.  The parser folds constants, so e.g.
+    1/(1-1) fails here and not at use.
     """
     if not isinstance(text, str):
         raise CatalogueError("%s: expression %r is not a string"
                              % (where, text))
     try:
-        ast = exprs.parse_expr(text, literal)
+        return exprs.parse_expr(text, params)
     except ValueError as e:
         raise CatalogueError("%s: bad expression %r (%s)"
                              % (where, text, e)) from None
-    stray = exprs.free_params(ast) - set(params)
-    if stray:
-        raise CatalogueError("%s: expression %r uses undeclared %s"
-                             % (where, text, ", ".join(sorted(stray))))
-    return ast
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string"}
@@ -161,12 +157,12 @@ def _parse_claims(rec, where):
     return Claims(**rec)
 
 
-def parse_products(recs, params, where, literal=False):
+def parse_products(recs, params, where):
     """Products from a JSON list of product records.
 
     Indices are JSON integers 1..DIMENSION, a component key is one of
     "1".."DIMENSION" and its value an expression (see parse_expr_checked
-    for `params` and `literal`); a pair listed twice or a product without
+    for `params`); a pair listed twice or a product without
     components is an error.  Raises CatalogueError naming `where`.
     """
     keys = {str(k): k for k in range(1, DIMENSION + 1)}
@@ -191,7 +187,7 @@ def parse_products(recs, params, where, literal=False):
                 raise CatalogueError("%s: bad component index %r"
                                      % (where, key))
             comps.append((keys[key],
-                          parse_expr_checked(text, params, where, literal)))
+                          parse_expr_checked(text, params, where)))
         if not comps:
             raise CatalogueError("%s: empty product [%d, %d]" % (where, i, j))
         comps.sort()
@@ -266,22 +262,33 @@ def _parse_entry(rec, cases):
         claims=cases[case], iso=iso)
 
 
+def read_document(path, shipped, error):
+    """(text, decoded JSON) of the file at `path`, or of the shipped data
+    file named `shipped` when `path` is None.
+
+    The file is read as UTF-8 with universal newlines; bytes that are not
+    UTF-8 or text that is not JSON raise `error`.
+    """
+    try:
+        if path is None:
+            text = (resources.files("leibkit") / "data" /
+                    shipped).read_text(encoding="utf-8")
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        return text, json.loads(text)
+    except UnicodeDecodeError as e:
+        raise error("not UTF-8 text: %s" % e) from None
+    except json.JSONDecodeError as e:
+        raise error("invalid JSON: %s" % e) from None
+
+
 def parse_catalogue(path=None):
     """Load and validate a catalogue document (default: the shipped table).
 
     The file is read once; the digest of its text goes on the result.
     """
-    if path is None:
-        text = (resources.files("leibkit") / "data" /
-                "catalogue.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CatalogueError("invalid JSON: %s" % e)
-
+    text, doc = read_document(path, "catalogue.json", CatalogueError)
     dimension = _expect(doc, dict, "catalogue document").get("dimension")
     if dimension != DIMENSION:
         raise CatalogueError("unsupported dimension %r" % dimension)
@@ -317,18 +324,34 @@ def _sample_stream():
 
 
 @functools.lru_cache(maxsize=None)
-def _parsed(texts):
-    return tuple(exprs.parse_expr(t) for t in texts)
+def _parsed(texts, params):
+    return tuple(exprs.parse_expr(t, params) for t in texts)
+
+
+def point_text(values):
+    """'p=v, ...' for (param, scalar) pairs, or '-' for none."""
+    return ", ".join("%s=%s" % (p, exprs.format_scalar(v))
+                     for p, v in values) or "-"
+
+
+def _zero_divisor(entry, env):
+    return CatalogueError("entry %s: division by zero at %s"
+                          % (entry.name, point_text(sorted(env.items()))))
 
 
 def _admissible(entry, env):
-    for ast in _parsed(entry.constraints):
-        if exprs.evaluate(ast, env).is_zero():
-            return False
-    for clause in entry.constraints_any:
-        if all(exprs.evaluate(ast, env).is_zero()
-               for ast in _parsed(clause)):
-            return False
+    """Whether `env` meets the entry's constraints; CatalogueError when a
+    constraint divides by zero there."""
+    try:
+        for ast in _parsed(entry.constraints, entry.params):
+            if exprs.evaluate(ast, env).is_zero():
+                return False
+        for clause in entry.constraints_any:
+            if all(exprs.evaluate(ast, env).is_zero()
+                   for ast in _parsed(clause, entry.params)):
+                return False
+    except ZeroDivisionError:
+        raise _zero_divisor(entry, env) from None
     return True
 
 
@@ -371,7 +394,8 @@ def instantiate(entry, values=None):
     """Build the algebra of `entry` at the given parameter values.
 
     `values` maps every parameter name to a scalar (int, Fraction, or
-    GaussianRational). Raises ConstraintViolated off the admissible locus.
+    GaussianRational). Raises ConstraintViolated off the admissible locus,
+    and CatalogueError when a coefficient divides by zero on it.
     """
     values = dict(values or {})
     expected = set(entry.params)
@@ -391,7 +415,10 @@ def instantiate(entry, values=None):
     if not _admissible(entry, env):
         raise ConstraintViolated("%s: parameter values violate the "
                                  "admissibility constraints" % entry.name)
-    return LeibnizAlgebra(DIMENSION, product_table(entry.products, env))
+    try:
+        return LeibnizAlgebra(DIMENSION, product_table(entry.products, env))
+    except ZeroDivisionError:
+        raise _zero_divisor(entry, env) from None
 
 
 def product_table(products, env=None):
@@ -436,10 +463,7 @@ class PointReport:
         return all(o.passed for o in self.outcomes)
 
     def value_text(self):
-        if not self.values:
-            return "-"
-        return ", ".join("%s=%s" % (p, exprs.format_scalar(v))
-                         for p, v in self.values)
+        return point_text(self.values)
 
 
 @dataclass(frozen=True)

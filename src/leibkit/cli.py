@@ -22,7 +22,8 @@ import sys
 from . import __version__, exprs
 from .catalogue import (CatalogueError, ConstraintViolated, EntryReport,
                         NoAdmissiblePoint, instantiate, parse_catalogue,
-                        sample_params, verify_entry, verify_point)
+                        point_text, sample_params, verify_entry,
+                        verify_point)
 from .forms import BilinearForm2, congruence_canonical
 from .invariants import signature
 from .iso import (CERTIFIED, DEFAULT_CAP, DEFAULT_PRIMES, DISTINCT,
@@ -177,8 +178,7 @@ def cmd_invariants(args):
     print(*_header(catalogue), sep="\n")
     for name, point, alg in algebras:
         sig = signature(alg)
-        where = ", ".join("%s=%s" % (p, exprs.format_scalar(v))
-                          for p, v in sorted(point.items())) or "-"
+        where = point_text(sorted(point.items()))
         pairs = []
         for key, value in sig.as_dict().items():
             if isinstance(value, tuple):

@@ -8,12 +8,13 @@ Python's precedence and left associativity, and may use only these nodes:
     integer    i    param-name
 
 so -a*b is (-a)*b and alpha/2/3 is (alpha/2)/3.  Names are ASCII
-identifiers; `i` is the imaginary unit and every other name is a
-parameter.  Python keywords such as `lambda` are ordinary names here.
+identifiers; `i` is the imaginary unit and every other name must be one
+of the declared parameters.  Python keywords such as `lambda` are
+ordinary names here.
 
-Scalar literals (witness files, CLI arguments) use the same grammar with
-parameters disallowed and one extra node, sqrt(q) for a rational constant
-q, which may land in a quadratic extension of Q(i).
+Scalar literals (witness files, CLI arguments) declare no parameters
+(params None) and get one extra node, sqrt(q) for a rational constant q,
+which may land in a quadratic extension of Q(i).
 
 Parsing folds every constant subexpression into one ("num", scalar) leaf,
 so a literal parses to a single leaf; a division by a constant zero and a
@@ -51,12 +52,12 @@ _BINOPS = {pyast.Add: "add", pyast.Sub: "sub", pyast.Mult: "mul",
            pyast.Div: "div"}
 
 
-def _walk(node, literal):
+def _walk(node, params):
     """The tuple AST of an admitted Python expression node, constants
     folded; ExprSyntaxError on any other node."""
     if isinstance(node, pyast.BinOp) and type(node.op) in _BINOPS:
         kind = _BINOPS[type(node.op)]
-        tree = (kind, _walk(node.left, literal), _walk(node.right, literal))
+        tree = (kind, _walk(node.left, params), _walk(node.right, params))
         left, right = tree[1], tree[2]
         if kind == "div" and right[0] == "num" and right[1].is_zero():
             raise ExprSyntaxError("division by zero")
@@ -67,7 +68,7 @@ def _walk(node, literal):
         except FieldMismatch:
             raise ExprSyntaxError("mixed radicals in a constant") from None
     if isinstance(node, pyast.UnaryOp) and isinstance(node.op, pyast.USub):
-        a = _walk(node.operand, literal)
+        a = _walk(node.operand, params)
         return ("num", -a[1]) if a[0] == "num" else ("neg", a)
     if isinstance(node, pyast.Constant) and type(node.value) is int:
         return ("num", GaussianRational(node.value))
@@ -77,17 +78,19 @@ def _walk(node, literal):
             return ("num", I)
         if name == "sqrt":
             raise ExprSyntaxError("sqrt must be called on one argument")
-        if literal:
+        if params is None:
             raise ExprSyntaxError(
                 f"parameter {name!r} not allowed in a scalar literal")
+        if name not in params:
+            raise ExprSyntaxError(f"undeclared parameter {name!r}")
         return ("param", name)
     if (isinstance(node, pyast.Call) and isinstance(node.func, pyast.Name)
             and node.func.id == "_sqrt"):
-        if not literal:
+        if params is not None:
             raise ExprSyntaxError("sqrt is not allowed in this context")
         if len(node.args) != 1:  # no commas: only sqrt() gets here
             raise ExprSyntaxError("sqrt must be called on one argument")
-        arg = _walk(node.args[0], literal)[1]  # a literal folds to one leaf
+        arg = _walk(node.args[0], params)[1]  # a literal folds to one leaf
         if not (isinstance(arg, GaussianRational) and arg.is_rational()):
             raise ExprSyntaxError("sqrt argument must be a rational constant")
         root = gaussian_sqrt(arg)
@@ -97,11 +100,12 @@ def _walk(node, literal):
                           % re.sub(r"\b_", "", pyast.unparse(node)))
 
 
-def parse_expr(text: str, literal: bool = False):
+def parse_expr(text: str, params):
     """Parse expression text into an AST tuple tree.
 
-    The default is the catalogue grammar (parameters, no sqrt); with
-    `literal` it is the scalar-literal grammar (sqrt, no parameters).
+    With a collection of parameter names it is the catalogue grammar over
+    those names (no sqrt); with None it is the scalar-literal grammar
+    (sqrt, no parameters).
     """
     bad = _BAD_CHAR_RE.search(text)
     if bad:
@@ -111,7 +115,7 @@ def parse_expr(text: str, literal: bool = False):
     if not source:
         raise ExprSyntaxError("empty expression")
     try:
-        return _walk(pyast.parse(source, mode="eval").body, literal)
+        return _walk(pyast.parse(source, mode="eval").body, params)
     except SyntaxError as ex:  # also "too many nested parentheses"
         # Python's advice after a ";" (e.g. an 0o prefix) does not apply
         raise ExprSyntaxError(ex.msg.split(";")[0]) from None
@@ -119,22 +123,11 @@ def parse_expr(text: str, literal: bool = False):
         raise ExprSyntaxError("expression nested too deeply") from None
 
 
-def free_params(ast) -> set[str]:
-    kind = ast[0]
-    if kind == "param":
-        return {ast[1]}
-    if kind in ("add", "sub", "mul", "div"):
-        return free_params(ast[1]) | free_params(ast[2])
-    if kind == "neg":
-        return free_params(ast[1])
-    return set()
-
-
 def evaluate(ast, env: dict[str, GaussianRational] | None = None):
     """Evaluate an AST at the parameter values `env`.
 
-    Division by an expression evaluating to zero raises ZeroDivisionError;
-    the catalogue's constraint lists are required to make that unreachable.
+    Division by an expression evaluating to zero raises ZeroDivisionError,
+    which catalogue.instantiate reports as a catalogue error.
     """
     env = env or {}
     kind = ast[0]
@@ -162,7 +155,7 @@ def evaluate(ast, env: dict[str, GaussianRational] | None = None):
 
 def parse_scalar(text: str):
     """The value of a scalar literal (sqrt allowed, no parameters)."""
-    return parse_expr(text, literal=True)[1]
+    return parse_expr(text, None)[1]
 
 
 def parse_scalar_rows(rows):

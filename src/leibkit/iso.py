@@ -15,15 +15,14 @@ each deeper layer of their images as an affine system mod p.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 from . import exprs
 from .algebra import LeibnizAlgebra
-from .catalogue import (DIMENSION, CatalogueError, parse_expr_checked,
-                        parse_products, product_table)
+from .catalogue import (DIMENSION, CatalogueError, _expect,
+                        parse_expr_checked, parse_products, product_table,
+                        read_document)
 from .catalogue import instantiate as cat_instantiate
 from .catalogue import parse_catalogue as cat_parse
 from .invariants import signature
@@ -691,8 +690,10 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     to Q(i) and re-verified exactly, and only when that fails is the search
     repeated for up to `_LIFT_ATTEMPTS` hits.  Only an exact verification
     yields CERTIFIED.  Hits at two primes without a lifting give EVIDENCE;
-    everything else is INCONCLUSIVE.  When no hit lifts, the detail names
-    the first matrix entry that had no preimage in the lifting box.
+    everything else is INCONCLUSIVE, and so, without a search, is a pair
+    of equal signatures that are not nilpotent.  When no hit lifts, the
+    detail names the first matrix entry that had no preimage in the
+    lifting box.
     """
     sig_s = signature(source)
     sig_t = signature(target)
@@ -700,6 +701,9 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         fields = ", ".join(sig_s.diff(sig_t))
         return Certification(DISTINCT, None, 0, 0,
                              f"invariants differ: {fields}")
+    if not sig_s.nilpotent:
+        return Certification(INCONCLUSIVE, None, 0, 0,
+                             "the layered search needs nilpotent algebras")
     total = 0
     hit_primes = []
     notes = []
@@ -799,52 +803,41 @@ def _shipped_catalogue():
     return _REALIZE_CACHE["catalogue"]
 
 
-def _check_scalar(text, where):
-    """Raise CatalogueError unless `text` is a scalar literal."""
-    parse_expr_checked(text, (), where, literal=True)
-
-
 def _parse_side(spec, where):
     """One side as realize takes it: the entry spec with its parameter
     literals checked, or the inline table read by the catalogue's reader,
     so that realizing it cannot fail on the file's shape."""
     if "products" in spec:
-        return parse_products(spec["products"], (), where, literal=True)
-    params = spec.get("params", {})
-    if not isinstance(spec["entry"], str) or not isinstance(params, dict):
-        raise FixtureError("%s: entry must be a name and params an object"
-                           % where)
-    for text in params.values():
-        _check_scalar(text, "%s params" % where)
+        return parse_products(spec["products"], None, where)
+    _expect(spec["entry"], str, "%s entry" % where)
+    for text in _expect(spec.get("params", {}), dict,
+                        "%s params" % where).values():
+        parse_expr_checked(text, None, "%s params" % where)
     return spec
 
 
 def _parse_fixture(rec, where):
-    if not isinstance(rec, dict):
-        raise FixtureError("%s: not a JSON object" % where)
+    _expect(rec, dict, where)
     for key in ("label", "source", "target", "matrix"):
         if key not in rec:
             raise FixtureError("%s: missing %r" % (where, key))
-    if not isinstance(rec["label"], str):
-        raise FixtureError("%s: label must be a string" % where)
-    where = "witness %s" % rec["label"]
+    where = "witness %s" % _expect(rec["label"], str, "%s label" % where)
     sides = []
     for side in ("source", "target"):
-        spec = rec[side]
-        if (not isinstance(spec, dict)
-                or ("entry" in spec) == ("products" in spec)):
+        spec = _expect(rec[side], dict, "%s %s" % (where, side))
+        if ("entry" in spec) == ("products" in spec):
             raise FixtureError("%s: %s must name an entry or carry products"
                                % (where, side))
         sides.append(_parse_side(spec, "%s %s" % (where, side)))
-    rows = rec["matrix"]
-    if (not isinstance(rows, list) or len(rows) != DIMENSION
-            or any(not isinstance(r, list) or len(r) != DIMENSION
-                   for r in rows)):
+    rows = _expect(rec["matrix"], list, "%s matrix" % where)
+    if (len(rows) != DIMENSION
+            or any(len(_expect(r, list, "%s matrix row" % where))
+                   != DIMENSION for r in rows)):
         raise FixtureError("%s: matrix must be %dx%d"
                            % (where, DIMENSION, DIMENSION))
     for row in rows:
         for text in row:
-            _check_scalar(text, "%s matrix" % where)
+            parse_expr_checked(text, None, "%s matrix" % where)
     return WitnessFixture(
         label=rec["label"],
         source=sides[0],
@@ -856,26 +849,15 @@ def _parse_fixture(rec, where):
 def load_fixtures(path=None):
     """Load the stored witness list (default: the shipped file).
 
-    Scalars and inline product tables are read by the catalogue's
-    expression and product readers, in the scalar-literal grammar.
+    The file is decoded and shape-checked by the catalogue's readers;
+    scalars and inline product tables are in the scalar-literal grammar.
     Raises FixtureError when the file is not a witness document.
     """
-    if path is None:
-        text = (resources.files("leibkit") / "data" /
-                "witnesses.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    _text, doc = read_document(path, "witnesses.json", FixtureError)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FixtureError("invalid JSON: %s" % e) from None
-    records = doc.get("witnesses", []) if isinstance(doc, dict) else None
-    if not isinstance(records, list):
-        raise FixtureError("expected an object with a \"witnesses\" array")
-    try:
+        records = _expect(_expect(doc, dict, "witness document")
+                          .get("witnesses", []), list, "witnesses")
         return tuple(_parse_fixture(rec, "witness %d" % k)
                      for k, rec in enumerate(records))
-    except CatalogueError as ex:  # a scalar or an inline table
+    except CatalogueError as ex:  # a shape, a scalar or an inline table
         raise FixtureError(str(ex)) from None
-

@@ -278,6 +278,84 @@ def test_misuse_exits_2(capsys, tmp_path, argv, file_text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def product_catalogue(text):
+    """The one-entry catalogue over alpha whose [e1, e1] is `text` e5."""
+    return one_entry_catalogue(products=[
+        {"left": 1, "right": 1, "components": {"5": text}}])
+
+
+NOT_UTF8 = b"\xff\xfe{"
+# every command that reads a catalogue file; the witness file names X_1
+CATALOGUE_READERS = {
+    "verify": ["verify", "--catalogue", "CAT"],
+    "invariants": ["invariants", "--catalogue", "CAT"],
+    "report": ["report", "--catalogue", "CAT"],
+    "iso-verify": ["iso", "verify", "--catalogue", "CAT", "--fixtures", "WIT"],
+    "iso-search": ["iso", "search", "--catalogue", "CAT",
+                   "--a", "X_1:alpha=0", "--b", "X_1:alpha=1"],
+}
+X_1_WITNESS = json.dumps({"witnesses": [{
+    "label": "w", "source": {"entry": "X_1", "params": {"alpha": "0"}},
+    "target": {"entry": "X_1", "params": {"alpha": "1"}},
+    "matrix": IDENTITY}]})
+MALFORMED_CATALOGUES = {
+    "not-utf8": NOT_UTF8,
+    "invalid-json": "{not json",
+    "top-level-array": "[]",
+    "undeclared-parameter": product_catalogue("beta"),
+    "sqrt": product_catalogue("sqrt(2)"),
+    # alpha = 0 is admissible and the first sample point
+    "zero-divisor": product_catalogue("1/alpha"),
+}
+MALFORMED_WITNESSES = {
+    "not-utf8": NOT_UTF8,
+    "invalid-json": "{not json",
+    "top-level-array": "[]",
+    "parameter-in-literal": json.dumps({"witnesses": [{
+        "label": "w", "source": {"entry": "A_5", "params": {"alpha": "alpha"}},
+        "target": {"entry": "A_5", "params": {"alpha": "2"}},
+        "matrix": IDENTITY}]}),
+}
+
+
+@pytest.mark.parametrize("catalogue, witnesses, argv", [
+    *[pytest.param(text, X_1_WITNESS, argv, id="catalogue-%s-%s" % (case, cmd))
+      for case, text in MALFORMED_CATALOGUES.items()
+      for cmd, argv in CATALOGUE_READERS.items()],
+    *[pytest.param(None, text, ["iso", "verify", "--fixtures", "WIT"],
+                   id="witnesses-%s-iso-verify" % case)
+      for case, text in MALFORMED_WITNESSES.items()],
+])
+def test_malformed_input_one_error_line(capsys, tmp_path, catalogue,
+                                        witnesses, argv):
+    files = {"CAT": catalogue, "WIT": witnesses}
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+    code, out, err = run(capsys, *[str(tmp_path / arg) if arg in files
+                                   else arg for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_iso_search_non_nilpotent_pair(capsys, tmp_path):
+    # [e1,e2] = e2 keeps e2 in every term of the lower central series
+    path = tmp_path / "cat.json"
+    path.write_text(one_entry_catalogue(params=[], products=[
+        {"left": 1, "right": 2, "components": {"2": "1"}},
+        {"left": 1, "right": 1, "components": {"5": "1"}}]))
+    code, out, err = run(capsys, "iso", "search", "--catalogue", str(path),
+                         "--a", "X_1", "--b", "X_1")
+    assert code == 0 and err == ""
+    assert out.splitlines()[2:] == [
+        "INCONCLUSIVE", "candidates considered: 0",
+        "the layered search needs nilpotent algebras"]
+
+
 # [e1,e2] = e2 and [e3,e3] = e4: the lower central series stalls at
 # A^3 = span(e2), so dims are (5, 2, 1) and dim A^4 = 1
 STALLED_CATALOGUE = json.dumps({

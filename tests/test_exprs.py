@@ -12,7 +12,6 @@ from leibkit.exprs import (
     ExprSyntaxError,
     evaluate,
     format_scalar,
-    free_params,
     parse_expr,
     parse_scalar,
 )
@@ -44,14 +43,15 @@ def test_parse_scalar_sqrt():
 
 
 def test_parse_expr_with_params():
-    ast = parse_expr("alpha*(1-beta)")
-    assert free_params(ast) == {"alpha", "beta"}
+    ast = parse_expr("alpha*(1-beta)", ("alpha", "beta"))
+    assert ast == ("mul", ("param", "alpha"),
+                   ("sub", ("num", 1), ("param", "beta")))
     v = evaluate(ast, {"alpha": GaussianRational(2), "beta": GaussianRational(3)})
     assert v == GaussianRational(-4)
     with pytest.raises(KeyError):
         evaluate(ast, {"alpha": GaussianRational(2)})
     # constant subexpressions fold into one leaf at parse time
-    assert parse_expr("alpha*(1-3)/4") == (
+    assert parse_expr("alpha*(1-3)/4", ("alpha",)) == (
         "div", ("mul", ("param", "alpha"), ("num", -2)), ("num", 4))
 
 
@@ -60,12 +60,23 @@ def test_parse_scalar_rejects_params():
         parse_scalar("alpha")
 
 
+def test_undeclared_names_rejected():
+    # every name other than i must be declared, keywords included
+    for text, params in (("beta", ("alpha",)), ("alpha*beta", ("alpha",)),
+                         ("1/(2-gamma)", ("alpha", "beta")),
+                         ("lambda*2", ("alpha",)), ("alpha", ())):
+        with pytest.raises(ExprSyntaxError, match="undeclared"):
+            parse_expr(text, params)
+
+
 def test_sqrt_gated():
     with pytest.raises(ExprSyntaxError):
-        parse_expr("sqrt(2)")  # default grammar has no radicals
-    parse_expr("sqrt(2)", literal=True)
+        parse_expr("sqrt(2)", ("alpha",))  # declared names, no radicals
     with pytest.raises(ExprSyntaxError):
-        parse_expr("alpha", literal=True)  # literals have no parameters
+        parse_expr("sqrt(2)", ())
+    assert parse_expr("sqrt(2)", None) == ("num", parse_scalar("sqrt(2)"))
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("alpha", None)  # literals have no parameters
 
 
 def test_syntax_errors():
@@ -73,15 +84,15 @@ def test_syntax_errors():
                 "0x10", "1_000", "1e3", "2i", "1 # c", "007",
                 "(" * 201 + "1" + ")" * 201):
         with pytest.raises(ExprSyntaxError):
-            parse_expr(bad)
+            parse_expr(bad, ())
 
 
 def test_division_by_zero():
     # a constant zero divisor is a grammar error, caught at parse time
     for bad in ("1/0", "1/(1-1)", "alpha/(2-2)"):
         with pytest.raises(ExprSyntaxError):
-            parse_expr(bad)
-    ast = parse_expr("1/alpha")
+            parse_expr(bad, ("alpha",))
+    ast = parse_expr("1/alpha", ("alpha",))
     with pytest.raises(ZeroDivisionError):
         evaluate(ast, {"alpha": GaussianRational(0)})
 
@@ -106,13 +117,13 @@ def test_format_scalar_roundtrip():
 def test_left_associative_division():
     assert parse_scalar("(4)/2/2") == 1
     alpha = {"alpha": GaussianRational(6)}
-    assert evaluate(parse_expr("alpha/2/3"), alpha) == 1
+    assert evaluate(parse_expr("alpha/2/3", ("alpha",)), alpha) == 1
     assert parse_scalar("2*i/2/2") == I / 2
 
 
 def test_keyword_parameter_name():
-    ast = parse_expr("lambda*2")
-    assert free_params(ast) == {"lambda"}
+    ast = parse_expr("lambda*2", ("lambda",))
+    assert ast == ("mul", ("param", "lambda"), ("num", 2))
     assert evaluate(ast, {"lambda": GaussianRational(3)}) == 6
 
 
@@ -184,4 +195,4 @@ def test_parse_matches_direct_evaluation(tree, a, b):
     except ZeroDivisionError:
         assume(False)
     text, _ = render(tree)
-    assert evaluate(parse_expr(text), env) == want, text
+    assert evaluate(parse_expr(text, PARAMS), env) == want, text
