@@ -15,10 +15,10 @@ import functools
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
-from typing import Optional
+from typing import Optional, get_args
 
 from . import exprs
 from .algebra import LeibnizAlgebra
@@ -41,18 +41,21 @@ class NoAdmissiblePoint(RuntimeError):
 
 DIMENSION = 5  # the n of the classification, for catalogue and witness files
 
-CLAIM_FIELDS = ("dim_sq", "dim_cube", "dim_fourth", "dim_leib",
-                "dim_center", "leib_equals_center")
-
 
 @dataclass(frozen=True)
 class Claims:
+    """A case's claims, None where it makes none; `verify_point` also
+    holds an algebra's computed values in one."""
     dim_sq: Optional[int] = None
     dim_cube: Optional[int] = None
     dim_fourth: Optional[int] = None
     dim_leib: Optional[int] = None
     dim_center: Optional[int] = None
     leib_equals_center: Optional[bool] = None
+
+
+# each claim field, in report order, with the exact type of its value
+CLAIM_FIELDS = {f.name: get_args(f.type)[0] for f in fields(Claims)}
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,7 @@ def _parse_claims(rec, where):
                              % (where, ", ".join(sorted(unknown))))
     for name, value in rec.items():
         # exact types: bool is an int subclass, but true is no dimension
-        kind = bool if name == "leib_equals_center" else int
+        kind = CLAIM_FIELDS[name]
         if type(value) is not kind:
             raise CatalogueError("%s: claim %s must be %s, got %s"
                                  % (where, name, "a boolean" if kind is bool
@@ -462,9 +465,6 @@ class PointReport:
     def passed(self):
         return all(o.passed for o in self.outcomes)
 
-    def value_text(self):
-        return point_text(self.values)
-
 
 @dataclass(frozen=True)
 class EntryReport:
@@ -477,58 +477,34 @@ class EntryReport:
 
 
 def verify_point(entry, values=None):
-    """Run every per-point check at one explicit parameter assignment."""
+    """Run every per-point check at one explicit parameter assignment.
+
+    Each check is one (check, passed, detail) row, in report order; the
+    detail is kept only where the check failed.
+    """
     values = dict(values or {})
     algebra = instantiate(entry, values)
     sig = signature(algebra)
-    outcomes = []
-
     violation = algebra.check_leibniz()
-    outcomes.append(CheckOutcome(
-        "leibniz", violation is None,
-        "" if violation is None else str(violation)))
-
-    outcomes.append(CheckOutcome(
-        "non_lie", sig.dim_leib >= 1,
-        "" if sig.dim_leib >= 1 else "squares span nothing"))
-
-    outcomes.append(CheckOutcome(
-        "nilpotent", sig.nilpotent,
-        "" if sig.nilpotent else "lower central series stalls"))
-
-    non_split_ok = sig.dim_center_cap_sq == sig.dim_center
-    outcomes.append(CheckOutcome(
-        "center_in_square", non_split_ok,
-        "" if non_split_ok else "center exceeds the derived subalgebra"))
-
-    claims = entry.claims
-    observed = {
-        "dim_sq": algebra.lower_central_term(2).dim,
-        "dim_cube": algebra.lower_central_term(3).dim,
-        "dim_fourth": algebra.lower_central_term(4).dim,
-        "dim_leib": sig.dim_leib,
-        "dim_center": sig.dim_center,
-    }
-    for field, got in observed.items():
-        want = getattr(claims, field)
-        if want is None:
-            continue
-        outcomes.append(CheckOutcome(
-            "claim_%s" % field, got == want,
-            "" if got == want else "claimed %d, computed %d" % (want, got)))
-    if claims.leib_equals_center is not None:
-        got = algebra.leib_ideal() == algebra.center()
-        want = claims.leib_equals_center
-        outcomes.append(CheckOutcome(
-            "claim_leib_equals_center", got == want,
-            "" if got == want else "claimed %s, computed %s" % (want, got)))
-
-    for rep in (check_center_bound(sig),) + check_derived_bound(sig):
-        ok = rep.holds is not False
-        outcomes.append(CheckOutcome(
-            "bound_%s" % rep.name, ok, "" if ok else str(rep)))
-
-    return PointReport(tuple(sorted(values.items())), tuple(outcomes), sig)
+    # the algebra's values of the claim fields, in field order
+    computed = Claims(*(algebra.lower_central_term(k).dim for k in (2, 3, 4)),
+                      sig.dim_leib, sig.dim_center,
+                      algebra.leib_ideal() == algebra.center())
+    rows = [("leibniz", violation is None, str(violation)),
+            ("non_lie", sig.dim_leib >= 1, "squares span nothing"),
+            ("nilpotent", sig.nilpotent, "lower central series stalls"),
+            ("center_in_square", sig.dim_center_cap_sq == sig.dim_center,
+             "center exceeds the derived subalgebra")]
+    for name in CLAIM_FIELDS:
+        want, got = getattr(entry.claims, name), getattr(computed, name)
+        if want is not None:
+            rows.append(("claim_%s" % name, got == want,
+                         "claimed %s, computed %s" % (want, got)))
+    rows += [("bound_%s" % rep.name, rep.holds is not False, str(rep))
+             for rep in (check_center_bound(sig),) + check_derived_bound(sig)]
+    outcomes = tuple(CheckOutcome(check, passed, "" if passed else detail)
+                     for check, passed, detail in rows)
+    return PointReport(tuple(sorted(values.items())), outcomes, sig)
 
 
 def verify_entry(entry, samples=3):

@@ -109,7 +109,7 @@ def _count_failures(reports):
 
 def _failure_lines(rep):
     """One line per failed check of an entry, with the point it failed at."""
-    return ["  at %s  %s" % (point.value_text(), outcome)
+    return ["  at %s  %s" % (point_text(point.values), outcome)
             for point in rep.points for outcome in point.outcomes
             if not outcome.passed]
 
@@ -221,7 +221,10 @@ _COUNTERS = tuple(f.name for f in dataclasses.fields(LevelCounts)
 
 def cmd_iso_search(args):
     _require_positive("--cap", args.cap)
-    for prime in args.prime or ():
+    primes = tuple(args.prime or DEFAULT_PRIMES)
+    for k, prime in enumerate(primes):
+        if prime in primes[:k]:
+            raise UsageError("--prime %d given twice" % prime)
         try:
             PrimeField(prime)
         except ValueError as ex:
@@ -232,7 +235,6 @@ def cmd_iso_search(args):
         name, values = _entry_spec(spec)
         sides.append(instantiate(catalogue.entry(name), values))
     print(*_header(catalogue), sep="\n")
-    primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
     result = certify(sides[0], sides[1], primes=primes, cap=args.cap)
     # per-level search counters go to stderr, so stdout keeps its format
     for search in result.searches:
@@ -393,8 +395,8 @@ def build_parser():
     q.add_argument("--a", required=True, metavar="NAME[:param=value,...]")
     q.add_argument("--b", required=True, metavar="NAME[:param=value,...]")
     q.add_argument("--prime", type=int, action="append", default=None,
-                   help="search prime, p = 1 mod 4; repeatable "
-                        "(default 13 then 29)")
+                   help="search prime, p = 1 mod 4; repeatable with "
+                        "distinct values (default 13 then 29)")
     q.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help="candidate cap per prime (default %d)" % DEFAULT_CAP)
     q.set_defaults(func=cmd_iso_search)

@@ -27,8 +27,8 @@ from .catalogue import instantiate as cat_instantiate
 from .catalogue import parse_catalogue as cat_parse
 from .invariants import signature
 from .linalg import Matrix
-from .scalars import (ZERO, DenominatorDividesP, GaussianRational,
-                      PrimeField, reduce_mod_p)
+from .scalars import (ZERO, DenominatorDividesP, FieldMismatch,
+                      GaussianRational, PrimeField, reduce_mod_p)
 
 CERTIFIED = "certified"
 EVIDENCE = "evidence"
@@ -397,7 +397,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     try:
         tab_s = _int_table(source, field)
         tab_t = _int_table(target, field)
-    except DenominatorDividesP as ex:
+    except (DenominatorDividesP, FieldMismatch) as ex:
         raise BadPrime(f"reduction undefined mod {prime}: {ex}") from None
     dims_s, series_s = _mod_structure(tab_s, n, prime)
     dims_t, series_t = _mod_structure(tab_t, n, prime)
@@ -689,11 +689,11 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     modular witness search runs prime by prime; its first hit is lifted
     to Q(i) and re-verified exactly, and only when that fails is the search
     repeated for up to `_LIFT_ATTEMPTS` hits.  Only an exact verification
-    yields CERTIFIED.  Hits at two primes without a lifting give EVIDENCE;
-    everything else is INCONCLUSIVE, and so, without a search, is a pair
-    of equal signatures that are not nilpotent.  When no hit lifts, the
-    detail names the first matrix entry that had no preimage in the
-    lifting box.
+    yields CERTIFIED.  Hits at two distinct primes without a lifting
+    give EVIDENCE; everything else is INCONCLUSIVE, and so, without a
+    search, is a pair of equal signatures that are not nilpotent.  When
+    no hit lifts, the detail names the first matrix entry that had no
+    preimage in the lifting box.
     """
     sig_s = signature(source)
     sig_t = signature(target)
@@ -705,7 +705,7 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         return Certification(INCONCLUSIVE, None, 0, 0,
                              "the layered search needs nilpotent algebras")
     total = 0
-    hit_primes = []
+    hit_primes = set()
     notes = []
     searches = []
     for prime in primes:
@@ -735,7 +735,7 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
             notes.append(str(ex))
             continue
         if res.matrices:
-            hit_primes.append(prime)
+            hit_primes.add(prime)
             why = ("entry (%d,%d) = %d mod %d has no preimage in the box"
                    % (miss + (prime,)) if miss
                    else "every lift fails the exact check")
@@ -744,7 +744,7 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         else:
             notes.append(f"search {res.status} mod {prime} without witness")
         if len(hit_primes) >= 2:
-            return Certification(EVIDENCE, None, hit_primes[-1], total,
+            return Certification(EVIDENCE, None, prime, total,
                                  "; ".join(notes), tuple(searches))
     return Certification(INCONCLUSIVE, None, 0, total,
                          "; ".join(notes) or "no usable prime",
@@ -857,7 +857,13 @@ def load_fixtures(path=None):
     try:
         records = _expect(_expect(doc, dict, "witness document")
                           .get("witnesses", []), list, "witnesses")
-        return tuple(_parse_fixture(rec, "witness %d" % k)
-                     for k, rec in enumerate(records))
+        fixtures = tuple(_parse_fixture(rec, "witness %d" % k)
+                         for k, rec in enumerate(records))
     except CatalogueError as ex:  # a shape, a scalar or an inline table
         raise FixtureError(str(ex)) from None
+    labels = set()
+    for fixture in fixtures:
+        if fixture.label in labels:
+            raise FixtureError("duplicate witness label %r" % fixture.label)
+        labels.add(fixture.label)
+    return fixtures

@@ -467,7 +467,10 @@ def reduce_mod_p(a: GaussianRational, field: PrimeField) -> int:
     Raises DenominatorDividesP when either component's denominator is
     divisible by p (the homomorphism is undefined there).  With a in
     normal form (x + y*i)/d that happens exactly when p divides d.
+    Raises FieldMismatch for a scalar outside Q(i), such as sqrt(2).
     """
+    if not isinstance(a, GaussianRational):
+        raise FieldMismatch(f"{a!r} does not lie in Q(i)")
     p = field.p
     if a._d % p == 0:
         raise DenominatorDividesP(f"denominator of {a!r} vanishes mod {p}")

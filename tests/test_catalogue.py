@@ -13,6 +13,7 @@ from leibkit.catalogue import (
     NoAdmissiblePoint,
     instantiate,
     parse_catalogue,
+    point_text,
     sample_params,
     verify_entry,
     verify_point,
@@ -89,7 +90,7 @@ def test_verify_point_check_names(catalogue):
     assert names[0] == "leibniz"
     assert "non_lie" in names and "center_in_square" in names
     assert "claim_dim_sq" in names
-    assert report.value_text() == "-"
+    assert point_text(report.values) == "-"
 
 
 def test_verify_entry_known_failure(catalogue):
@@ -107,7 +108,7 @@ def test_verify_entry_passes_after_sign_fix(catalogue):
 def test_parametric_point_labels(catalogue):
     report = verify_entry(catalogue.entry("A_5"), samples=2)
     assert len(report.points) == 2
-    assert "alpha=" in report.points[0].value_text()
+    assert "alpha=" in point_text(report.points[0].values)
 
 
 def test_claims_round_trip(catalogue):

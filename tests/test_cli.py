@@ -266,6 +266,7 @@ PADDED_KEY_CATALOGUE = one_product_catalogue(
     *[(["verify", "--catalogue", "FILE"], text)
       for text in MALFORMED_ENTRY_CATALOGUES],
     (["verify", "--entry", "A_5:alpha=1,alpha=2"], None),
+    (SEARCH + ["--prime", "13", "--prime", "13"], None),
 ])
 def test_misuse_exits_2(capsys, tmp_path, argv, file_text):
     if file_text is not None:
@@ -315,6 +316,9 @@ MALFORMED_WITNESSES = {
         "label": "w", "source": {"entry": "A_5", "params": {"alpha": "alpha"}},
         "target": {"entry": "A_5", "params": {"alpha": "2"}},
         "matrix": IDENTITY}]}),
+    "duplicate-label": json.dumps({"witnesses": [{
+        "label": "w", "source": {"entry": "A_1"}, "target": {"entry": "A_1"},
+        "matrix": IDENTITY}] * 2}),
 }
 
 

@@ -255,6 +255,20 @@ def test_bad_prime(catalogue):
     assert "13" in cert.detail
 
 
+def test_sqrt_constant_has_no_reduction():
+    # sqrt(2) has no image in GF(p) through Q(i), so no prime is usable
+    products = {(0, 2): {4: 1}, (1, 1): {3: 1}}
+    a = LeibnizAlgebra(5, {(0, 0): {2: QuadExtField(2).sqrt_d}, **products})
+    b = LeibnizAlgebra(5, {(0, 0): {2: 1}, **products})
+    with pytest.raises(BadPrime, match="reduction undefined mod 13"):
+        adapted_search(a, b, prime=13, cap=100)
+    cert = certify(a, b)
+    assert cert.status == INCONCLUSIVE
+    assert cert.detail == "; ".join(
+        "reduction undefined mod %d: sqrt(2) does not lie in Q(i)" % p
+        for p in (13, 29))
+
+
 def test_bad_prime_degenerate_dimension(catalogue):
     # 13 kills the only product, so A^2, Leib and Z change dimension mod 13
     alg = LeibnizAlgebra(5, {(0, 0): {4: GaussianRational(13)}})
@@ -309,6 +323,21 @@ def test_certify_mod_5(catalogue):
     assert cert.status == CERTIFIED
     assert cert.prime == 5
     assert verify_witness(alg, moved, cert.matrix) is None
+
+
+def test_certify_repeated_prime_is_one_prime(catalogue):
+    # witnesses mod 5 exist but none lifts, so one prime gives no EVIDENCE
+    # however often it is named
+    x = instantiate(catalogue.entry("A_5"), {"alpha": 2})
+    diag = [[int(r == c) * (7 if r == 0 else 1) for c in range(5)]
+            for r in range(5)]
+    y = x.base_change(Matrix(diag))
+    once = certify(y, x, primes=(5,))
+    assert once.status == INCONCLUSIVE and once.detail.startswith(
+        "25 witnesses mod 5, none lifted")
+    twice = certify(y, x, primes=(5, 5))
+    assert twice.status == INCONCLUSIVE
+    assert twice.candidates == 2 * once.candidates
 
 
 def test_certify_distinct(catalogue):

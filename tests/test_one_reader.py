@@ -1,4 +1,6 @@
-"""The package decodes JSON in one place: the catalogue's document reader."""
+"""One place each, checked on the package's syntax trees: JSON is decoded
+only by the catalogue's document reader, and check outcomes are built
+only by `verify_point`."""
 
 import ast
 from pathlib import Path
@@ -6,29 +8,46 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leibkit"
 
 
-def _is_json_load(node):
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("load", "loads")
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "json")
-
-
-def test_json_decoded_only_by_read_document():
+def _calls(matches, name):
+    """(file, innermost enclosing function) of each call in the package
+    that `matches`; `name` may not be imported under an alias or be a
+    module imported from, since either would hide a call from the scan."""
     calls = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         owner = {}  # node -> innermost enclosing function name
         for node in ast.walk(tree):
-            # an alias would hide a call from the scan below
             assert not (isinstance(node, ast.ImportFrom)
-                        and node.module == "json"), path.name
-            assert not (isinstance(node, ast.Import)
-                        and any(a.name == "json" and a.asname
+                        and node.module == name), path.name
+            assert not (isinstance(node, (ast.Import, ast.ImportFrom))
+                        and any(a.name == name and a.asname
                                 for a in node.names)), path.name
             # breadth first, so an inner function overrides its outer one
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update(dict.fromkeys(ast.walk(node), node.name))
         calls += [(path.name, owner.get(node))
-                  for node in ast.walk(tree) if _is_json_load(node)]
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and matches(node.func)]
+    return calls
+
+
+def _is_json_load(func):
+    return (isinstance(func, ast.Attribute)
+            and func.attr in ("load", "loads")
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "json")
+
+
+def _is_check_outcome(func):
+    return (getattr(func, "id", None) == "CheckOutcome"
+            or getattr(func, "attr", None) == "CheckOutcome")
+
+
+def test_json_decoded_only_by_read_document():
+    calls = _calls(_is_json_load, "json")
     assert calls == [("catalogue.py", "read_document")], calls
+
+
+def test_check_outcomes_built_only_by_verify_point():
+    calls = _calls(_is_check_outcome, "CheckOutcome")
+    assert calls == [("catalogue.py", "verify_point")], calls
