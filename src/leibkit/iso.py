@@ -2,14 +2,17 @@
 
 A witness for "A is isomorphic to B" is an invertible matrix Q whose
 column j holds the image of the j-th basis vector of A written in the
-basis of B.  Witnesses are verified exactly; the search for new ones
-runs over GF(p) and lifts candidates back to Q(i) for exact
+basis of B.  Witnesses are verified exactly: B's products written by
+`base_change` in the basis of Q's columns must be A's.  The search for
+new ones runs over GF(p) and lifts candidates back to Q(i) for exact
 re-verification, so nothing modular is ever trusted on its own.
 
 The search follows the lower central series, as the lifting step of
 p-group generation does (O'Brien 1990; Eick, Leedham-Green and O'Brien
 2002): it enumerates only the generators' classes modulo A^2 and solves
-each deeper layer of their images as an affine system mod p.
+each deeper layer of their images as an affine system mod p.  Each
+layer's relations are written once, as residuals; the system's matrix
+is the difference of those residuals at unit steps.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from .catalogue import (DIMENSION, CatalogueError, _expect,
 from .catalogue import instantiate as cat_instantiate
 from .catalogue import parse_catalogue as cat_parse
 from .invariants import signature
-from .linalg import Matrix
-from .scalars import (ZERO, DenominatorDividesP, FieldMismatch,
-                      GaussianRational, PrimeField, reduce_mod_p)
+from .linalg import Matrix, SingularMatrix
+from .scalars import (DenominatorDividesP, FieldMismatch, GaussianRational,
+                      PrimeField, reduce_mod_p)
 
 CERTIFIED = "certified"
 EVIDENCE = "evidence"
@@ -49,29 +52,23 @@ class FixtureError(ValueError):
 
 # ---------------------------------------------------------------- exact side
 
-def _columns(matrix: Matrix):
-    return [tuple(matrix.rows[i][j] for i in range(matrix.nrows))
-            for j in range(matrix.ncols)]
-
-
 def verify_witness(source: LeibnizAlgebra, target: LeibnizAlgebra,
                    matrix: Matrix) -> str | None:
     """None when the matrix is a bijective homomorphism source -> target,
-    otherwise a short description of the first failure."""
+    otherwise a short description of the first failure: the target's
+    products in the basis of the matrix's columns must be the source's."""
     n = source.n
     if target.n != n:
         return "algebras have different dimensions"
     if matrix.nrows != n or matrix.ncols != n:
         return "matrix shape does not match the algebras"
-    if matrix.rank() != n:
+    try:
+        moved = target.base_change(matrix)
+    except SingularMatrix:
         return "matrix is singular"
-    cols = _columns(matrix)
     for i in range(n):
         for j in range(n):
-            w = source.bracket_basis(i, j)
-            lhs = matrix.apply(tuple(w.get(k, ZERO) for k in range(n)))
-            rhs = target.bracket(cols[i], cols[j])
-            if tuple(lhs) != tuple(rhs):
+            if moved.bracket_basis(i, j) != source.bracket_basis(i, j):
                 return f"product ({i + 1},{j + 1}) is not preserved"
     return None
 
@@ -380,8 +377,9 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     one that breaks a relation of the associated graded algebras, is
     dropped as soon as its generator completes that relation.  Then for
     t = 3, ..., c the L_t parts of all relations are affine in the
-    L_(t-1) parts of the x_a; that system is solved mod prime and only
-    its solutions are tried, free variables small-first.  The last
+    L_(t-1) parts of the x_a, so the system's columns are the changes
+    of those parts at unit steps of the x_a; it is solved mod prime and
+    only its solutions are tried, free variables small-first.  The last
     layer enters no relation and is set to 0.  Each class tried and each
     affine solution tried counts as one candidate, and every complete
     map gets the full check of its rank and all products mod prime.
@@ -426,7 +424,6 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     m = len(gens)
     depth = layer[-1]
     span = {t: [k for k in range(n) if layer[k] == t] for t in layer}
-    units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
     # at[t]: the L_t part of each target product; graded[(s, r)]: the
     # products L_s x L_r -> L_(s+r) of the associated graded algebra
     at, graded = {}, {}
@@ -483,32 +480,19 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
 
     def jacobian(t, x):
         """The L_t parts of the relations as linear maps of the L_(t-1)
-        parts of the x_a.  Only products of two generators reach them,
-        through the brackets of those parts with the classes, so the map
-        depends on the classes alone."""
-        cols = span[t - 1]
-        d = len(cols)
-        tab = at.get(t, {})
-        left = [[_brk(tab, x[g], units[r], n, p) for r in cols]
-                for g in range(m)]
-        right = [[_brk(tab, units[r], x[g], n, p) for r in cols]
-                 for g in range(m)]
-        rows = []
-        for i, j, terms in below[t]:
-            deriv = [[0] * n for _ in range(m * d)]
-            if layer[i] + layer[j] == 2:
-                # d/dx of sum s [x_a, x_b] over the words (a, b) of
-                # length 2, minus [x_i, x_j]
-                for coef, a, b in [(-1, i, j)] + [
-                        (s, *pairs[k]) for k, s in terms if layer[k] == 2]:
-                    for q in range(d):
-                        for row, vec in ((deriv[a * d + q], right[b][q]),
-                                         (deriv[b * d + q], left[a][q])):
-                            for r in span[t]:
-                                row[r] += coef * vec[r]
-            for r in span[t]:
-                rows.append([dv[r] % p for dv in deriv])
-        return _prepare(rows, m * d, p)
+        parts of the x_a: column (a, r) is rhs at x less rhs at x plus e_r
+        on x_a.  The difference is exact and depends on the classes alone:
+        only a step's single brackets with the L_1 parts reach L_t, since
+        two steps bracket into L_(2t-2), inside L_(t+1) for t >= 3."""
+        base = rhs(t, images(x))
+        cols = []
+        for g in range(m):
+            for r in span[t - 1]:
+                step = list(x)
+                step[g] = [v + (k == r) for k, v in enumerate(x[g])]
+                cols.append([(b - c) % p for b, c
+                             in zip(base, rhs(t, images(step)))])
+        return _prepare(list(zip(*cols)), len(cols), p)
 
     levels = [LevelCounts("class %d" % (a + 1)) for a in range(m)]
     levels += [LevelCounts("layer %d" % t) for t in range(3, depth + 1)]
@@ -686,14 +670,15 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     """Decide isomorphism as far as the exact tools allow.
 
     Distinct invariant signatures certify non-isomorphism.  Otherwise a
-    modular witness search runs prime by prime; its first hit is lifted
-    to Q(i) and re-verified exactly, and only when that fails is the search
-    repeated for up to `_LIFT_ATTEMPTS` hits.  Only an exact verification
-    yields CERTIFIED.  Hits at two distinct primes without a lifting
-    give EVIDENCE; everything else is INCONCLUSIVE, and so, without a
-    search, is a pair of equal signatures that are not nilpotent.  When
-    no hit lifts, the detail names the first matrix entry that had no
-    preimage in the lifting box.
+    modular witness search runs prime by prime, each distinct prime once
+    in the given order; its first hit is lifted to Q(i) and re-verified
+    exactly, and only when that fails is the search repeated for up to
+    `_LIFT_ATTEMPTS` hits.  Only an exact verification yields CERTIFIED.
+    Hits at two primes without a lifting give EVIDENCE; everything else
+    is INCONCLUSIVE, and so, without a search, is a pair of equal
+    signatures that are not nilpotent.  When no hit lifts, the detail
+    names the first matrix entry that had no preimage in the lifting
+    box.
     """
     sig_s = signature(source)
     sig_t = signature(target)
@@ -705,10 +690,10 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         return Certification(INCONCLUSIVE, None, 0, 0,
                              "the layered search needs nilpotent algebras")
     total = 0
-    hit_primes = set()
+    hits = 0
     notes = []
     searches = []
-    for prime in primes:
+    for prime in dict.fromkeys(primes):
         tried = 0
         miss = None
         try:
@@ -735,7 +720,7 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
             notes.append(str(ex))
             continue
         if res.matrices:
-            hit_primes.add(prime)
+            hits += 1
             why = ("entry (%d,%d) = %d mod %d has no preimage in the box"
                    % (miss + (prime,)) if miss
                    else "every lift fails the exact check")
@@ -743,7 +728,7 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
                          f"none lifted: {why}")
         else:
             notes.append(f"search {res.status} mod {prime} without witness")
-        if len(hit_primes) >= 2:
+        if hits >= 2:
             return Certification(EVIDENCE, None, prime, total,
                                  "; ".join(notes), tuple(searches))
     return Certification(INCONCLUSIVE, None, 0, total,

@@ -150,9 +150,6 @@ class Matrix:
             rank += 1
         return Matrix._of(rows, nc), rank, tuple(pivots)
 
-    def rank(self):
-        return self.rref()[1]
-
     def inv(self):
         if self.nrows != self.ncols:
             raise SingularMatrix("not square")

@@ -101,6 +101,20 @@ def test_verify_entry_known_failure(catalogue):
     assert failing == {"claim_dim_leib"}
 
 
+def test_a134_fails_off_its_sample_points(catalogue):
+    # dim Leib drops from the claimed 3 to 2 on the plane gamma = -1, which
+    # the sampled points (gamma = 0 and 1) miss; the entry stays as shipped
+    entry = catalogue.entry("A_134")
+    for alpha, beta in ((0, 0), (3, -2)):
+        report = verify_point(entry, {"alpha": alpha, "beta": beta,
+                                      "gamma": -1})
+        failed = [(o.check, o.detail) for o in report.outcomes
+                  if not o.passed]
+        assert failed == [("claim_dim_leib", "claimed 3, computed 2")]
+    assert {p["gamma"] for p in sample_params(entry, 3)} == {0, 1}
+    assert verify_entry(entry, 3).passed
+
+
 def test_verify_entry_passes_after_sign_fix(catalogue):
     assert verify_entry(catalogue.entry("A_120"), samples=3).passed
 

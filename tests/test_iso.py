@@ -31,8 +31,8 @@ from leibkit.iso import (
     verify_witness,
 )
 from leibkit.linalg import Matrix, SingularMatrix
-from leibkit.scalars import (GaussianRational, PrimeField, QuadExtElem,
-                             QuadExtField)
+from leibkit.scalars import (ZERO, GaussianRational, PrimeField,
+                             QuadExtElem, QuadExtField)
 
 
 def small_invertible(rng, n=5):
@@ -43,6 +43,62 @@ def small_invertible(rng, n=5):
             return m
         except SingularMatrix:
             continue
+
+
+# -- the witness check against the loop over every product ----------------
+
+def _verify_by_products(source, target, matrix):
+    """The check product by product: Q [e_i, e_j] against [Q e_i, Q e_j]
+    for every (i, j), with the same four verdict texts."""
+    n = source.n
+    if target.n != n:
+        return "algebras have different dimensions"
+    if matrix.nrows != n or matrix.ncols != n:
+        return "matrix shape does not match the algebras"
+    if matrix.rref()[1] != n:
+        return "matrix is singular"
+    cols = [tuple(matrix.rows[i][j] for i in range(n)) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            w = source.bracket_basis(i, j)
+            lhs = matrix.apply(tuple(w.get(k, ZERO) for k in range(n)))
+            rhs = target.bracket(cols[i], cols[j])
+            if tuple(lhs) != tuple(rhs):
+                return f"product ({i + 1},{j + 1}) is not preserved"
+    return None
+
+
+def _same_verdict(source, target, matrix):
+    got = verify_witness(source, target, matrix)
+    assert got == _verify_by_products(source, target, matrix)
+    return got
+
+
+def test_witness_check_matches_product_loop(catalogue, witness_fixtures):
+    rng = random.Random(41)
+    entries = list(catalogue)
+    verdicts = set()
+    for entry in rng.sample(entries, 30):
+        alg = instantiate(entry, sample_params(entry, 1)[0])
+        rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
+        try:
+            moved = alg.base_change(Matrix(rows))
+        except SingularMatrix:
+            verdicts.add(_same_verdict(alg, alg, Matrix(rows)))
+            continue
+        verdicts.add(_same_verdict(moved, alg, Matrix(rows)))
+        r, c = rng.randrange(5), rng.randrange(5)
+        rows[r][c] += rng.choice((-1, 1))
+        verdicts.add(_same_verdict(moved, alg, Matrix(rows)))
+    assert None in verdicts and len(verdicts) > 2, verdicts
+    for fixture in witness_fixtures:
+        src, tgt, m = fixture.realize(catalogue)
+        assert _same_verdict(src, tgt, m) is None, fixture.label
+        assert _same_verdict(tgt, src, m.inv()) is None, fixture.label
+        # with its (5, 4) entry negated, a sqrt(2) part in radical-A_5
+        rows = [list(row) for row in m.rows]
+        rows[4][3] = -rows[4][3]
+        _same_verdict(src, tgt, Matrix(rows))
 
 
 def test_identity_and_relabel_witness(catalogue):
@@ -57,15 +113,27 @@ def test_identity_and_relabel_witness(catalogue):
 def test_witness_failure_modes(catalogue):
     alg = instantiate(catalogue.entry("A_1"))
     other = instantiate(catalogue.entry("A_16"))
-    assert verify_witness(alg, other, Matrix.identity(5)) is not None
+    assert _same_verdict(alg, other, Matrix.identity(5)) is not None
     singular = Matrix([[0] * 5] * 5)
-    assert verify_witness(alg, alg, singular) == "matrix is singular"
-    assert verify_witness(alg, alg, Matrix.identity(4)) is not None
+    assert _same_verdict(alg, alg, singular) == "matrix is singular"
+    for shape in (Matrix.identity(4), Matrix([[1] * 4] * 5)):
+        assert _same_verdict(alg, alg, shape) == \
+            "matrix shape does not match the algebras"
     small = LeibnizAlgebra(4, {})
-    assert verify_witness(alg, small, Matrix.identity(5)) is not None
+    assert _same_verdict(alg, small, Matrix.identity(5)) == \
+        "algebras have different dimensions"
     scaled = Matrix([[2 if r == c else 0 for c in range(5)]
                      for r in range(5)])
-    assert verify_witness(alg, alg, scaled) is not None  # not a homomorphism
+    assert _same_verdict(alg, alg, scaled) is not None  # not a homomorphism
+    # scaling e_k by 3 breaks the first product, in row-major order, whose
+    # factors hold e_k a different number of times than its value does
+    texts = []
+    for k in range(5):
+        scale = Matrix([[(3 if r == k else 1) * (r == c) for c in range(5)]
+                        for r in range(5)])
+        texts.append(_same_verdict(alg, alg, scale))
+    assert texts == ["product (%s) is not preserved" % ij for ij in
+                     ("1,1", "1,2", "1,2", "1,3", "1,1")]
 
 
 def test_round_trip_law(catalogue):
@@ -327,7 +395,7 @@ def test_certify_mod_5(catalogue):
 
 def test_certify_repeated_prime_is_one_prime(catalogue):
     # witnesses mod 5 exist but none lifts, so one prime gives no EVIDENCE
-    # however often it is named
+    # however often it is named, and it is searched once
     x = instantiate(catalogue.entry("A_5"), {"alpha": 2})
     diag = [[int(r == c) * (7 if r == 0 else 1) for c in range(5)]
             for r in range(5)]
@@ -337,7 +405,9 @@ def test_certify_repeated_prime_is_one_prime(catalogue):
         "25 witnesses mod 5, none lifted")
     twice = certify(y, x, primes=(5, 5))
     assert twice.status == INCONCLUSIVE
-    assert twice.candidates == 2 * once.candidates
+    assert twice.candidates == once.candidates == 540
+    assert twice.detail == once.detail
+    assert len(twice.searches) == 2
 
 
 def test_certify_distinct(catalogue):
