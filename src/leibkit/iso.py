@@ -12,12 +12,15 @@ p-group generation does (O'Brien 1990; Eick, Leedham-Green and O'Brien
 2002): it enumerates only the generators' classes modulo A^2 and solves
 each deeper layer of their images as an affine system mod p.  Each
 layer's relations are written once, as residuals; the system's matrix
-is the difference of those residuals at unit steps.
+is the difference of those residuals at unit steps.  The same residuals,
+run on polynomials in a search node's unknowns, give that node's checks
+once, and each candidate only evaluates them.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,14 +103,94 @@ def _brk(table, u, v, n, p):
     return w
 
 
-def _absorb(rows, v, p):
-    """Add v to the echelon rows; False when it was already dependent."""
+class _Poly(dict):
+    """A polynomial over the integers as {monomial: coef}, a monomial
+    being the sorted tuple of its variables' indices.  It has the
+    arithmetic of `_brk`, `_reduce` and the search's residuals, so these
+    run unchanged on vectors that mix ints and polynomials."""
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for mo, c in _as_poly(other).items():
+            out[mo] = out.get(mo, 0) + c
+        return out
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __rsub__(self, other):
+        return -1 * self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Poly):
+            return _Poly((mo, c * other) for mo, c in self.items())
+        out = _Poly()
+        for ma, ca in self.items():
+            for mb, cb in other.items():
+                mo = tuple(sorted(ma + mb))
+                out[mo] = out.get(mo, 0) + ca * cb
+        return out
+
+    __rmul__ = __mul__
+
+    def __mod__(self, p):
+        out = _Poly((mo, c % p) for mo, c in self.items() if c % p)
+        return out if any(out) else out.get((), 0)   # a constant is an int
+
+
+def _as_poly(f):
+    return f if isinstance(f, _Poly) else _Poly({(): f})
+
+
+def _variables(k):
+    return [_Poly({(i,): 1}) for i in range(k)]
+
+
+def _compile(polys, k, p):
+    """A test of whether any of the polynomials (ints or _Poly) in k
+    variables is nonzero mod p at a point.  The polynomials are reduced
+    to a basis of their span once, and a monomial of degree two or more
+    takes one product from a shorter monomial's value, so a point costs
+    a few dot products."""
+    polys = [_as_poly(f) for f in polys]
+    monos = {mo[:d] for f in polys for mo in f for d in range(2, len(mo) + 1)}
+    monos = ([()] + [(i,) for i in range(k)]
+             + sorted(monos, key=lambda mo: (len(mo), mo)))
+    index = {mo: e for e, mo in enumerate(monos)}
+    steps = [(index[mo[:-1]], mo[-1]) for mo in monos[k + 1:]]
+    basis = []
+    for f in polys:
+        _absorb(basis, [f.get(mo, 0) % p for mo in monos], p)
+    rows = [row for _, row in basis]
+    if any(not any(row[1:]) for row in rows):
+        return lambda point: True   # a nonzero constant
+
+    def nonzero(point):
+        vals = [1, *point]
+        for e, var in steps:
+            vals.append(vals[e] * point[var])
+        for row in rows:
+            if sum(map(operator.mul, row, vals)) % p:
+                return True
+        return False
+    return nonzero
+
+
+def _reduce(rows, v, p):
+    """v less its parts along the echelon rows."""
     v = list(v)
     for piv, bv in rows:
         c = v[piv]
         if c:
-            for t in range(len(v)):
-                v[t] = (v[t] - c * bv[t]) % p
+            v = [(a - c * b) % p for a, b in zip(v, bv)]
+    return v
+
+
+def _absorb(rows, v, p):
+    """Add v to the echelon rows; False when it was already dependent."""
+    v = _reduce(rows, v, p)
     piv = next((t for t in range(len(v)) if v[t]), None)
     if piv is None:
         return False
@@ -165,27 +248,6 @@ def _inv_mat(rows, p):
         for e, v in f:
             inv[col][e] = v
     return inv
-
-
-def _solutions(prepared, b, p):
-    """The solutions of the prepared system for right-hand side b, the
-    kernel part small-first; None when b is inconsistent."""
-    tests, solve, null = prepared
-    if any(sum(b[e] * v for e, v in f) % p for f in tests):
-        return None
-    x0 = [0] * (len(solve) + len(null))
-    for col, f in solve:
-        x0[col] = sum(b[e] * v for e, v in f) % p
-
-    def walk():
-        for coef in itertools.chain([(0,) * len(null)],
-                                    _images(len(null), p)):
-            x = x0
-            for cf, vec in zip(coef, null):
-                if cf:
-                    x = [(a + cf * w) % p for a, w in zip(x, vec)]
-            yield x
-    return walk()
 
 
 def _balanced_vals(p):
@@ -383,6 +445,10 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     layer enters no relation and is set to 0.  Each class tried and each
     affine solution tried counts as one candidate, and every complete
     map gets the full check of its rank and all products mod prime.
+    A node's checks (a class's dependence and relations, or the next
+    layer's consistency) are polynomials over GF(prime) in its unknowns,
+    the class or the kernel coefficients; they are compiled once per
+    node, so a candidate costs a few dot products.
 
     Raises BadPrime when the reduction is undefined or drops a
     structural dimension.
@@ -541,30 +607,47 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
             raise _Done
 
     def classes(a, x, y, cls_rows):
+        """Try each class v of generator a against its checks, compiled
+        once as polynomials in v: v's remainder modulo the earlier
+        classes, and the residuals of the relations that v completes."""
         level = levels[a]
         pad = (0,) * (n - m)
+
+        def grown(top):
+            z = y.copy()
+            z[a] = top
+            for k, g, w, tab in new_words[a]:
+                z[k] = _brk(tab, z[g], z[w], n, p)
+            return z
+
+        yv = grown(_variables(m) + list(pad))
+        independent = _compile(_reduce(cls_rows, yv[a][:m], p), m, p)
+        residuals = []
+        for i, j, lead, tab in checks[a]:
+            diff = _brk(tab, yv[i], yv[j], n, p)
+            for k, s in lead:
+                diff = [(e - s * f) % p for e, f in zip(diff, yv[k])]
+            residuals += diff
+        broken = _compile(residuals, m, p)
         for v in _images(m, p):
             tick(level)
-            rows2 = cls_rows.copy()
-            if not _absorb(rows2, v, p):
+            if not independent(v):
                 level.dependent += 1
-                continue
-            y2 = y.copy()
-            y2[a] = v + pad
-            for k, g, w, tab in new_words[a]:
-                y2[k] = _brk(tab, y2[g], y2[w], n, p)
-            for i, j, lead, tab in checks[a]:
-                diff = _brk(tab, y2[i], y2[j], n, p)
-                for k, s in lead:
-                    diff = [(e - s * f) % p for e, f in zip(diff, y2[k])]
-                if any(diff):
-                    level.relations += 1
-                    break
+            elif broken(v):
+                level.relations += 1
             else:
+                rows2 = cls_rows.copy()
+                _absorb(rows2, v, p)
+                y2 = grown(v + pad)
                 settle(a + 1, x + [y2[a]], y2, rows2, {})
 
     def settle(s, x, y, cls_rows, systems):
-        """Carry a candidate that passed level s - 1 on to level s."""
+        """Carry a candidate that passed level s - 1 on to level s.
+
+        At layer t the solutions are x0 + sum c_i N_i over the kernel
+        vectors N_i of the layer's system.  The next layer's consistency
+        tests are compiled once as polynomials in the c_i, and only the
+        solutions that pass them are built."""
         if s < m:
             return classes(s, x, y, cls_rows)
         done = levels[s - 1]
@@ -573,20 +656,45 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         t = s - m + 3
         if t not in systems:
             systems[t] = jacobian(t, x)
-        sols = _solutions(systems[t], rhs(t, images(x)), p)
-        if sols is None:
+        tests, solve, null = systems[t]
+        b = rhs(t, images(x))
+        if any(sum(b[e] * v for e, v in f) % p for f in tests):
             done.inconsistent += 1
             return
+        x0 = [0] * (len(solve) + len(null))
+        for col, f in solve:
+            x0[col] = sum(b[e] * v for e, v in f) % p
+        lines = list(zip(x0, *null))
         cols = span[t - 1]
         d = len(cols)
-        level = levels[s]
-        for delta in sols:
-            tick(level)
+
+        def solution(coef):
+            """x with its L_(t-1) parts x0 + sum c_i N_i, coef = (1, c)."""
             x2 = [list(v) for v in x]
             for g in range(m):
                 for q, r in enumerate(cols):
-                    x2[g][r] = delta[g * d + q]
-            settle(s + 1, x2, None, None, systems)
+                    x2[g][r] = sum(map(operator.mul, coef,
+                                       lines[g * d + q])) % p
+            return x2
+
+        rows = []
+        if t < depth:
+            # x's L_(t-1) parts are still 0 here, but the next system
+            # depends on the classes alone
+            if t + 1 not in systems:
+                systems[t + 1] = jacobian(t + 1, x)
+            b = rhs(t + 1, images(solution([1] + _variables(len(null)))))
+            rows = [sum(b[e] * v for e, v in f) % p
+                    for f in systems[t + 1][0]]
+        inconsistent = _compile(rows, len(null), p)
+        level = levels[s]
+        for coef in itertools.chain([(0,) * len(null)],
+                                    _images(len(null), p)):
+            tick(level)
+            if inconsistent(coef):
+                level.inconsistent += 1
+            else:
+                settle(s + 1, solution((1, *coef)), None, None, systems)
 
     status = "exhausted"
     try:

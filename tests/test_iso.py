@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -18,10 +19,14 @@ from leibkit.iso import (
     INCONCLUSIVE,
     BadPrime,
     FixtureError,
+    LevelCounts,
     _absorb,
+    _brk,
+    _compile,
     _images,
     _int_table,
     _mod_structure,
+    _Poly,
     _structural_dims,
     _unliftable,
     adapted_search,
@@ -254,6 +259,75 @@ def test_layered_search_exhausts_mod_5(catalogue):
     assert not result.matrices
     assert_counts_add_up(result)
     assert sum(level.relations for level in result.levels) > 0
+
+
+def test_layered_search_exhausts_a1_a2_mod_17(catalogue):
+    # every layer-3 solution fails the consistency of layer 4, so every
+    # one of the 17^2 kernel points of each layer-3 node is evaluated
+    a = instantiate(catalogue.entry("A_1"))
+    b = instantiate(catalogue.entry("A_2"))
+    result = adapted_search(a, b, prime=17)
+    assert result.status == "exhausted"
+    assert result.candidates == 1_340_960
+    assert result.levels == (
+        LevelCounts("class 1", tried=288),
+        LevelCounts("class 2", tried=82_944, dependent=4_608,
+                    relations=73_984),
+        LevelCounts("layer 3", tried=1_257_728, inconsistent=1_257_728),
+        LevelCounts("layer 4"))
+
+
+# -- the compiled checks against the bracket of evaluated vectors ---------
+
+def _poly_at(f, point, p):
+    if not isinstance(f, _Poly):
+        return f % p
+    total = 0
+    for mono, c in f.items():
+        for var in mono:
+            c *= point[var]
+        total += c
+    return total % p
+
+
+@st.composite
+def _poly_vectors(draw, n, k, p):
+    coef = st.integers(-p, p)
+    mono = st.lists(st.integers(0, k - 1), max_size=3).map(
+        lambda vs: tuple(sorted(vs)))
+    entry = st.one_of(coef, st.dictionaries(mono, coef, max_size=3).map(
+        _Poly))
+    return draw(st.lists(entry, min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), p=st.sampled_from([5, 13]), n=st.integers(2, 5),
+       k=st.integers(1, 3))
+def test_compiled_bracket_matches_brk(data, p, n, k):
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    comps = st.dictionaries(st.integers(0, n - 1), st.integers(1, p - 1),
+                            min_size=1, max_size=n).map(
+        lambda d: tuple(sorted(d.items())))
+    table = data.draw(st.dictionaries(pair, comps, max_size=2 * n))
+    u = data.draw(_poly_vectors(n, k, p))
+    v = data.draw(_poly_vectors(n, k, p))
+    point = data.draw(st.lists(st.integers(0, p - 1), min_size=k,
+                               max_size=k))
+    # evaluation commutes with the arithmetic, ints on either side
+    for f, g in zip(u, v):
+        fx, gx = _poly_at(f, point, p), _poly_at(g, point, p)
+        for op in (operator.add, operator.sub, operator.mul):
+            assert _poly_at(op(f, g) % p, point, p) == op(fx, gx) % p
+    w = _brk(table, u, v, n, p)
+    want = _brk(table, [_poly_at(f, point, p) for f in u],
+                [_poly_at(f, point, p) for f in v], n, p)
+    assert [_poly_at(f, point, p) for f in w] == want
+    # the compiled test sees a nonzero entry exactly where there is one,
+    # and none in the differences, also after reducing them to a basis
+    for f, c in zip(w, want):
+        assert _compile([f], k, p)(point) == bool(c)
+    assert not _compile([f - c for f, c in zip(w, want)], k, p)(point)
+    assert _compile(w, k, p)(point) == any(want)
 
 
 def _listed_images(k, p):

@@ -10,16 +10,19 @@ counter moves the digest.
 """
 
 import hashlib
+import random
 
 from leibkit.catalogue import instantiate, sample_params
 from leibkit.iso import adapted_search
+from leibkit.linalg import Matrix
 
 DIGEST = "71f11055937c6048cbbdb074df85a827c4f29a87fbd6eae6c119d074374f89c3"
 
 
-def search_line(source, target):
+def search_line(source, target, prime=13, cap=200, max_found=1):
     try:
-        res = adapted_search(source, target, prime=13, cap=200)
+        res = adapted_search(source, target, prime=prime, cap=cap,
+                             max_found=max_found)
     except Exception as ex:  # noqa: BLE001 -- the exception is the outcome
         return "%s: %s" % (type(ex).__name__, ex)
     return repr((res.status, res.candidates, res.matrices, res.levels))
@@ -36,3 +39,42 @@ def test_search_digest(catalogue):
                                        search_line(algs[k], algs[other])))
     text = "\n".join(lines) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == DIGEST
+
+
+# The eight `iso_dense` pairs at primes 13 and 29 and cap 20,000, then
+# ten seeded base changes of first points at prime 13 keeping up to three
+# witnesses: searches long enough to reach the later class levels and the
+# deepest affine layers, which the cap of 200 above stops short of.
+DEEP_DIGEST = ("c55dd4257bf1011a305673da4a32fdd7"
+               "c498cfbcb649a17579e8deabf06eb341")
+DEEP_PAIRS = (("A_5", {"alpha": 2}, "A_5", {"alpha": -2}),
+              ("A_116", {"alpha": 2}, "A_116", {"alpha": -2}),
+              ("A_5", {"alpha": 3}, "A_5", {"alpha": -3}),
+              ("A_116", {"alpha": 3}, "A_116", {"alpha": -3}),
+              ("A_36", None, "A_37", None), ("A_38", None, "A_39", None),
+              ("A_44", None, "A_45", None), ("A_136", None, "A_137", None))
+
+
+def _point(catalogue, name, values):
+    entry = catalogue.entry(name)
+    return instantiate(entry, values or sample_params(entry, 1)[0])
+
+
+def test_deep_search_digest(catalogue):
+    lines = []
+    for a, va, b, vb in DEEP_PAIRS:
+        source = _point(catalogue, a, va)
+        target = _point(catalogue, b, vb)
+        for prime in (13, 29):
+            line = search_line(source, target, prime=prime, cap=20_000)
+            lines.append("%s %s %s %s %d %s" % (a, va, b, vb, prime, line))
+    rng = random.Random(17)
+    names = [entry.name for entry in catalogue]
+    for name in rng.sample(names, 10):
+        rows = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)]
+        alg = _point(catalogue, name, None)
+        lines.append("%s %s" % (name, search_line(
+            alg, alg.base_change(Matrix(rows)), prime=13, cap=20_000,
+            max_found=3)))
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == DEEP_DIGEST
