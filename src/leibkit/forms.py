@@ -163,10 +163,6 @@ def _diagonalize_candidates(s: Matrix):
         yield u, v_prime, a0, b0
 
 
-def _verify(m: Matrix, q: Matrix, rep: Matrix) -> bool:
-    return q.transpose() @ m @ q == rep
-
-
 def congruence_canonical(form: BilinearForm2) -> CanonicalResult:
     """Canonical congruence class of a 2x2 form with an exact witness Q.
 
@@ -198,7 +194,7 @@ def congruence_canonical(form: BilinearForm2) -> CanonicalResult:
         else:
             result = _canonical_mixed_v([first, *candidates], kappa)
 
-    if not _verify(m, result.q, result.kind.rep_matrix()):
+    if result.q.transpose() @ m @ result.q != result.kind.rep_matrix():
         raise AssertionError("internal error: witness fails to reproduce the "
                              "canonical representative")
     return result
@@ -300,12 +296,11 @@ def congruent(f1: BilinearForm2, f2: BilinearForm2) -> bool:
 
 @dataclass(frozen=True)
 class AdaptedBasis:
-    """Record of the basis choices behind an extracted form: complement
-    vectors first, then the derived-subalgebra basis with the squares
-    generator last; `matrix` has these as columns."""
+    """Record of the basis choices behind an extracted form: the
+    complement vectors, and `matrix`, whose columns are the complement
+    vectors and then a basis of A^2 with the Leib generator last."""
 
     complement: tuple
-    derived_basis: tuple
     matrix: Matrix
 
 
@@ -357,5 +352,5 @@ def extract_v_form(algebra: LeibnizAlgebra) -> tuple[BilinearForm2, AdaptedBasis
                for u in comp]
     form = BilinearForm2(Matrix(entries))
     basis_matrix = Matrix([[vec[r] for vec in (comp + cols)] for r in range(n)])
-    record = AdaptedBasis(tuple(comp), tuple(cols), basis_matrix)
+    record = AdaptedBasis(tuple(comp), basis_matrix)
     return form, record

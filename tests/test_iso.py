@@ -25,8 +25,10 @@ from leibkit.iso import (
     _compile,
     _images,
     _int_table,
+    _inv_mat,
     _mod_structure,
     _Poly,
+    _rebase,
     _structural_dims,
     _unliftable,
     adapted_search,
@@ -36,8 +38,8 @@ from leibkit.iso import (
     verify_witness,
 )
 from leibkit.linalg import Matrix, SingularMatrix
-from leibkit.scalars import (ZERO, GaussianRational, PrimeField,
-                             QuadExtElem, QuadExtField)
+from leibkit.scalars import (ZERO, DenominatorDividesP, GaussianRational,
+                             PrimeField, QuadExtElem, QuadExtField)
 
 
 def small_invertible(rng, n=5):
@@ -443,6 +445,47 @@ def test_mod_structure_matches_exact_dims(catalogue):
         alg = instantiate(entry, sample_params(entry, 1)[0])
         dims, _ = _mod_structure(_int_table(alg, field), 5, 29)
         assert dims == _structural_dims(alg), entry.name
+
+
+# -- the search leaf's rewrite mod p against the exact base change --------
+
+REBASE_PRIMES = (5, 13, 29)
+
+
+@pytest.fixture(scope="module")
+def reducible_points(catalogue):
+    """For each prime, the first points whose tables reduce mod it."""
+    points = {p: [] for p in REBASE_PRIMES}
+    for entry in catalogue:
+        alg = instantiate(entry, sample_params(entry, 1)[0])
+        for p in REBASE_PRIMES:
+            try:
+                _int_table(alg, PrimeField(p))
+            except DenominatorDividesP:
+                continue
+            points[p].append((entry.name, alg))
+    return points
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from(REBASE_PRIMES))
+def test_rebase_matches_base_change(reducible_points, data, p):
+    # the leaf's check of a complete map, against `verify_witness`'s
+    name, alg = data.draw(st.sampled_from(reducible_points[p]))
+    entries = data.draw(st.lists(st.integers(-3, 3), min_size=25,
+                                 max_size=25))
+    rows = [entries[5 * r:5 * r + 5] for r in range(5)]
+    cols = [[rows[r][c] % p for r in range(5)] for c in range(5)]
+    echelon = []
+    for col in cols:
+        _absorb(echelon, col, p)
+    inv = _inv_mat(cols, p)
+    assert (inv is None) == (len(echelon) < 5), name
+    if inv is None:
+        return
+    field = PrimeField(p)
+    moved = _int_table(alg.base_change(Matrix(rows)), field)
+    assert _rebase(_int_table(alg, field), cols, inv, 5, p) == moved, name
 
 
 def test_lift_witness_values():

@@ -1,5 +1,6 @@
 """Every module-level function and class of the package is used somewhere,
-and every name a module imports is read in it."""
+and so is every method and annotated field of its classes; every name a
+module imports is read in it."""
 
 import ast
 import re
@@ -23,11 +24,29 @@ def test_no_orphaned_definitions():
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                 continue
-            # one occurrence is the definition itself
-            if words[node.name] < 2:
-                orphans.append("%s:%d %s" % (path.name, node.lineno,
-                                             node.name))
+            defs = [(node.lineno, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += _class_members(node)
+            for lineno, name in defs:
+                # one occurrence is the definition itself
+                if words[name] < 2:
+                    orphans.append("%s:%d %s" % (path.name, lineno, name))
     assert not orphans, "defined but never named elsewhere: %s" % orphans
+
+
+def _class_members(cls):
+    """(line, name) of each method and annotated field of a class; dunder
+    methods are reached by syntax, not by name."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)):
+            name = node.target.id
+        else:
+            continue
+        if not (name.startswith("__") and name.endswith("__")):
+            yield node.lineno, name
 
 
 def test_no_unused_imports():
