@@ -434,7 +434,7 @@ def _rebase(tab, basis, inv, n, p):
 
 def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
                    prime: int = 13, cap: int = DEFAULT_CAP,
-                   max_found: int = 1) -> SearchResult:
+                   enough=bool) -> SearchResult:
     """Search for witnesses source -> target over GF(prime), layer by
     layer through the lower central series.
 
@@ -457,7 +457,8 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     A node's checks (a class's dependence and relations, or the next
     layer's consistency) are polynomials over GF(prime) in its unknowns,
     the class or the kernel coefficients; they are compiled once per
-    node, so a candidate costs a few dot products.
+    node, so a candidate costs a few dot products.  The search stops once
+    `enough(witnesses so far)` is true; the default, `bool`, at the first.
 
     Raises BadPrime when the reduction is undefined or drops a
     structural dimension.
@@ -593,7 +594,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         else:
             level.found += 1
             found.append(tuple(zip(*cols)))
-            if len(found) >= max_found:
+            if enough(found):
                 raise _Done
 
     def classes(a, x, y, cls_rows):
@@ -701,7 +702,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
 # ---------------------------------------------------------------- lifting
 
 _LIFT_BOX = 6   # bound on |re|, |im| and the denominator of a lifted entry
-_LIFT_ATTEMPTS = 25   # witnesses per prime that certify tries to lift
+_LIFT_ATTEMPTS = 25   # witnesses certify lifts at one prime before it stops
 
 
 def _lift_scalar(e, p, i_res):
@@ -767,16 +768,16 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
             primes=DEFAULT_PRIMES, cap: int = DEFAULT_CAP) -> Certification:
     """Decide isomorphism as far as the exact tools allow.
 
-    Distinct invariant signatures certify non-isomorphism.  Otherwise a
-    modular witness search runs prime by prime, each distinct prime once
-    in the given order; its first hit is lifted to Q(i) and re-verified
-    exactly, and only when that fails is the search repeated for up to
-    `_LIFT_ATTEMPTS` hits.  Only an exact verification yields CERTIFIED.
-    Hits at two primes without a lifting give EVIDENCE; everything else
-    is INCONCLUSIVE, and so, without a search, is a pair of equal
-    signatures that are not nilpotent.  When no hit lifts, the detail
-    names the first matrix entry that had no preimage in the lifting
-    box.
+    Distinct invariant signatures certify non-isomorphism.  Otherwise one
+    modular witness search runs at each distinct prime, in the given
+    order.  Each witness is lifted to Q(i) and re-verified exactly as
+    the search finds it, and the search stops at the first one that
+    verifies, or after `_LIFT_ATTEMPTS` witnesses.  Only an exact
+    verification yields CERTIFIED.  Witnesses at two primes without a
+    lifting give EVIDENCE; everything else is INCONCLUSIVE, and so,
+    without a search, is a pair of equal signatures that are not
+    nilpotent.  When no witness lifts, the detail names the first matrix
+    entry that had no preimage in the lifting box.
     """
     sig_s = signature(source)
     sig_t = signature(target)
@@ -788,45 +789,43 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         return Certification(INCONCLUSIVE, None, 0, 0,
                              "the layered search needs nilpotent algebras")
     total = 0
-    hits = 0
     notes = []
     searches = []
     for prime in dict.fromkeys(primes):
-        tried = 0
-        miss = None
+        exact, misses = [], []
+
+        def enough(found):
+            m = lift_witness(found[-1], prime)
+            if m is None:
+                misses.append(_unliftable(found[-1], prime))
+            elif verify_witness(source, target, m) is None:
+                exact.append(m)
+            return bool(exact) or len(found) >= _LIFT_ATTEMPTS
+
         try:
-            # the first witness usually lifts; only when it does not is
-            # the search run again for up to _LIFT_ATTEMPTS witnesses
-            for want in (1, _LIFT_ATTEMPTS):
-                res = adapted_search(source, target, prime=prime, cap=cap,
-                                     max_found=want)
-                searches.append(res)
-                total += res.candidates
-                for rows in res.matrices[tried:]:
-                    m = lift_witness(rows, prime)
-                    if m is None:
-                        miss = miss or _unliftable(rows, prime)
-                    elif verify_witness(source, target, m) is None:
-                        return Certification(
-                            CERTIFIED, m, prime, total,
-                            f"witness found mod {prime} and verified exactly",
-                            tuple(searches))
-                tried = len(res.matrices)
-                if tried < want:
-                    break
+            res = adapted_search(source, target, prime=prime, cap=cap,
+                                 enough=enough)
         except BadPrime as ex:
             notes.append(str(ex))
             continue
+        searches.append(res)
+        total += res.candidates
+        # the winning lift is checked again in certify's own frame, where
+        # perfbench's iso.lift.success_ratio counts verified lifts
+        if exact and verify_witness(source, target, exact[0]) is None:
+            return Certification(
+                CERTIFIED, exact[0], prime, total,
+                f"witness found mod {prime} and verified exactly",
+                tuple(searches))
         if res.matrices:
-            hits += 1
             why = ("entry (%d,%d) = %d mod %d has no preimage in the box"
-                   % (miss + (prime,)) if miss
+                   % (misses[0] + (prime,)) if misses
                    else "every lift fails the exact check")
             notes.append(f"{len(res.matrices)} witnesses mod {prime}, "
                          f"none lifted: {why}")
         else:
             notes.append(f"search {res.status} mod {prime} without witness")
-        if hits >= 2:
+        if sum(bool(r.matrices) for r in searches) >= 2:
             return Certification(EVIDENCE, None, prime, total,
                                  "; ".join(notes), tuple(searches))
     return Certification(INCONCLUSIVE, None, 0, total,

@@ -120,6 +120,19 @@ def test_iso_search_counters_on_stderr(capsys):
         assert int(r[2]) == sum(int(x) for x in r[3:])
 
 
+def test_iso_search_cap_is_per_prime(capsys):
+    # the first witness mod 5 does not lift, and the search that goes on
+    # lifting the later ones is still the only search at that prime
+    code, out, err = run(capsys, "iso", "search", "--a", "A_182:alpha=2",
+                         "--b", "A_182:alpha=3", "--prime", "5",
+                         "--cap", "3000")
+    assert code == 0
+    assert "candidates considered: 3000\n" in out
+    assert [line for line in err.splitlines()
+            if line.startswith("search mod 5:")] == [
+        "search mod 5: found after 3000 candidates"]
+
+
 def test_iso_search_distinct(capsys):
     code, out, _ = run(capsys, "iso", "search", "--a", "A_1", "--b", "A_16")
     assert code == 0

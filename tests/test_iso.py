@@ -39,7 +39,8 @@ from leibkit.iso import (
 )
 from leibkit.linalg import Matrix, SingularMatrix
 from leibkit.scalars import (ZERO, DenominatorDividesP, GaussianRational,
-                             PrimeField, QuadExtElem, QuadExtField)
+                             PrimeField, QuadExtElem, QuadExtField,
+                             reduce_mod_p)
 
 
 def small_invertible(rng, n=5):
@@ -499,6 +500,24 @@ def test_lift_witness_values():
         Matrix([[GaussianRational(-1, 0) / 2, 0], [0, 1]])
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), p=st.sampled_from((5, 13, 29, 1009)))
+def test_lift_exists_unless_an_entry_is_unliftable(data, p):
+    # the lift failure detail names an entry exactly when there is no lift
+    shape = st.integers(1, 5)
+    nrows, ncols = data.draw(shape), data.draw(shape)
+    rows = data.draw(st.lists(
+        st.lists(st.integers(-p, 2 * p), min_size=ncols, max_size=ncols),
+        min_size=nrows, max_size=nrows))
+    lifted = lift_witness(rows, p)
+    assert (lifted is None) == (_unliftable(rows, p) is not None)
+    if lifted is not None:
+        field = PrimeField(p)
+        assert [[reduce_mod_p(x, field) for x in row]
+                for row in lifted.rows] == [[e % p for e in row]
+                                            for row in rows]
+
+
 def test_certify_mod_5(catalogue):
     alg = instantiate(catalogue.entry("A_1"))
     shear = [[int(r == c) for c in range(5)] for r in range(5)]
@@ -522,9 +541,22 @@ def test_certify_repeated_prime_is_one_prime(catalogue):
         "25 witnesses mod 5, none lifted")
     twice = certify(y, x, primes=(5, 5))
     assert twice.status == INCONCLUSIVE
-    assert twice.candidates == once.candidates == 540
+    assert twice.candidates == once.candidates == 282
     assert twice.detail == once.detail
-    assert len(twice.searches) == 2
+    assert len(twice.searches) == 1
+
+
+def test_certify_cap_is_per_prime(catalogue):
+    # the first witness mod 5 does not lift; lifting the later ones goes
+    # on inside the same search, so each prime spends at most the cap
+    x = instantiate(catalogue.entry("A_5"), {"alpha": 2})
+    diag = [[int(r == c) * (7 if r == 0 else 1) for c in range(5)]
+            for r in range(5)]
+    y = x.base_change(Matrix(diag))
+    for primes in ((5,), (5, 13), (5, 5)):
+        cert = certify(y, x, primes=primes, cap=300)
+        assert cert.candidates <= 300 * len(set(primes))
+        assert len(cert.searches) == len(set(primes))
 
 
 def test_certify_distinct(catalogue):
