@@ -201,45 +201,36 @@ def _absorb(rows, v, p):
 
 
 def _prepare(rows, u, p):
-    """Gauss-Jordan once for J x = b mod p, for many right-hand sides b.
+    """Solve J x = b mod p once, for many right-hand sides b.
 
-    `rows` are the equations of J over u unknowns.  Returns (tests,
-    solve, null) with sparse functionals of b: b is consistent when every
-    test vanishes on it, x[col] = f(b) for (col, f) in solve is then a
-    solution, and the null vectors span the kernel of J.
+    `rows` are the equations of J over u unknowns.  Each row of J beside
+    its row of the identity, [J_r | e_r], is absorbed into echelon rows;
+    one `_reduce` pass then clears each row whose pivot lies in J of the
+    later pivots, so J's part is reduced.  Returns (tests, solve, null)
+    with sparse functionals of b: the tests, read off the rows whose
+    pivot lies in the identity block, all vanish exactly when b is
+    consistent; x[col] = f(b) for (col, f) in solve is then a solution,
+    and the null vectors span the kernel of J.
     """
     q = len(rows)
-    aug = [list(row) + [int(e == r) for e in range(q)]
-           for r, row in enumerate(rows)]
-    pivots = []
-    for col in range(u):
-        top = len(pivots)
-        piv = next((r for r in range(top, q) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[top], aug[piv] = aug[piv], aug[top]
-        inv = pow(aug[top][col], p - 2, p)
-        aug[top] = [v * inv % p for v in aug[top]]
-        for r in range(q):
-            f = aug[r][col]
-            if f and r != top:
-                aug[r] = [(v - f * w) % p for v, w in zip(aug[r], aug[top])]
-        pivots.append(col)
+    aug = []
+    for r, row in enumerate(rows):
+        _absorb(aug, list(row) + [int(e == r) for e in range(q)], p)
+    reduced = [(col, _reduce(aug[k + 1:], row, p))
+               for k, (col, row) in enumerate(aug) if col < u]
 
     def functional(row):
         return tuple((e, v) for e, v in enumerate(row[u:]) if v)
 
-    tests = [functional(row) for row in aug[len(pivots):]]
-    solve = [(col, functional(row)) for col, row in zip(pivots, aug)]
     null = []
-    for free in range(u):
-        if free not in pivots:
-            vec = [0] * u
-            vec[free] = 1
-            for col, row in zip(pivots, aug):
-                vec[col] = -row[free] % p
-            null.append(vec)
-    return tests, solve, null
+    for free in sorted(set(range(u)).difference(col for col, _ in reduced)):
+        vec = [0] * u
+        vec[free] = 1
+        for col, row in reduced:
+            vec[col] = -row[free] % p
+        null.append(vec)
+    return ([functional(row) for col, row in aug if col >= u],
+            [(col, functional(row)) for col, row in reduced], null)
 
 
 def _inv_mat(rows, p):

@@ -188,6 +188,14 @@ def test_report_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_report_text_bytes(capsys):
+    # the same bytes perfbench's REPORT_SHA256 pins; A_242 fails, so exit 1
+    assert main(["report"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "91791d979bdeedafc903ae52d7811473efab9e934a570731b5b5ecee936de647"
+
+
 SEARCH = ["iso", "search", "--a", "A_1", "--b", "A_3"]
 IDENTITY = [["1" if r == c else "0" for c in range(5)] for r in range(5)]
 BAD_SCALAR_WITNESS = json.dumps({"witnesses": [{
@@ -243,10 +251,31 @@ MALFORMED_ENTRY_CATALOGUES = [one_entry_catalogue(**fields) for fields in (
     {"products": [{"left": 1, "right": 1,
                    "components": {"5": "1/(1-1)"}}]})]
 
+# claims, iso maps, names, cases, any-clauses and the dimension
+MALFORMED_DOCUMENTS = [
+    *[one_entry_catalogue(**fields) for fields in (
+        {"iso": {"pairs": [{"beta": "1"}]}}, {"name": ""}, {"case": "d"},
+        {"constraints_any": [[]]})],
+    *[json.dumps(dict(json.loads(one_entry_catalogue()), **fields))
+      for fields in ({"cases": {"c": {"claims": {"dim_squared": 1}}}},
+                     {"dimension": 4})]]
+
 BOOL_INDEX_CATALOGUE = one_product_catalogue(
     {"left": True, "right": 1, "components": {"5": "1"}})
 PADDED_KEY_CATALOGUE = one_product_catalogue(
     {"left": 1, "right": 1, "components": {"05": "1"}})
+
+
+def test_iso_verify_failing_witness(capsys, tmp_path):
+    path = tmp_path / "witnesses.json"
+    path.write_text(json.dumps({"witnesses": [{
+        "label": "w", "source": {"entry": "A_1"}, "target": {"entry": "A_3"},
+        "matrix": IDENTITY}]}))
+    code, out, _ = run(capsys, "iso", "verify", "--fixtures", str(path))
+    assert code == 1
+    assert ("w                      FAIL  product (1,3) is not preserved\n"
+            in out)
+    assert out.endswith("1 witnesses, 1 failed\n")
 
 
 @pytest.mark.parametrize("argv, file_text", [
@@ -280,6 +309,9 @@ PADDED_KEY_CATALOGUE = one_product_catalogue(
       for text in MALFORMED_ENTRY_CATALOGUES],
     (["verify", "--entry", "A_5:alpha=1,alpha=2"], None),
     (SEARCH + ["--prime", "13", "--prime", "13"], None),
+    *[(["verify", "--catalogue", "FILE"], text)
+      for text in MALFORMED_DOCUMENTS],
+    (["canon", "[[sqrt(i),0],[0,1]]"], None),
 ])
 def test_misuse_exits_2(capsys, tmp_path, argv, file_text):
     if file_text is not None:
@@ -320,6 +352,7 @@ MALFORMED_CATALOGUES = {
     "sqrt": product_catalogue("sqrt(2)"),
     # alpha = 0 is admissible and the first sample point
     "zero-divisor": product_catalogue("1/alpha"),
+    "zero-divisor-constraint": one_entry_catalogue(constraints=["1/alpha"]),
 }
 MALFORMED_WITNESSES = {
     "not-utf8": NOT_UTF8,

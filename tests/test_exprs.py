@@ -40,6 +40,11 @@ def test_parse_scalar_sqrt():
     assert parse_scalar("sqrt(1/2/3)") == parse_scalar("sqrt(1/6)")
     with pytest.raises(ExprSyntaxError):
         parse_scalar("sqrt(2)*sqrt(3)")  # one radical per constant
+    for text in ("sqrt", "sqrt()"):
+        with pytest.raises(ExprSyntaxError, match="called on one argument"):
+            parse_scalar(text)
+    with pytest.raises(ExprSyntaxError, match="must be a rational constant"):
+        parse_scalar("sqrt(i)")
 
 
 def test_parse_expr_with_params():

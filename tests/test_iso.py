@@ -28,6 +28,7 @@ from leibkit.iso import (
     _inv_mat,
     _mod_structure,
     _Poly,
+    _prepare,
     _rebase,
     _structural_dims,
     _unliftable,
@@ -487,6 +488,53 @@ def test_rebase_matches_base_change(reducible_points, data, p):
     field = PrimeField(p)
     moved = _int_table(alg.base_change(Matrix(rows)), field)
     assert _rebase(_int_table(alg, field), cols, inv, 5, p) == moved, name
+
+
+# -- the layer systems' solver against the echelon rank -------------------
+
+def _rank(rows, p):
+    echelon = []
+    return sum(_absorb(echelon, row, p) for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), p=st.sampled_from(REBASE_PRIMES),
+       u=st.integers(1, 6))
+def test_prepare_solves_layer_systems(data, p, u):
+    # mostly zero entries, and rows drawn from a small pool so some repeat
+    entry = st.one_of(st.just(0), st.just(0), st.integers(1, p - 1))
+    vector = st.lists(entry, min_size=u, max_size=u)
+    pool = data.draw(st.lists(vector, min_size=1, max_size=4))
+    rows = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+    q = len(rows)
+    tests, solve, null = _prepare(rows, u, p)
+    rank = _rank(rows, p)
+    assert (len(solve), len(null), len(tests)) == (rank, u - rank, q - rank)
+
+    def apply(x):
+        return [sum(map(operator.mul, row, x)) % p for row in rows]
+
+    def solution(b):
+        x0 = [0] * u
+        for col, f in solve:
+            x0[col] = sum(b[e] * v for e, v in f) % p
+        return x0
+
+    def consistent(b):
+        return not any(sum(b[e] * v for e, v in f) % p for f in tests)
+
+    x = data.draw(st.lists(st.integers(0, p - 1), min_size=u, max_size=u))
+    b = apply(x)
+    assert consistent(b)
+    assert apply(solution(b)) == b
+    for vec in null:
+        assert apply(vec) == [0] * q
+    assert _rank(null, p) == len(null)
+    b = data.draw(st.lists(entry, min_size=q, max_size=q))
+    assert consistent(b) == (
+        _rank([[*row, e] for row, e in zip(rows, b)], p) == rank)
+    if consistent(b):
+        assert apply(solution(b)) == b
 
 
 def test_lift_witness_values():

@@ -1,6 +1,7 @@
 """One place each, checked on the package's syntax trees: JSON is decoded
-only by the catalogue's document reader, and check outcomes are built
-only by `verify_point`."""
+only by the catalogue's document reader, check outcomes are built only
+by `verify_point`, and each field has one elimination routine, the only
+one to invert a pivot: `_absorb` mod p and `Matrix.rref` exactly."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,10 @@ def test_json_decoded_only_by_read_document():
 def test_check_outcomes_built_only_by_verify_point():
     calls = _calls(_is_check_outcome, "CheckOutcome")
     assert calls == [("catalogue.py", "verify_point")], calls
+
+
+def test_one_elimination_per_field():
+    pows = _calls(lambda func: getattr(func, "id", None) == "pow", "pow")
+    assert [c for c in pows if c[0] == "iso.py"] == [("iso.py", "_absorb")]
+    invs = _calls(lambda func: getattr(func, "attr", None) == "inv", "inv")
+    assert [c for c in invs if c[0] == "linalg.py"] == [("linalg.py", "rref")]
