@@ -17,10 +17,10 @@ Scalar literals (witness files, CLI arguments) declare no parameters
 which may land in a quadratic extension of Q(i).
 
 Parsing folds every constant subexpression into one ("num", scalar) leaf,
-so a literal parses to a single leaf; a division by a constant zero and a
-constant that mixes two different radicals are syntax errors.  The other
-nodes are ("param", name), ("neg", e) and (op, e1, e2) for op in add, sub,
-mul, div.
+so a literal parses to a single leaf; a division by a constant zero, a
+constant that mixes two different radicals and one too long to print are
+syntax errors.  The other nodes are ("param", name), ("neg", e) and
+(op, e1, e2) for op in add, sub, mul, div.
 """
 
 from __future__ import annotations
@@ -64,9 +64,13 @@ def _walk(node, params):
         if left[0] != "num" or right[0] != "num":
             return tree
         try:
-            return ("num", evaluate(tree))
+            value = evaluate(tree)
+            format_scalar(value)  # within CPython's int-string limit
         except FieldMismatch:
             raise ExprSyntaxError("mixed radicals in a constant") from None
+        except ValueError as ex:  # as the parser words it for a literal
+            raise ExprSyntaxError(str(ex).split(";")[0]) from None
+        return ("num", value)
     if isinstance(node, pyast.UnaryOp) and isinstance(node.op, pyast.USub):
         a = _walk(node.operand, params)
         return ("num", -a[1]) if a[0] == "num" else ("neg", a)

@@ -12,11 +12,12 @@ trusted on its own.
 The search follows the lower central series, as the lifting step of
 p-group generation does (O'Brien 1990; Eick, Leedham-Green and O'Brien
 2002): it enumerates only the generators' classes modulo A^2 and solves
-each deeper layer of their images as an affine system mod p.  Each
-layer's relations are written once, as residuals; the system's matrix
-is the difference of those residuals at unit steps.  The same residuals,
-run on polynomials in a search node's unknowns, give that node's checks
-once, and each candidate only evaluates them.
+each deeper layer of their images as an affine system mod p.  Every
+relation check, class or layer, is the L_t part of one residual over the
+source's word images, a class level setting the generators still to
+come to zero; a layer system's matrix is its residuals' change at unit
+steps.  Run on polynomials in a node's unknowns, the residuals give that
+node's checks once, and each candidate only evaluates them.
 """
 
 from __future__ import annotations
@@ -291,11 +292,7 @@ def _images(k, p):
             yield vec
 
 
-class _Capped(Exception):
-    pass
-
-
-class _Done(Exception):
+class _Stop(Exception):
     pass
 
 
@@ -432,17 +429,19 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     The source is written in left-normed words over generators g_a that
     complete A^2, the target in a basis whose layer L_t completes
     A^(t+1) to A^t, and a witness is fixed by the images x_a of the
-    generators.  First each generator's class, its L_1 part, is
-    enumerated small-first; a class dependent on the earlier ones, or
-    one that breaks a relation of the associated graded algebras, is
-    dropped as soon as its generator completes that relation.  Then for
+    generators.  Every relation check, class or layer, is the L_t part of
+    one residual [y_i, y_j] - sum s_k y_k over the word images y.  First
+    each generator's class, its L_1 part, is enumerated small-first; a
+    class dependent on the earlier ones, or one that breaks the graded
+    part of a relation it completes (t the sum of the layers of b_i and
+    b_j, the generators still to come set to zero), is dropped.  Then for
     t = 3, ..., c the L_t parts of all relations are affine in the
-    L_(t-1) parts of the x_a, so the system's columns are the changes
-    of those parts at unit steps of the x_a; it is solved mod prime and
+    L_(t-1) parts of the x_a, so the system's columns are the changes of
+    its residuals at unit steps of the x_a; it is solved mod prime and
     only its solutions are tried, free variables small-first.  The last
-    layer enters no relation and is set to 0.  Each class tried and each
-    affine solution tried counts as one candidate.  Every complete map
-    is checked as `verify_witness` checks a witness: the target's table,
+    layer enters no relation and is set to 0.  Each class and each affine
+    solution tried counts as one candidate.  Every complete map is
+    checked as `verify_witness` checks a witness: the target's table,
     rewritten by `_rebase` in the map's columns, must equal the source's
     (a singular map counts under `rank`).
     A node's checks (a class's dependence and relations, or the next
@@ -491,59 +490,45 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     m = len(gens)
     depth = layer[-1]
     span = {t: [k for k in range(n) if layer[k] == t] for t in layer}
-    # at[t]: the L_t part of each target product; graded[(s, r)]: the
-    # products L_s x L_r -> L_(s+r) of the associated graded algebra
-    at, graded = {}, {}
+    # at[t]: the L_t part of each target product; on vectors inside L_s
+    # and L_r it is the graded product L_s x L_r -> L_(s+r), s + r = t
+    at = {}
     for (i, j), comps in tgt.items():
-        for t in range(layer[i] + layer[j], depth + 1):
-            part = tuple((k, x) for k, x in comps if layer[k] == t)
-            if part:
-                at.setdefault(t, {})[(i, j)] = part
-                if t == layer[i] + layer[j]:
-                    graded.setdefault((layer[i], layer[j]), {})[(i, j)] = part
+        for k, x in comps:
+            at.setdefault(layer[k], {}).setdefault((i, j), []).append((k, x))
 
     # the relations [b_i, b_j] = sum s_k b_k that a word's definition
     # does not already give and that can reach a nonzero layer
-    defined = set(pairs[m:])
     rels = [(i, j, src.get((i, j), ())) for i in range(n) for j in range(n)
-            if layer[i] + layer[j] <= depth and (i, j) not in defined]
+            if layer[i] + layer[j] <= depth and (i, j) not in pairs[m:]]
     # the class level that completes each word and each graded relation
     last = list(range(m))
     for a, w in pairs[m:]:
         last.append(max(a, last[w]))
-    new_words = [[] for _ in range(m)]
-    for k in range(m, n):
-        a, w = pairs[k]
-        new_words[last[k]].append((k, a, w, graded.get((1, layer[w]), {})))
     checks = [[] for _ in range(m)]
     for i, j, terms in rels:
-        lead = tuple((k, x) for k, x in terms
-                     if layer[k] == layer[i] + layer[j])
-        level = max([last[i], last[j]] + [last[k] for k, _ in lead])
-        checks[level].append((i, j, lead,
-                              graded.get((layer[i], layer[j]), {})))
-    below = {t: [rel for rel in rels if layer[rel[0]] + layer[rel[1]] < t]
-             for t in range(3, depth + 1)}
+        t = layer[i] + layer[j]
+        lead = [last[k] for k, _ in terms if layer[k] == t]
+        checks[max([last[i], last[j]] + lead)].append((t, i, j, terms))
 
     def images(x):
-        """Images of all source words in the target's adapted basis."""
-        y = list(x)
+        """Images of all source words in the target's adapted basis, the
+        generators past x set to zero."""
+        y = list(x) + [(0,) * n] * (m - len(x))
         for a, w in pairs[m:]:
             y.append(_brk(tgt, y[a], y[w], n, p))
         return y
 
+    def residual(t, y, i, j, terms):
+        """The L_t coordinates of [y_i, y_j] - sum s_k y_k."""
+        w = _brk(at.get(t, {}), y[i], y[j], n, p)
+        return [(w[r] - sum(s * y[k][r] for k, s in terms)) % p
+                for r in span[t]]
+
     def rhs(t, y):
-        """The L_t parts of sum s_k y_k - [y_i, y_j], negated."""
-        b = []
-        tab = at.get(t, {})
-        for i, j, terms in below[t]:
-            w = _brk(tab, y[i], y[j], n, p)
-            for k, x in terms:
-                yk = y[k]
-                for r in span[t]:
-                    w[r] -= x * yk[r]
-            b.extend(w[r] % p for r in span[t])
-        return b
+        """The L_t parts of the relations that reach below L_t."""
+        return [c for i, j, terms in rels if layer[i] + layer[j] < t
+                for c in residual(t, y, i, j, terms)]
 
     def jacobian(t, x):
         """The L_t parts of the relations as linear maps of the L_(t-1)
@@ -568,7 +553,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
 
     def tick(level):
         if count[0] >= cap:
-            raise _Capped
+            raise _Stop
         count[0] += 1
         level.tried += 1
 
@@ -586,31 +571,21 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
             level.found += 1
             found.append(tuple(zip(*cols)))
             if enough(found):
-                raise _Done
+                raise _Stop
 
-    def classes(a, x, y, cls_rows):
+    def classes(a, x):
         """Try each class v of generator a against its checks, compiled
         once as polynomials in v: v's remainder modulo the earlier
         classes, and the residuals of the relations that v completes."""
         level = levels[a]
         pad = (0,) * (n - m)
-
-        def grown(top):
-            z = y.copy()
-            z[a] = top
-            for k, g, w, tab in new_words[a]:
-                z[k] = _brk(tab, z[g], z[w], n, p)
-            return z
-
-        yv = grown(_variables(m) + list(pad))
-        independent = _compile(_reduce(cls_rows, yv[a][:m], p), m, p)
-        residuals = []
-        for i, j, lead, tab in checks[a]:
-            diff = _brk(tab, yv[i], yv[j], n, p)
-            for k, s in lead:
-                diff = [(e - s * f) % p for e, f in zip(diff, yv[k])]
-            residuals += diff
-        broken = _compile(residuals, m, p)
+        y = images(x + [_variables(m) + list(pad)])
+        rows = []
+        for u in x:
+            _absorb(rows, u[:m], p)
+        independent = _compile(_reduce(rows, _variables(m), p), m, p)
+        broken = _compile([c for t, i, j, terms in checks[a]
+                           for c in residual(t, y, i, j, terms)], m, p)
         for v in _images(m, p):
             tick(level)
             if not independent(v):
@@ -618,12 +593,9 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
             elif broken(v):
                 level.relations += 1
             else:
-                rows2 = cls_rows.copy()
-                _absorb(rows2, v, p)
-                y2 = grown(v + pad)
-                settle(a + 1, x + [y2[a]], y2, rows2, {})
+                settle(a + 1, x + [v + pad], {})
 
-    def settle(s, x, y, cls_rows, systems):
+    def settle(s, x, systems):
         """Carry a candidate that passed level s - 1 on to level s.
 
         At layer t the solutions are x0 + sum c_i N_i over the kernel
@@ -631,7 +603,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         tests are compiled once as polynomials in the c_i, and only the
         solutions that pass them are built."""
         if s < m:
-            return classes(s, x, y, cls_rows)
+            return classes(s, x)
         done = levels[s - 1]
         if s == len(levels):
             return leaf(images(x), done)
@@ -676,18 +648,15 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
             if inconsistent(coef):
                 level.inconsistent += 1
             else:
-                settle(s + 1, solution((1, *coef)), None, None, systems)
+                settle(s + 1, solution((1, *coef)), systems)
 
     status = "exhausted"
     try:
-        settle(0, [], [None] * n, [], None)
-    except _Capped:
+        settle(0, [], None)
+    except _Stop:
         status = "capped"
-    except _Done:
-        pass
-    if found:
-        status = "found"
-    return SearchResult(status, prime, count[0], tuple(found), tuple(levels))
+    return SearchResult("found" if found else status, prime, count[0],
+                        tuple(found), tuple(levels))
 
 
 # ---------------------------------------------------------------- lifting

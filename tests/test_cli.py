@@ -260,6 +260,9 @@ MALFORMED_DOCUMENTS = [
       for fields in ({"cases": {"c": {"claims": {"dim_squared": 1}}}},
                      {"dimension": 4})]]
 
+# each factor parses, but their product is past CPython's int-string limit
+THREES = "3" * 2500
+
 BOOL_INDEX_CATALOGUE = one_product_catalogue(
     {"left": True, "right": 1, "components": {"5": "1"}})
 PADDED_KEY_CATALOGUE = one_product_catalogue(
@@ -312,6 +315,8 @@ def test_iso_verify_failing_witness(capsys, tmp_path):
     *[(["verify", "--catalogue", "FILE"], text)
       for text in MALFORMED_DOCUMENTS],
     (["canon", "[[sqrt(i),0],[0,1]]"], None),
+    (["invariants", "--entry", "A_5:alpha=%s*%s" % (THREES, THREES)], None),
+    (["verify", "--entry", "A_242:alpha=%s*%s" % (THREES, THREES)], None),
 ])
 def test_misuse_exits_2(capsys, tmp_path, argv, file_text):
     if file_text is not None:

@@ -1,7 +1,10 @@
 """One place each, checked on the package's syntax trees: JSON is decoded
 only by the catalogue's document reader, check outcomes are built only
-by `verify_point`, and each field has one elimination routine, the only
-one to invert a pivot: `_absorb` mod p and `Matrix.rref` exactly."""
+by `verify_point`, each field has one elimination routine, the only one
+to invert a pivot: `_absorb` mod p and `Matrix.rref` exactly, and the
+witness search checks every relation through one residual: brackets mod
+p are taken only by `residual`, by `images` for the word images, and by
+the set-up routines `_mod_structure`, `_words` and `_rebase`."""
 
 import ast
 from pathlib import Path
@@ -59,3 +62,9 @@ def test_one_elimination_per_field():
     assert [c for c in pows if c[0] == "iso.py"] == [("iso.py", "_absorb")]
     invs = _calls(lambda func: getattr(func, "attr", None) == "inv", "inv")
     assert [c for c in invs if c[0] == "linalg.py"] == [("linalg.py", "rref")]
+
+
+def test_one_residual_per_relation():
+    brks = _calls(lambda func: getattr(func, "id", None) == "_brk", "_brk")
+    assert set(brks) == {("iso.py", name) for name in (
+        "_mod_structure", "_words", "_rebase", "images", "residual")}, brks

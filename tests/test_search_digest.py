@@ -6,7 +6,8 @@ entry wrapping round to the first; prime 13, cap 200.  Each search adds
 its status, candidate count, witness matrices and per-level counters, or
 the type and text of the exception it raised.  A change to the order in
 which candidates are tried, to any level's systems or checks, or to a
-counter moves the digest.
+counter moves the digest.  Every search of both digests must also leave
+the leaf's re-check of complete maps idle (`assert_leaf_agrees`).
 """
 
 import hashlib
@@ -25,7 +26,18 @@ def search_line(source, target, prime=13, cap=200, enough=bool):
                              enough=enough)
     except Exception as ex:  # noqa: BLE001 -- the exception is the outcome
         return "%s: %s" % (type(ex).__name__, ex)
+    assert_leaf_agrees(res)
     return repr((res.status, res.candidates, res.matrices, res.levels))
+
+
+def assert_leaf_agrees(res):
+    """A map that passes the layered checks is an isomorphism mod p.  The
+    checks cover the L_t part of every relation, and independent classes
+    generate the target, so the leaf's re-check, kept for EVIDENCE, never
+    finds a singular map, nor a broken product after a last layer."""
+    assert not any(level.rank for level in res.levels), res.levels
+    if res.levels and res.levels[-1].level.startswith("layer"):
+        assert res.levels[-1].relations == 0, res.levels
 
 
 def test_search_digest(catalogue):
