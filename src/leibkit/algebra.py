@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import AmbientMismatch, Matrix, Subspace, _coerce_scalar
-from .scalars import ONE, ZERO
+from .linalg import AmbientMismatch, Matrix, Subspace
+from .scalars import ONE, ZERO, promote
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def _clean_table(table):
     # below see field scalars only
     out = {}
     for (i, j), comps in table.items():
-        row = {k: s for k, s in zip(comps, map(_coerce_scalar, comps.values()))
+        row = {k: s for k, s in zip(comps, map(promote, comps.values()))
                if not s.is_zero()}
         if row:
             out[(i, j)] = row
@@ -97,7 +97,7 @@ class LeibnizAlgebra:
         if len(u) != self.n or len(v) != self.n:
             raise AmbientMismatch("vector length differs from algebra dimension")
         return self._dense(self._bracket_sparse(
-            _support(map(_coerce_scalar, u)), _support(map(_coerce_scalar, v))))
+            _support(map(promote, u)), _support(map(promote, v))))
 
     def _dense(self, sparse: dict) -> tuple:
         return tuple(sparse.get(k, ZERO) for k in range(self.n))

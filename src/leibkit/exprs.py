@@ -36,6 +36,7 @@ from .scalars import (
     QuadExtElem,
     QuadExtField,
     gaussian_sqrt,
+    mixes_radicals,
 )
 
 
@@ -166,8 +167,7 @@ def parse_scalar_rows(rows):
     """Rows of scalar literals as rows of scalars, for one matrix: raises
     ExprSyntaxError when two entries need different radicals."""
     values = [[parse_scalar(t) for t in row] for row in rows]
-    if len({v.field for row in values for v in row
-            if isinstance(v, QuadExtElem)}) > 1:
+    if mixes_radicals(v for row in values for v in row):
         raise ExprSyntaxError("mixed radicals in one matrix")
     return values
 

@@ -36,7 +36,7 @@ from .catalogue import instantiate as cat_instantiate
 from .invariants import signature
 from .linalg import Matrix, SingularMatrix
 from .scalars import (DenominatorDividesP, FieldMismatch, GaussianRational,
-                      PrimeField, reduce_mod_p)
+                      PrimeField, mixes_radicals, reduce_mod_p)
 
 CERTIFIED = "certified"
 EVIDENCE = "evidence"
@@ -826,16 +826,19 @@ class WitnessFixture:
     def realize(self, catalogue):
         """Return (source algebra, target algebra, witness matrix).
 
-        Entries may lie in one quadratic extension of Q(i); they mix
-        with the Q(i) entries and with the Q(i) algebras as they stand.
-        Raises FixtureError when two entries need different radicals.
+        Entries and inline constants may lie in one quadratic extension
+        of Q(i); they mix with the Q(i) scalars as they stand.  Raises
+        FixtureError when two of them need different radicals.
         """
         src = _fixture_side(self.source, catalogue)
         tgt = _fixture_side(self.target, catalogue)
-        try:  # each literal was checked at load; only a mix can fail
-            entries = exprs.parse_scalar_rows(self.matrix_text)
-        except exprs.ExprSyntaxError as ex:
-            raise FixtureError("%s: %s" % (self.label, ex)) from None
+        entries = [[exprs.parse_scalar(t) for t in row]
+                   for row in self.matrix_text]
+        if mixes_radicals(itertools.chain(
+                *entries, *(comps.values() for alg in (src, tgt)
+                            for comps in alg.table.values()))):
+            raise FixtureError("%s: mixed radicals in one witness"
+                               % self.label)
         return src, tgt, Matrix(entries)
 
 

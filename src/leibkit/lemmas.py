@@ -25,21 +25,15 @@ from .invariants import InvariantSignature
 
 def center_bound(k: int) -> int:
     """Upper bound for dim A^2 given codim of the center; exact integer."""
-    num = k * k - k + 2
-    assert num % 2 == 0
-    return num // 2
+    return (k * k - k + 2) // 2
 
 
 def derived_bound_i(k: int, t: int) -> int:
-    num = k * k + k + 2
-    assert num % 2 == 0
-    return t + num // 2
+    return t + (k * k + k + 2) // 2
 
 
 def derived_bound_ii(k: int, t: int) -> int:
-    num = k * k + k
-    assert num % 2 == 0
-    return t + num // 2
+    return t + (k * k + k) // 2
 
 
 @dataclass(frozen=True)

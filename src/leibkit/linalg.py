@@ -8,18 +8,17 @@ reduced forms canonical for a given row space.  Q(i) entries and entries
 of one quadratic extension may share a matrix or a subspace.
 
 The public constructors ``Matrix(rows)`` and ``Subspace(ambient, vectors)``
-promote int and Fraction entries of caller input to Q(i).  What the kernel
-builds from its own scalars (the results of ``rref``, ``transpose``, ``@``,
-``inv`` and ``identity``, and the spans of kernel vectors) goes through
-``Matrix._of`` and ``Subspace._span``, which trust their entries and
-skip that promotion.
+put caller entries through ``scalars.promote``; ``Matrix.apply`` leaves
+its vector to the scalar operators, which promote an int or Fraction
+operand themselves.  What the kernel builds from its own scalars (the
+results of ``rref``, ``transpose``, ``@``, ``inv`` and ``identity``, and
+the spans of kernel vectors) goes through ``Matrix._of`` and
+``Subspace._span``, which trust their entries and skip the promotion.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO, promote
 
 
 class AmbientMismatch(ValueError):
@@ -28,16 +27,6 @@ class AmbientMismatch(ValueError):
 
 class SingularMatrix(ArithmeticError):
     """Inversion was requested for a matrix without full rank."""
-
-
-def _coerce_scalar(x):
-    # the exact type test first: isinstance against Fraction goes through
-    # the numbers ABCs, and nearly every scalar here is already in Q(i)
-    if type(x) is GaussianRational:
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    return x
 
 
 class Matrix:
@@ -55,7 +44,7 @@ class Matrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        rows = tuple(tuple(_coerce_scalar(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(promote, row)) for row in rows)
         width = len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != width:
@@ -115,7 +104,6 @@ class Matrix:
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of scalars."""
-        vec = [_coerce_scalar(x) for x in vec]
         if len(vec) != self.ncols:
             raise AmbientMismatch("vector length differs from column count")
         return tuple(_dot(row, vec) for row in self.rows)

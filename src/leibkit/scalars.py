@@ -10,13 +10,15 @@ Two element kinds cover every coefficient the kernel manipulates:
   non-square d.  Exactly one square-root generator is supported; nested
   radicals are out of scope by design.
 
-Plain rationals are ``fractions.Fraction`` values; they coerce into either
-element kind.  Q(i) values mix freely with extension values: arithmetic
-and equality coerce the Q(i) operand into the extension, and an
-extension value with no sqrt(d) part hashes like its Q(i) value, so a
-matrix or a table may hold both kinds.  The kernel's constants are
-``ONE`` and ``ZERO`` whatever field the entries live in.  Both types are
-immutable and hashable.
+The tower has two rules, each written once here: ``promote`` turns an
+int or a ``fractions.Fraction`` into Q(i), and ``mixes_radicals`` tells
+scalars that need two different radicals, which no one object holds.
+Q(i) values mix freely with extension values: arithmetic and equality
+coerce the Q(i) operand into the extension, and an extension value with
+no sqrt(d) part hashes like its Q(i) value, so a matrix or a table may
+hold both kinds.  The kernel's constants are ``ONE`` and ``ZERO``
+whatever field the entries live in.  Both types are immutable and
+hashable.
 
 ``PrimeField`` is a descriptor, not an element type: it checks that p is a
 prime with p = 1 (mod 4) and fixes the residue r with r*r = -1 (mod p)
@@ -95,64 +97,48 @@ class GaussianRational:
 
     @staticmethod
     def coerce(x) -> "GaussianRational":
-        o = GaussianRational._try_coerce(x)
-        if o is None:
+        o = promote(x)
+        if type(o) is not GaussianRational:
             raise FieldMismatch(f"cannot coerce {x!r} into Q(i)")
         return o
-
-    @staticmethod
-    def _try_coerce(x):
-        """Like coerce, but yields None for foreign types so that binary
-        operators can return NotImplemented and defer to the other operand
-        (e.g. to QuadExtElem, which knows how to embed Q(i))."""
-        if type(x) is GaussianRational:
-            return x
-        if type(x) is int:
-            return _triple(x, 0, 1)
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        return None
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        o = other if type(other) is GaussianRational else \
-            GaussianRational._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        d1, d2 = self._d, o._d
+        if type(other) is not GaussianRational:
+            other = promote(other)
+            if type(other) is not GaussianRational:
+                return NotImplemented
+        d1, d2 = self._d, other._d
         if d1 == d2:
-            return _normalised(self._a + o._a, self._b + o._b, d1)
-        return _normalised(self._a * d2 + o._a * d1,
-                           self._b * d2 + o._b * d1, d1 * d2)
+            return _normalised(self._a + other._a, self._b + other._b, d1)
+        return _normalised(self._a * d2 + other._a * d1,
+                           self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if type(other) is GaussianRational else \
-            GaussianRational._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        d1, d2 = self._d, o._d
+        if type(other) is not GaussianRational:
+            other = promote(other)
+            if type(other) is not GaussianRational:
+                return NotImplemented
+        d1, d2 = self._d, other._d
         if d1 == d2:
-            return _normalised(self._a - o._a, self._b - o._b, d1)
-        return _normalised(self._a * d2 - o._a * d1,
-                           self._b * d2 - o._b * d1, d1 * d2)
+            return _normalised(self._a - other._a, self._b - other._b, d1)
+        return _normalised(self._a * d2 - other._a * d1,
+                           self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
-        o = GaussianRational._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return -self + other
 
     def __mul__(self, other):
-        o = other if type(other) is GaussianRational else \
-            GaussianRational._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        if type(other) is not GaussianRational:
+            other = promote(other)
+            if type(other) is not GaussianRational:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         return _normalised(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
-                           self._d * o._d)
+                           self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -165,17 +151,14 @@ class GaussianRational:
         return _normalised(d * a, -d * b, n)
 
     def __truediv__(self, other):
-        o = other if type(other) is GaussianRational else \
-            GaussianRational._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
+        if type(other) is not GaussianRational:
+            other = promote(other)
+            if type(other) is not GaussianRational:
+                return NotImplemented
+        return self * other.inv()
 
     def __rtruediv__(self, other):
-        o = GaussianRational._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
+        return self.inv() * other
 
     def __neg__(self):
         return _triple(-self._a, -self._b, self._d)
@@ -230,6 +213,19 @@ def _normalised(a: int, b: int, d: int) -> GaussianRational:
             a, b, d = a // g, b // g, d // g
     x = _new_object(GaussianRational)
     x._a, x._b, x._d = a, b, d
+    return x
+
+
+def promote(x):
+    """x as a scalar of the tower: an int or a Fraction becomes a
+    GaussianRational, and anything else comes back unchanged for the
+    caller to take or refuse."""
+    if type(x) is GaussianRational:
+        return x
+    if type(x) is int:
+        return _triple(x, 0, 1)
+    if isinstance(x, (int, Fraction)):
+        return GaussianRational(x)
     return x
 
 
@@ -382,6 +378,12 @@ class QuadExtElem:
         from .exprs import format_scalar
 
         return format_scalar(self)
+
+
+def mixes_radicals(scalars) -> bool:
+    """Whether scalars need two different radicals, which no one object
+    of the tower can hold."""
+    return len({x.field for x in scalars if type(x) is QuadExtElem}) > 1
 
 
 def quadext_sqrt(q: QuadExtElem) -> QuadExtElem | None:

@@ -359,6 +359,19 @@ MALFORMED_CATALOGUES = {
     "zero-divisor": product_catalogue("1/alpha"),
     "zero-divisor-constraint": one_entry_catalogue(constraints=["1/alpha"]),
 }
+
+
+def inline_witness(target_components, matrix):
+    """A witness from [e1, e1] = e2 to the inline table whose [e1, e1]
+    has `target_components`."""
+    def side(components):
+        return {"products": [
+            {"left": 1, "right": 1, "components": components}]}
+    return json.dumps({"witnesses": [{
+        "label": "w", "source": side({"2": "1"}),
+        "target": side(target_components), "matrix": matrix}]})
+
+
 MALFORMED_WITNESSES = {
     "not-utf8": NOT_UTF8,
     "invalid-json": "{not json",
@@ -370,6 +383,13 @@ MALFORMED_WITNESSES = {
     "duplicate-label": json.dumps({"witnesses": [{
         "label": "w", "source": {"entry": "A_1"}, "target": {"entry": "A_1"},
         "matrix": IDENTITY}] * 2}),
+    # the matrix needs sqrt(2) and the target's table sqrt(3)
+    "radicals-matrix-and-table": inline_witness(
+        {"2": "sqrt(3)"}, [["sqrt(2)"] + IDENTITY[0][1:]] + IDENTITY[1:]),
+    # one table needs both, under a non-diagonal matrix
+    "radicals-in-one-table": inline_witness(
+        {"2": "sqrt(2)", "3": "sqrt(3)"},
+        [["1", "1"] + IDENTITY[0][2:]] + IDENTITY[1:]),
 }
 
 

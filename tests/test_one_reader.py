@@ -4,35 +4,55 @@ by `verify_point`, each field has one elimination routine, the only one
 to invert a pivot: `_absorb` mod p and `Matrix.rref` exactly, and the
 witness search checks every relation through one residual: brackets mod
 p are taken only by `residual`, by `images` for the word images, and by
-the set-up routines `_mod_structure`, `_words` and `_rebase`."""
+the set-up routines `_mod_structure`, `_words` and `_rebase`.  The scalar
+tower's two rules live in `scalars`: outside it, only
+`exprs.format_scalar` tests for a Fraction or reads a scalar's field."""
 
 import ast
+import functools
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leibkit"
 
 
-def _calls(matches, name):
-    """(file, innermost enclosing function) of each call in the package
-    that `matches`; `name` may not be imported under an alias or be a
-    module imported from, since either would hide a call from the scan."""
-    calls = []
+@functools.cache
+def _package():
+    """(file name, syntax tree, node -> innermost enclosing function name)
+    for each module of the package, parsed once for all the scans."""
+    modules = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        owner = {}  # node -> innermost enclosing function name
+        owner = {}
+        # breadth first, so an inner function overrides its outer one
         for node in ast.walk(tree):
-            assert not (isinstance(node, ast.ImportFrom)
-                        and node.module == name), path.name
-            assert not (isinstance(node, (ast.Import, ast.ImportFrom))
-                        and any(a.name == name and a.asname
-                                for a in node.names)), path.name
-            # breadth first, so an inner function overrides its outer one
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update(dict.fromkeys(ast.walk(node), node.name))
-        calls += [(path.name, owner.get(node))
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and matches(node.func)]
-    return calls
+        modules.append((path.name, tree, owner))
+    return modules
+
+
+def _nodes(matches, name):
+    """(file, innermost enclosing function) of each syntax node in the
+    package that `matches`; `name` may not be imported under an alias or
+    be a module imported from, since either would hide a use from the
+    scan."""
+    found = []
+    for file, tree, owner in _package():
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.ImportFrom)
+                        and node.module == name), file
+            assert not (isinstance(node, (ast.Import, ast.ImportFrom))
+                        and any(a.name == name and a.asname
+                                for a in node.names)), file
+        found += [(file, owner.get(node))
+                  for node in ast.walk(tree) if matches(node)]
+    return found
+
+
+def _calls(matches, name):
+    """_nodes for the calls whose callee `matches`."""
+    return _nodes(lambda node: isinstance(node, ast.Call)
+                  and matches(node.func), name)
 
 
 def _is_json_load(func):
@@ -68,3 +88,29 @@ def test_one_residual_per_relation():
     brks = _calls(lambda func: getattr(func, "id", None) == "_brk", "_brk")
     assert set(brks) == {("iso.py", name) for name in (
         "_mod_structure", "_words", "_rebase", "images", "residual")}, brks
+
+
+def _outside_scalars(found):
+    return [c for c in found if c[0] != "scalars.py"]
+
+
+def _names_fraction(node):
+    return "Fraction" in (getattr(node, "id", None),
+                          getattr(node, "attr", None))
+
+
+def test_fraction_tests_only_in_scalars():
+    fraction_tests = _nodes(
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and any(_names_fraction(n)
+                for arg in node.args[1:] for n in ast.walk(arg)),
+        "Fraction")
+    assert _outside_scalars(fraction_tests) == [
+        ("exprs.py", "format_scalar")], fraction_tests
+
+
+def test_scalar_fields_read_only_in_scalars():
+    fields = _nodes(lambda node: isinstance(node, ast.Attribute)
+                    and node.attr == "field", "field")
+    assert _outside_scalars(fields) == [("exprs.py", "format_scalar")], fields

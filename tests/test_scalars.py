@@ -1,10 +1,13 @@
 """Exact scalar domains: Q(i), quadratic extensions, GF(p)."""
 
+import operator
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leibkit.exprs import format_scalar, parse_scalar
 from leibkit.scalars import (
@@ -44,6 +47,25 @@ def test_gaussian_mixed_operands():
     assert 2 / a == GaussianRational(1, -1)
     assert GaussianRational(3) == 3
     assert a != "1+i"
+
+
+rationals = st.fractions(-1000, 1000, max_denominator=50)
+ints_or_fractions = st.one_of(st.integers(-1000, 1000), rationals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals, rationals, ints_or_fractions)
+def test_operators_promote_ints_and_fractions(re, im, k):
+    a, gk = GaussianRational(re, im), GaussianRational(k)
+    ops = [lambda x, y: y - x, operator.sub, operator.mul]
+    if not a.is_zero():
+        ops.append(lambda x, y: y / x)
+    for op in ops:
+        value = op(a, k)
+        assert type(value) is GaussianRational and value == op(a, gk)
+        if not a.is_zero():
+            with pytest.raises(TypeError):
+                op(a, float(k))
 
 
 def test_gaussian_inv():
