@@ -17,7 +17,10 @@ relation check, class or layer, is the L_t part of one residual over the
 source's word images, a class level setting the generators still to
 come to zero; a layer system's matrix is its residuals' change at unit
 steps.  Run on polynomials in a node's unknowns, the residuals give that
-node's checks once, and each candidate only evaluates them.
+node's checks once.  Its candidates come in runs that move one
+coordinate, along which each check is a polynomial in it; a run is
+decided from the checks' roots, so the candidates it rejects are counted
+in stretches rather than one by one.
 """
 
 from __future__ import annotations
@@ -150,34 +153,47 @@ def _variables(k):
     return [_Poly({(i,): 1}) for i in range(k)]
 
 
-def _compile(polys, k, p):
-    """A test of whether any of the polynomials (ints or _Poly) in k
-    variables is nonzero mod p at a point.  The polynomials are reduced
-    to a basis of their span once, and a monomial of degree two or more
-    takes one product from a shorter monomial's value, so a point costs
-    a few dot products."""
+def _compile(polys, p):
+    """The checks `polys` (ints or _Poly) along runs, or None when they
+    span a nonzero constant and so fail everywhere.  They are reduced
+    once to echelon rows over their monomials, the rows that lead with
+    the lowest degree first.  On a run only variable pos moves, so each
+    row is a polynomial in it, t: `along(vec, pos)` gives each row's
+    coefficients of 1, t, t^2, ..."""
     polys = [_as_poly(f) for f in polys]
-    monos = {mo[:d] for f in polys for mo in f for d in range(2, len(mo) + 1)}
-    monos = ([()] + [(i,) for i in range(k)]
-             + sorted(monos, key=lambda mo: (len(mo), mo)))
+    monos = {mo[:d] for f in polys for mo in f for d in range(len(mo) + 1)}
+    monos = sorted(monos, key=lambda mo: (len(mo), mo))
     index = {mo: e for e, mo in enumerate(monos)}
-    steps = [(index[mo[:-1]], mo[-1]) for mo in monos[k + 1:]]
+    steps = [(index[mo[:-1]], mo[-1]) for mo in monos[1:]]
     basis = []
     for f in polys:
-        _absorb(basis, [f.get(mo, 0) % p for mo in monos], p)
-    rows = [row for _, row in basis]
-    if any(not any(row[1:]) for row in rows):
-        return lambda point: True   # a nonzero constant
+        _absorb(basis, [f.get(mo, 0) % p for mo in reversed(monos)], p)
+    basis.sort(reverse=True)
+    if basis and basis[0][0] == len(monos) - 1:
+        return None
+    layouts = {}
 
-    def nonzero(point):
-        vals = [1, *point]
+    def layout(pos):
+        """Each row split by the degree in variable pos of its monomials."""
+        degrees = [mo.count(pos) for mo in monos]
+        return [[[c if d == deg else 0 for c, d in zip(row[::-1], degrees)]
+                 for deg in range(max(degrees + [1]) + 1)]
+                for _, row in basis]
+
+    def along(vec, pos):
+        if pos not in layouts:
+            layouts[pos] = layout(pos)
+        vals = [1]
         for e, var in steps:
-            vals.append(vals[e] * point[var])
-        for row in rows:
-            if sum(map(operator.mul, row, vals)) % p:
-                return True
-        return False
-    return nonzero
+            vals.append(vals[e] if var == pos else vals[e] * vec[var] % p)
+        return [[sum(map(operator.mul, r, vals)) % p for r in row]
+                for row in layouts[pos]]
+    return along
+
+
+def _at(f, t, p):
+    """The polynomial f, its coefficients lowest degree first, at t."""
+    return sum(c * t ** d for d, c in enumerate(f)) % p
 
 
 def _reduce(rows, v, p):
@@ -261,39 +277,106 @@ def _balanced_vals(p):
         yield p - k
 
 
-def _images(k, p):
-    """All nonzero vectors of GF(p)^k, sparse ones first, small entries
-    first inside each block.
-
-    Vectors of weight 1 and 2 come straight from the lazy value order, so
-    a search that stops in them holds no table of size p; only the dense
-    block, reached when k >= 3, lists the p values for its product.
+def _runs(k, p, zero=False):
+    """The nonzero vectors of GF(p)^k, sparse ones first, small entries
+    first inside each block, in runs (vec, pos, lo): vec with its entry
+    pos set to each value of `_balanced_vals(p)` from the lo-th on.
+    With `zero`, the zero vector opens the first run.  A run is a
+    position of weight 1, a (a, b, vec[a]) of weight 2, or a head of
+    k - 1 entries; only this dense block, when k >= 3, lists p values.
     """
-    def nonzero():
-        return itertools.islice(_balanced_vals(p), 1, None)
-
     for pos in range(k):
-        for v in nonzero():
-            vec = [0] * k
-            vec[pos] = v
-            yield tuple(vec)
+        yield (0,) * k, pos, int(pos > 0 or not zero)
     for a in range(k):
         for b in range(a + 1, k):
-            for va in nonzero():
-                for vb in nonzero():
-                    vec = [0] * k
-                    vec[a] = va
-                    vec[b] = vb
-                    yield tuple(vec)
+            for va in itertools.islice(_balanced_vals(p), 1, None):
+                yield (0,) * a + (va,) + (0,) * (k - a - 1), b, 1
     if k < 3:
         return
-    for vec in itertools.product(_balanced_vals(p), repeat=k):
-        if k - vec.count(0) > 2:
-            yield vec
+    for head in itertools.product(_balanced_vals(p), repeat=k - 1):
+        weight = k - 1 - head.count(0)
+        if weight > 1:
+            yield head + (0,), k - 1, int(weight == 2)
 
 
 class _Stop(Exception):
     pass
+
+
+class _Tally:
+    """The candidates tried so far, against the cap."""
+
+    def __init__(self, cap):
+        self.cap, self.count = cap, 0
+
+    def step(self, level, outcome=None, n=1):
+        """Count n candidates tried at the level and stopped by `outcome`,
+        or passed on when it is None; past the cap, stop the search where
+        the next candidate would be tried."""
+        take = max(0, min(n, self.cap - self.count))
+        self.count += take
+        level.tried += take
+        if outcome:
+            setattr(level, outcome, getattr(level, outcome) + take)
+        if take < n:
+            raise _Stop
+
+
+def _zeros(rows, lo, p):
+    """The positions from lo on of a run where all the rows vanish,
+    polynomials in its free coordinate t: all or none of them when no row
+    varies, else at most the root of the first row of degree 1, or None,
+    undecided, when every row that varies has degree 2 or more."""
+    undecided = False
+    for f in rows:
+        if any(f[2:]):
+            undecided = True
+        elif f[1]:
+            root = []
+            if f[0]:
+                _absorb(root, f[1::-1], p)
+            t = -root[0][1][1] % p if root else 0
+            i = max(2 * t - 1, 0) if 2 * t < p else 2 * (p - t)  # t's place
+            return (i,) if i >= lo and not any(
+                _at(g, t, p) for g in rows) else ()
+        elif f[0]:
+            return ()
+    return None if undecided else range(lo, p)
+
+
+def _sweep(tally, level, runs, checks, outcome, p, dependence=None):
+    """Yield the vectors of the runs that pass the level, in order.
+
+    A vector is dependent when all its `dependence` rows vanish, and
+    stopped under `outcome` when some row of `checks` (None: a nonzero
+    constant) does not; both come from `_compile`.  Along a run these
+    rows vanish at one value of t, at all or at none, so each stretch of
+    rejected vectors between two others is counted in one step; a run
+    that `_zeros` leaves undecided is walked one vector at a time.
+    """
+    for vec, pos, lo in runs:
+        dep = _zeros(dependence(vec, pos), lo, p) if dependence else ()
+        if isinstance(dep, range):
+            tally.step(level, "dependent", p - lo)
+            continue
+        rows = checks(vec, pos) if checks else [[1, 0]]
+        ok = _zeros(rows, lo, p)
+        i = lo
+        while i < p:
+            t = (i + 1) // 2 if i % 2 else -(i // 2) % p   # the i-th value
+            if i in dep:
+                tally.step(level, "dependent")
+            elif ok is None and any(_at(f, t, p) for f in rows):
+                tally.step(level, outcome)
+            elif ok is not None and i not in ok:
+                stop = min([j for j in (*dep, *ok) if j > i], default=p)
+                tally.step(level, outcome, stop - i)
+                i = stop
+                continue
+            else:
+                tally.step(level)
+                yield vec[:pos] + (t,) + vec[pos + 1:]
+            i += 1
 
 
 @dataclass
@@ -447,7 +530,9 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     A node's checks (a class's dependence and relations, or the next
     layer's consistency) are polynomials over GF(prime) in its unknowns,
     the class or the kernel coefficients; they are compiled once per
-    node, so a candidate costs a few dot products.  The search stops once
+    node and evaluated once per run of candidates (`_runs`, `_sweep`),
+    which counts the rejected stretches between the candidates that
+    vanish there in one step each.  The search stops once
     `enough(witnesses so far)` is true; the default, `bool`, at the first.
 
     Raises BadPrime when the reduction is undefined or drops a
@@ -549,13 +634,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     levels = [LevelCounts("class %d" % (a + 1)) for a in range(m)]
     levels += [LevelCounts("layer %d" % t) for t in range(3, depth + 1)]
     found = []
-    count = [0]
-
-    def tick(level):
-        if count[0] >= cap:
-            raise _Stop
-        count[0] += 1
-        level.tried += 1
+    tally = _Tally(cap)
 
     def leaf(y, level):
         """Check the complete map: cols[c], the image of the source's
@@ -583,17 +662,12 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         rows = []
         for u in x:
             _absorb(rows, u[:m], p)
-        independent = _compile(_reduce(rows, _variables(m), p), m, p)
+        dependence = _compile(_reduce(rows, _variables(m), p), p)
         broken = _compile([c for t, i, j, terms in checks[a]
-                           for c in residual(t, y, i, j, terms)], m, p)
-        for v in _images(m, p):
-            tick(level)
-            if not independent(v):
-                level.dependent += 1
-            elif broken(v):
-                level.relations += 1
-            else:
-                settle(a + 1, x + [v + pad], {})
+                           for c in residual(t, y, i, j, terms)], p)
+        for v in _sweep(tally, level, _runs(m, p), broken, "relations", p,
+                        dependence):
+            settle(a + 1, x + [v + pad], {})
 
     def settle(s, x, systems):
         """Carry a candidate that passed level s - 1 on to level s.
@@ -640,22 +714,23 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
             b = rhs(t + 1, images(solution([1] + _variables(len(null)))))
             rows = [sum(b[e] * v for e, v in f) % p
                     for f in systems[t + 1][0]]
-        inconsistent = _compile(rows, len(null), p)
+        inconsistent = _compile(rows, p)
         level = levels[s]
-        for coef in itertools.chain([(0,) * len(null)],
-                                    _images(len(null), p)):
-            tick(level)
-            if inconsistent(coef):
-                level.inconsistent += 1
-            else:
-                settle(s + 1, solution((1, *coef)), systems)
+        if inconsistent is None:
+            return tally.step(level, "inconsistent", p ** len(null))
+        if not null:
+            tally.step(level)
+            return settle(s + 1, solution((1,)), systems)
+        for coef in _sweep(tally, level, _runs(len(null), p, zero=True),
+                           inconsistent, "inconsistent", p):
+            settle(s + 1, solution((1, *coef)), systems)
 
     status = "exhausted"
     try:
         settle(0, [], None)
     except _Stop:
         status = "capped"
-    return SearchResult("found" if found else status, prime, count[0],
+    return SearchResult("found" if found else status, prime, tally.count,
                         tuple(found), tuple(levels))
 
 

@@ -1,5 +1,6 @@
 """Witness verification, modular search, lifting, and the fixture file."""
 
+import contextlib
 import itertools
 import json
 import operator
@@ -21,17 +22,23 @@ from leibkit.iso import (
     FixtureError,
     LevelCounts,
     _absorb,
+    _at,
     _brk,
     _compile,
-    _images,
     _int_table,
     _inv_mat,
     _mod_structure,
     _Poly,
     _prepare,
     _rebase,
+    _reduce,
+    _runs,
+    _Stop,
     _structural_dims,
+    _sweep,
+    _Tally,
     _unliftable,
+    _variables,
     adapted_search,
     certify,
     lift_witness,
@@ -317,6 +324,7 @@ def test_compiled_bracket_matches_brk(data, p, n, k):
     v = data.draw(_poly_vectors(n, k, p))
     point = data.draw(st.lists(st.integers(0, p - 1), min_size=k,
                                max_size=k))
+    pos = data.draw(st.integers(0, k - 1))
     # evaluation commutes with the arithmetic, ints on either side
     for f, g in zip(u, v):
         fx, gx = _poly_at(f, point, p), _poly_at(g, point, p)
@@ -326,19 +334,29 @@ def test_compiled_bracket_matches_brk(data, p, n, k):
     want = _brk(table, [_poly_at(f, point, p) for f in u],
                 [_poly_at(f, point, p) for f in v], n, p)
     assert [_poly_at(f, point, p) for f in w] == want
-    # the compiled test sees a nonzero entry exactly where there is one,
-    # and none in the differences, also after reducing them to a basis
+    # the compiled checks, on the run through the point that moves pos,
+    # see a nonzero entry exactly where there is one, and none in the
+    # differences, also after reducing them to a basis
+    def nonzero(polys):
+        along = _compile(polys, p)
+        return along is None or any(_at(f, point[pos], p)
+                                    for f in along(tuple(point), pos))
     for f, c in zip(w, want):
-        assert _compile([f], k, p)(point) == bool(c)
-    assert not _compile([f - c for f, c in zip(w, want)], k, p)(point)
-    assert _compile(w, k, p)(point) == any(want)
+        assert nonzero([f]) == bool(c)
+    assert not nonzero([f - c for f, c in zip(w, want)])
+    assert nonzero(w) == any(want)
+
+
+def _balanced(p):
+    vals = [0]
+    for x in range(1, (p - 1) // 2 + 1):
+        vals += [x, p - x]
+    return vals
 
 
 def _listed_images(k, p):
     # the order the search enumerates in, written out as whole lists
-    vals = [0]
-    for x in range(1, (p - 1) // 2 + 1):
-        vals += [x, p - x]
+    vals = _balanced(p)
     nz = vals[1:]
     out = []
     for pos in range(k):
@@ -359,12 +377,83 @@ def _listed_images(k, p):
     return out
 
 
+def _flattened(k, p, zero=False):
+    vals = _balanced(p)
+    return [vec[:pos] + (t,) + vec[pos + 1:]
+            for vec, pos, lo in _runs(k, p, zero) for t in vals[lo:]]
+
+
 @pytest.mark.parametrize("p", [5, 13, 17, 29])
 def test_images_order(p):
     for k in range(5):
-        got = list(_images(k, p))
+        got = _flattened(k, p)
         assert got == _listed_images(k, p)
         assert len(got) == p ** k - 1
+        if 0 < k < 4:
+            assert _flattened(k, p, zero=True) == [(0,) * k] + got
+
+
+@st.composite
+def _run_checks(draw, k, p):
+    """Polynomials of degree at most 2 in k variables, some of them zero
+    or constant."""
+    mono = st.lists(st.integers(0, k - 1), max_size=2).map(
+        lambda vs: tuple(sorted(vs)))
+    poly = st.dictionaries(mono, st.integers(0, p - 1), max_size=3).map(_Poly)
+    return draw(st.lists(st.one_of(st.integers(0, 2), poly), max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from([5, 13]), k=st.integers(1, 3))
+def test_sweep_matches_candidate_loop(data, p, k):
+    checks = data.draw(_run_checks(k, p))
+    earlier = data.draw(st.none() | st.lists(
+        st.tuples(*[st.integers(0, p - 1)] * k), max_size=k - 1))
+    zero = earlier is None and data.draw(st.booleans())
+    cap = data.draw(st.integers(0, p ** k + 1))
+    candidates = [(0,) * k] * zero + _listed_images(k, p)
+    # the loop the sweep replaces: one candidate at a time, each checked
+    # at its point and counted on its own
+    want = LevelCounts("x")
+    passed = []
+    span = set()
+    if earlier is not None:
+        span = {tuple(sum(c * u[r] for c, u in zip(cs, earlier)) % p
+                      for r in range(k))
+                for cs in itertools.product(range(p), repeat=len(earlier))}
+    for v in candidates[:cap]:
+        want.tried += 1
+        if v in span:
+            want.dependent += 1
+        elif any(_poly_at(f, v, p) for f in checks):
+            want.relations += 1
+        else:
+            passed.append(v)
+    dependence = None
+    if earlier is not None:
+        rows = []
+        for u in earlier:
+            _absorb(rows, list(u), p)
+        dependence = _compile(_reduce(rows, _variables(k), p), p)
+    got = LevelCounts("x")
+    tally = _Tally(cap)
+    swept = []
+    with pytest.raises(_Stop) if cap < len(candidates) else \
+            contextlib.nullcontext():
+        for v in _sweep(tally, got, _runs(k, p, zero), _compile(checks, p),
+                        "relations", p, dependence):
+            swept.append(v)
+    assert (got, swept, tally.count) == (want, passed, want.tried)
+
+
+def test_large_prime_clips_one_run(catalogue):
+    # class 2 starts with the multiples of class 1 = (1, 0): one run of
+    # 10^9 dependent vectors, counted in one step clipped at the cap
+    alg = instantiate(catalogue.entry("A_1"))
+    result = adapted_search(alg, alg, prime=1000000009)
+    assert (result.status, result.candidates) == ("capped", DEFAULT_CAP)
+    assert result.levels[1] == LevelCounts(
+        "class 2", tried=DEFAULT_CAP - 1, dependent=DEFAULT_CAP - 1)
 
 
 def test_lift_failure_names_the_entry(catalogue):

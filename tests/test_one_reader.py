@@ -4,9 +4,11 @@ by `verify_point`, each field has one elimination routine, the only one
 to invert a pivot: `_absorb` mod p and `Matrix.rref` exactly, and the
 witness search checks every relation through one residual: brackets mod
 p are taken only by `residual`, by `images` for the word images, and by
-the set-up routines `_mod_structure`, `_words` and `_rebase`.  The scalar
-tower's two rules live in `scalars`: outside it, only
-`exprs.format_scalar` tests for a Fraction or reads a scalar's field."""
+the set-up routines `_mod_structure`, `_words` and `_rebase`; and its
+candidates are enumerated in one way, each call of `_runs` handing its
+runs straight to `_sweep`.  The scalar tower's two rules live in
+`scalars`: outside it, only `exprs.format_scalar` tests for a Fraction
+or reads a scalar's field."""
 
 import ast
 import functools
@@ -88,6 +90,22 @@ def test_one_residual_per_relation():
     brks = _calls(lambda func: getattr(func, "id", None) == "_brk", "_brk")
     assert set(brks) == {("iso.py", name) for name in (
         "_mod_structure", "_words", "_rebase", "images", "residual")}, brks
+
+
+def _names(func, name):
+    return getattr(func, "id", None) == name
+
+
+def test_runs_iterated_only_by_the_sweep():
+    runs = _calls(lambda func: _names(func, "_runs"), "_runs")
+    swept = _calls(lambda func: _names(func, "_sweep"), "_sweep")
+    handed = _nodes(lambda node: isinstance(node, ast.Call)
+                    and _names(node.func, "_sweep")
+                    and any(isinstance(arg, ast.Call)
+                            and _names(arg.func, "_runs")
+                            for arg in node.args), "_sweep")
+    assert runs and runs == handed == swept, (runs, handed, swept)
+    assert {file for file, _ in runs} == {"iso.py"}
 
 
 def _outside_scalars(found):
