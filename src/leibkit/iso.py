@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import exprs
 from .algebra import LeibnizAlgebra
 from .catalogue import (DIMENSION, CatalogueError, _expect,
                         parse_expr_checked, parse_products, product_table,
@@ -453,41 +452,31 @@ def _mod_structure(tab, n, p):
     return (tuple(dims), len(leib), n - len(images)), series
 
 
-def _layers(series, n, p):
-    """Basis rows adapted to the series A > A^2 > ... > 0 and the layer
-    of each row: the rows of layer t complete A^(t+1) to A^t."""
-    basis, layer = [], []
-    above = [tuple(int(t == i) for t in range(n)) for i in range(n)]
-    for t, rows in enumerate(series, 1):
-        below = list(rows)
-        for v in above:
-            if _absorb(below, v, p):
-                basis.append(v)
-                layer.append(t)
-        above = [bv for _, bv in rows]
-    return basis, layer
-
-
-def _words(tab, gens, series, n, p):
-    """Left-normed words [g_a, w] over the generators, each kept when it
-    is independent modulo the next series term: with the generators, a
-    basis adapted to the lower central series.  Returns the word rows
-    and, for each word past the generators, its pair (a, w)."""
-    rows = list(gens)
-    pairs = [None] * len(gens)
-    last = range(len(gens))
-    for term in series[1:]:
+def _words(tab, series, n, p):
+    """Left-normed words [g_a, w] over the generators g_a, the unit
+    vectors that complete A^2, each word kept when it is independent
+    modulo the next series term: a basis adapted to the lower central
+    series.  Returns the word rows, for each word past the generators its
+    pair (a, w), and each word's layer, its length."""
+    below = list(series[0])
+    units = (tuple(int(t == i) for t in range(n)) for i in range(n))
+    rows = [u for u in units if _absorb(below, u, p)]
+    m = len(rows)
+    pairs, layer = [None] * m, [1] * m
+    last = range(m)
+    for t, term in enumerate(series[1:], 2):
         below = list(term)
         new = []
-        for a, g in enumerate(gens):
+        for a in range(m):
             for w in last:
-                v = _brk(tab, g, rows[w], n, p)
+                v = _brk(tab, rows[a], rows[w], n, p)
                 if _absorb(below, v, p):
                     new.append(len(rows))
                     rows.append(tuple(v))
                     pairs.append((a, w))
+                    layer.append(t)
         last = new
-    return rows, pairs
+    return rows, pairs, layer
 
 
 def _rebase(tab, basis, inv, n, p):
@@ -509,11 +498,12 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     """Search for witnesses source -> target over GF(prime), layer by
     layer through the lower central series.
 
-    The source is written in left-normed words over generators g_a that
-    complete A^2, the target in a basis whose layer L_t completes
-    A^(t+1) to A^t, and a witness is fixed by the images x_a of the
-    generators.  Every relation check, class or layer, is the L_t part of
-    one residual [y_i, y_j] - sum s_k y_k over the word images y.  First
+    Each algebra is written in its own left-normed words (`_words`,
+    chosen mod prime) over generators that complete its square, so the
+    words of length t, layer L_t, complete A^(t+1) to A^t; a witness is
+    fixed by the images x_a of the source's generators g_a.  Every
+    relation check, class or layer, is the L_t part of one residual
+    [y_i, y_j] - sum s_k y_k over the word images y.  First
     each generator's class, its L_1 part, is enumerated small-first; a
     class dependent on the earlier ones, or one that breaks the graded
     part of a relation it completes (t the sum of the layers of b_i and
@@ -524,9 +514,9 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     only its solutions are tried, free variables small-first.  The last
     layer enters no relation and is set to 0.  Each class and each affine
     solution tried counts as one candidate.  Every complete map is
-    checked as `verify_witness` checks a witness: the target's table,
-    rewritten by `_rebase` in the map's columns, must equal the source's
-    (a singular map counts under `rank`).
+    checked as `verify_witness` checks a witness, in the two word tables:
+    the target's, rewritten by `_rebase` in the images of the source's
+    words, must equal the source's (a singular map counts under `rank`).
     A node's checks (a class's dependence and relations, or the next
     layer's consistency) are polynomials over GF(prime) in its unknowns,
     the class or the kernel coefficients; they are compiled once per
@@ -558,10 +548,10 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     if dims_s[0][-1]:
         raise ValueError("the layered search needs nilpotent algebras")
 
-    basis, layer = _layers(series_t, n, p)
-    gens = [v for v, t in zip(*_layers(series_s, n, p)) if t == 1]
-    words, pairs = _words(tab_s, gens, series_s, n, p)
-    if len(words) != n:
+    # both sides in their own words; equal dims give them equal layers
+    words, pairs, layer = _words(tab_s, series_s, n, p)
+    basis, _, _ = _words(tab_t, series_t, n, p)
+    if len(words) != n or len(basis) != n:
         raise BadPrime(f"{prime} breaks generation by the complement")
     inv_words = _inv_mat(words, p)
     src = _rebase(tab_s, words, inv_words, n, p)
@@ -572,7 +562,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
                for (i, j), comps in tab.items() for k, _ in comps):
             raise BadPrime(f"{prime} breaks [A^i, A^j] <= A^(i+j)")
 
-    m = len(gens)
+    m = layer.count(1)
     depth = layer[-1]
     span = {t: [k for k in range(n) if layer[k] == t] for t in layer}
     # at[t]: the L_t part of each target product; on vectors inside L_s
@@ -597,7 +587,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         checks[max([last[i], last[j]] + lead)].append((t, i, j, terms))
 
     def images(x):
-        """Images of all source words in the target's adapted basis, the
+        """Images of all source words in the target's words, the
         generators past x set to zero."""
         y = list(x) + [(0,) * n] * (m - len(x))
         for a, w in pairs[m:]:
@@ -637,17 +627,18 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     tally = _Tally(cap)
 
     def leaf(y, level):
-        """Check the complete map: cols[c], the image of the source's
-        e_c, is the witness's column c, and the target rewritten in these
-        columns must be the source's table."""
-        cols = _matmul(inv_words, _matmul(y, basis, p), p)
-        inv = _inv_mat(cols, p)
+        """Check the complete map in the two word tables: the target's,
+        rewritten in the word images y, must be the source's.  A map that
+        passes becomes the witness: cols[c], the image of the source's
+        e_c in the target's basis, is its column c."""
+        inv = _inv_mat(y, p)
         if inv is None:
             level.rank += 1
-        elif _rebase(tab_t, cols, inv, n, p) != tab_s:
+        elif _rebase(tgt, y, inv, n, p) != src:
             level.relations += 1
         else:
             level.found += 1
+            cols = _matmul(inv_words, _matmul(y, basis, p), p)
             found.append(tuple(zip(*cols)))
             if enough(found):
                 raise _Stop
@@ -877,10 +868,7 @@ _REALIZE_CACHE = {}
 
 def _fixture_side(side, catalogue):
     if isinstance(side, dict):
-        entry = catalogue.entry(side["entry"])
-        values = {p: exprs.parse_scalar(t)
-                  for p, t in side.get("params", {}).items()}
-        return cat_instantiate(entry, values)
+        return cat_instantiate(catalogue.entry(side["entry"]), side["params"])
     return LeibnizAlgebra(DIMENSION, product_table(side))
 
 
@@ -889,14 +877,22 @@ class WitnessFixture:
     """One stored base change between two recorded algebras.
 
     `source` and `target` each hold a catalogue entry spec, a dict with
-    the entry name and its parameter literals, or an inline product table
-    parsed by the catalogue's reader; `matrix_text` holds the witness
-    entries as scalar literals.
+    the entry name and its parameter values, or an inline product table
+    parsed by the catalogue's reader.  `matrix_text` holds the witness
+    entries as scalar literals, and `matrix` their values, parsed once
+    when the fixture is made; CatalogueError names a bad literal.
     """
     label: str
     source: dict | tuple
     target: dict | tuple
     matrix_text: tuple
+    matrix: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        where = "witness %s matrix" % self.label
+        object.__setattr__(self, "matrix", tuple(
+            tuple(parse_expr_checked(text, None, where)[1] for text in row)
+            for row in self.matrix_text))
 
     def realize(self, catalogue):
         """Return (source algebra, target algebra, witness matrix).
@@ -907,27 +903,25 @@ class WitnessFixture:
         """
         src = _fixture_side(self.source, catalogue)
         tgt = _fixture_side(self.target, catalogue)
-        entries = [[exprs.parse_scalar(t) for t in row]
-                   for row in self.matrix_text]
         if mixes_radicals(itertools.chain(
-                *entries, *(comps.values() for alg in (src, tgt)
-                            for comps in alg.table.values()))):
+                *self.matrix, *(comps.values() for alg in (src, tgt)
+                                for comps in alg.table.values()))):
             raise FixtureError("%s: mixed radicals in one witness"
                                % self.label)
-        return src, tgt, Matrix(entries)
+        return src, tgt, Matrix(self.matrix)
 
 
 def _parse_side(spec, where):
-    """One side as realize takes it: the entry spec with its parameter
-    literals checked, or the inline table read by the catalogue's reader,
-    so that realizing it cannot fail on the file's shape."""
+    """One side as realize takes it: the entry name with its parameter
+    values, or the inline table read by the catalogue's reader, so that
+    realizing it cannot fail on the file's shape."""
     if "products" in spec:
         return parse_products(spec["products"], None, where)
-    _expect(spec["entry"], str, "%s entry" % where)
-    for text in _expect(spec.get("params", {}), dict,
-                        "%s params" % where).values():
-        parse_expr_checked(text, None, "%s params" % where)
-    return spec
+    name = _expect(spec["entry"], str, "%s entry" % where)
+    params = _expect(spec.get("params", {}), dict, "%s params" % where)
+    return {"entry": name,
+            "params": {p: parse_expr_checked(t, None, "%s params" % where)[1]
+                       for p, t in params.items()}}
 
 
 def _parse_fixture(rec, where):
@@ -949,9 +943,6 @@ def _parse_fixture(rec, where):
                    != DIMENSION for r in rows)):
         raise FixtureError("%s: matrix must be %dx%d"
                            % (where, DIMENSION, DIMENSION))
-    for row in rows:
-        for text in row:
-            parse_expr_checked(text, None, "%s matrix" % where)
     return WitnessFixture(
         label=rec["label"],
         source=sides[0],

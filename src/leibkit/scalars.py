@@ -176,13 +176,12 @@ class GaussianRational:
         return (self.re, self.im)
 
     def __eq__(self, other):
-        if type(other) is GaussianRational:
-            return (self._a == other._a and self._b == other._b
-                    and self._d == other._d)
-        if isinstance(other, (int, Fraction)):
-            return (self._b == 0 and self._a == other.numerator
-                    and self._d == other.denominator)
-        return NotImplemented
+        if type(other) is not GaussianRational:
+            other = promote(other)
+            if type(other) is not GaussianRational:
+                return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self):
         if self._b == 0:
@@ -361,13 +360,13 @@ class QuadExtElem:
         return (self.a.re, self.a.im, self.b.re, self.b.im)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if type(other) is not QuadExtElem:
+            other = promote(other)
+            if type(other) is not GaussianRational:
+                return NotImplemented
             other = self.field.embed(other)
-        if not isinstance(other, QuadExtElem):
-            return NotImplemented
-        if other.field != self.field:
-            return False
-        return self.a == other.a and self.b == other.b
+        return (other.field == self.field and self.a == other.a
+                and self.b == other.b)
 
     def __hash__(self):
         if self.b.is_zero():

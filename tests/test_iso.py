@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from leibkit import exprs
 from leibkit.algebra import LeibnizAlgebra
 from leibkit.catalogue import instantiate, sample_params
 from leibkit.iso import (
@@ -39,6 +40,7 @@ from leibkit.iso import (
     _Tally,
     _unliftable,
     _variables,
+    _words,
     adapted_search,
     certify,
     lift_witness,
@@ -538,6 +540,38 @@ def test_mod_structure_matches_exact_dims(catalogue):
         assert dims == _structural_dims(alg), entry.name
 
 
+@pytest.mark.parametrize("p", [13, 29])
+def test_words_adapted_to_the_series(catalogue, p):
+    # each side of a search is written in its own words: n independent
+    # rows, as many of length t as the lower central dims drop from A^t to
+    # A^(t+1), and past the generators each row the bracket of its pair
+    field = PrimeField(p)
+    checked = 0
+    for entry in catalogue:
+        alg = instantiate(entry, sample_params(entry, 1)[0])
+        try:
+            tab = _int_table(alg, field)
+        except DenominatorDividesP:
+            continue
+        dims, series = _mod_structure(tab, 5, p)
+        if dims != _structural_dims(alg):
+            continue
+        rows, pairs, layer = _words(tab, series, 5, p)
+        assert len(rows) == _rank(rows, p) == 5, entry.name
+        lower = dims[0]
+        assert [layer.count(t) for t in range(1, len(lower))] == [
+            a - b for a, b in zip(lower, lower[1:])], entry.name
+        for row, pair, t in zip(rows, pairs, layer):
+            if t == 1:
+                assert pair is None and sorted(row) == [0, 0, 0, 0, 1]
+                continue
+            a, w = pair
+            assert (layer[a], layer[w]) == (1, t - 1), entry.name
+            assert list(row) == _brk(tab, rows[a], rows[w], 5, p), entry.name
+        checked += 1
+    assert checked > 250
+
+
 # -- the search leaf's rewrite mod p against the exact base change --------
 
 REBASE_PRIMES = (5, 13, 29)
@@ -746,6 +780,23 @@ def test_extension_witness_rejected_when_wrong(witness_fixtures, catalogue):
     rows[4][3] = -rows[4][3]
     assert verify_witness(src, tgt, Matrix(rows)) is not None
     assert verify_witness(tgt, src, m.inv()) is None
+
+
+def test_realize_parses_no_scalar(witness_fixtures, catalogue, monkeypatch):
+    # load_fixtures keeps every value it parsed, so a realize pass parses
+    # no scalar literal, only constraints the catalogue has not yet parsed
+    calls = []
+    parse = exprs.parse_expr
+    monkeypatch.setattr(exprs, "parse_expr", lambda text, params: (
+        calls.append((text, params)) or parse(text, params)))
+    for fixture in witness_fixtures:
+        fixture.realize(catalogue)
+    entries = [catalogue.entry(side["entry"]) for f in witness_fixtures
+               for side in (f.source, f.target) if isinstance(side, dict)]
+    constraints = {text for entry in entries for text in itertools.chain(
+        entry.constraints, *entry.constraints_any)}
+    assert all(params is not None and text in constraints
+               for text, params in calls), calls
 
 
 def test_fixture_realize_shapes(witness_fixtures, catalogue):

@@ -8,7 +8,8 @@ the set-up routines `_mod_structure`, `_words` and `_rebase`; and its
 candidates are enumerated in one way, each call of `_runs` handing its
 runs straight to `_sweep`.  The scalar tower's two rules live in
 `scalars`: outside it, only `exprs.format_scalar` tests for a Fraction
-or reads a scalar's field."""
+or reads a scalar's field, and inside it only `promote` and
+`_as_fraction` test for a Fraction."""
 
 import ast
 import functools
@@ -126,6 +127,10 @@ def test_fraction_tests_only_in_scalars():
         "Fraction")
     assert _outside_scalars(fraction_tests) == [
         ("exprs.py", "format_scalar")], fraction_tests
+    # inside it, every other routine takes a Fraction through `promote`
+    assert {c for c in fraction_tests if c[0] == "scalars.py"} == {
+        ("scalars.py", "promote"), ("scalars.py", "_as_fraction")}, \
+        fraction_tests
 
 
 def test_scalar_fields_read_only_in_scalars():

@@ -50,15 +50,15 @@ def test_search_digest(catalogue):
             lines.append("%s %s %s" % (entry.name, entries[other].name,
                                        search_line(algs[k], algs[other])))
     text = "\n".join(lines) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGEST
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGEST, text
 
 
 # The eight `iso_dense` pairs at primes 13 and 29 and cap 20,000, then
 # ten seeded base changes of first points at prime 13 keeping up to three
 # witnesses: searches long enough to reach the later class levels and the
 # deepest affine layers, which the cap of 200 above stops short of.
-DEEP_DIGEST = ("c55dd4257bf1011a305673da4a32fdd7"
-               "c498cfbcb649a17579e8deabf06eb341")
+DEEP_DIGEST = ("ba6d05996930586bec617dbf22e60adc"
+               "04e7a6590f3aa2810d533b0f30e2f4e6")
 DEEP_PAIRS = (("A_5", {"alpha": 2}, "A_5", {"alpha": -2}),
               ("A_116", {"alpha": 2}, "A_116", {"alpha": -2}),
               ("A_5", {"alpha": 3}, "A_5", {"alpha": -3}),
@@ -89,4 +89,4 @@ def test_deep_search_digest(catalogue):
             alg, alg.base_change(Matrix(rows)), prime=13, cap=20_000,
             enough=lambda found: len(found) >= 3)))
     text = "\n".join(lines) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == DEEP_DIGEST
+    assert hashlib.sha256(text.encode()).hexdigest() == DEEP_DIGEST, text
