@@ -34,8 +34,7 @@ from .scalars import (
     FieldMismatch,
     GaussianRational,
     QuadExtElem,
-    QuadExtField,
-    gaussian_sqrt,
+    adjoin_sqrt,
     mixes_radicals,
 )
 
@@ -98,8 +97,7 @@ def _walk(node, params):
         arg = _walk(node.args[0], params)[1]  # a literal folds to one leaf
         if not (isinstance(arg, GaussianRational) and arg.is_rational()):
             raise ExprSyntaxError("sqrt argument must be a rational constant")
-        root = gaussian_sqrt(arg)
-        return ("num", root if root is not None else QuadExtField(arg).sqrt_d)
+        return ("num", adjoin_sqrt(arg)[0])
     # unparse shows the node as written, less the "_" of each name
     raise ExprSyntaxError("unsupported syntax %r"
                           % re.sub(r"\b_", "", pyast.unparse(node)))

@@ -25,24 +25,11 @@ from dataclasses import dataclass
 
 from .algebra import LeibnizAlgebra
 from .linalg import Matrix
-from .scalars import (
-    ONE,
-    ZERO,
-    GaussianRational,
-    QuadExtElem,
-    QuadExtField,
-    gaussian_sqrt,
-    quadext_sqrt,
-)
+from .scalars import ONE, ZERO, GaussianRational, adjoin_sqrt, field_sqrt
 
 
 class HypothesisViolation(ValueError):
     """The algebra does not satisfy the dimension hypotheses of the setup."""
-
-
-class ExtensionTowerNeeded(ArithmeticError):
-    """An exact witness would need a second quadratic extension; the scalar
-    tower stops at one, so canonicalization reports instead of guessing."""
 
 
 _HALF = GaussianRational(1) / 2
@@ -122,26 +109,6 @@ class CanonicalResult:
     extension_d: object = None  # generator of the QuadExt Q lives in, if any
 
 
-def _sqrt_in_field(x):
-    if isinstance(x, GaussianRational):
-        return gaussian_sqrt(x)
-    if isinstance(x, QuadExtElem):
-        return quadext_sqrt(x)
-    raise TypeError(f"no square-root rule for {type(x).__name__}")
-
-
-def _sqrt_allowing_extension(x):
-    """(root, extension generator or None); raises ExtensionTowerNeeded when
-    x already lives in an extension and has no root there."""
-    r = _sqrt_in_field(x)
-    if r is not None:
-        return r, None
-    if isinstance(x, GaussianRational):
-        fld = QuadExtField(x)
-        return fld.sqrt_d, x
-    raise ExtensionTowerNeeded(f"sqrt of {x!r} leaves its quadratic extension")
-
-
 def _form_value(s: Matrix, u, v):
     return (u[0] * s[0, 0] + u[1] * s[1, 0]) * v[0] + (u[0] * s[0, 1] + u[1] * s[1, 1]) * v[1]
 
@@ -168,7 +135,7 @@ def congruence_canonical(form: BilinearForm2) -> CanonicalResult:
 
     Q^T M Q equals the representative matrix exactly.  Q has entries in
     Q(i) or in a single quadratic extension (extension_d records the
-    generator); two stacked extensions raise ExtensionTowerNeeded.
+    generator); two stacked extensions raise scalars.ExtensionTowerNeeded.
 
     Every witness starts from the first diagonalization [u v'] of the
     symmetric part S.  As a0*b0 = det S, b0 = 0 there exactly when S has
@@ -205,7 +172,7 @@ def _canonical_rank_one(u, v_prime, a0, kappa) -> CanonicalResult:
     q1 = u/sqrt(a0) has S(q1, q1) = 1.  [q1 v'] takes S to diag(1, 0);
     Q = [nu*v' q1] takes S + kappa*J to [[0, 1], [-1, 1]] once nu makes
     kappa*det(Q) = 1."""
-    r, ext = _sqrt_allowing_extension(a0)
+    r, ext = adjoin_sqrt(a0)
     inv_r = r.inv()
     q1 = (u[0] * inv_r, u[1] * inv_r)
     if kappa.is_zero():
@@ -219,8 +186,8 @@ def _canonical_rank_one(u, v_prime, a0, kappa) -> CanonicalResult:
 def _canonical_sym_rank2(candidates) -> CanonicalResult:
     # prefer a diagonalization whose a0 and b0 both have roots in the field
     for u, v_prime, a0, b0 in candidates:
-        ra = _sqrt_in_field(a0)
-        rb = _sqrt_in_field(b0)
+        ra = field_sqrt(a0)
+        rb = field_sqrt(b0)
         if ra is not None and rb is not None:
             q = Matrix([[u[0] * ra.inv(), v_prime[0] * rb.inv()],
                         [u[1] * ra.inv(), v_prime[1] * rb.inv()]])
@@ -229,7 +196,7 @@ def _canonical_sym_rank2(candidates) -> CanonicalResult:
     # all or for none: rescale the first to a0*I, then use a sum-of-two-
     # squares rotation, adjoining sqrt(det S) only when it must
     u, v_prime, a0, b0 = candidates[0]
-    root, ext = _sqrt_allowing_extension(a0 * b0)
+    root, ext = adjoin_sqrt(a0 * b0)
     q = _isotropic_rescale(u, v_prime, a0, a0 * root.inv())
     return CanonicalResult(CanonicalKind("sym_rank2_iii"), q, ext)
 
@@ -252,13 +219,13 @@ def _canonical_mixed_v(candidates, kappa) -> CanonicalResult:
     either one whose root rho1 lies in the working field is swapped down
     to the canonical c; failing that, the first candidate adjoins it."""
     _, _, a0, b0 = candidates[0]
-    root, ext = _sqrt_allowing_extension(-(a0 * b0) * (kappa * kappa).inv())
+    root, ext = adjoin_sqrt(-(a0 * b0) * (kappa * kappa).inv())
     cs = sorted(((sg - 1) / (sg + 1) for sg in (root, -root)
                  if not (sg + 1).is_zero()), key=lambda c: c.lex_key())
     c_min = cs[0]
     for c in cs:
         for u, v_prime, a0, _ in candidates:
-            r1 = _sqrt_in_field((1 + c) * _HALF * (2 * a0).inv())
+            r1 = field_sqrt((1 + c) * _HALF * (2 * a0).inv())
             if r1 is not None:
                 q = _mixed_v_witness(u, v_prime, kappa, c, r1)
                 if c != c_min:
@@ -266,7 +233,7 @@ def _canonical_mixed_v(candidates, kappa) -> CanonicalResult:
                 return CanonicalResult(CanonicalKind("mixed_v", c_min), q, ext)
     # no root in the field; adjoining one raises if c_min already needed one
     u, v_prime, a0, _ = candidates[0]
-    r1, ext = _sqrt_allowing_extension((1 + c_min) * _HALF * (2 * a0).inv())
+    r1, ext = adjoin_sqrt((1 + c_min) * _HALF * (2 * a0).inv())
     q = _mixed_v_witness(u, v_prime, kappa, c_min, r1)
     return CanonicalResult(CanonicalKind("mixed_v", c_min), q, ext)
 

@@ -6,8 +6,8 @@ basis of B.  Witnesses are verified exactly: B's products written by
 `base_change` in the basis of Q's columns must be A's.  The search for
 new ones runs over GF(p) and checks each complete map it reaches the
 same way, with `_rebase` in place of `base_change`; it lifts candidates
-back to Q(i) for exact re-verification, so nothing modular is ever
-trusted on its own.
+back to Q(i), each entry by `scalars.lift_mod_p`, for exact
+re-verification, so nothing modular is ever trusted on its own.
 
 The search follows the lower central series, as the lifting step of
 p-group generation does (O'Brien 1990; Eick, Leedham-Green and O'Brien
@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import LeibnizAlgebra
 from .catalogue import (DIMENSION, CatalogueError, _expect,
@@ -37,8 +36,8 @@ from .catalogue import (DIMENSION, CatalogueError, _expect,
 from .catalogue import instantiate as cat_instantiate
 from .invariants import signature
 from .linalg import Matrix, SingularMatrix
-from .scalars import (DenominatorDividesP, FieldMismatch, GaussianRational,
-                      PrimeField, mixes_radicals, reduce_mod_p)
+from .scalars import (DenominatorDividesP, FieldMismatch, PrimeField,
+                      lift_mod_p, mixes_radicals, reduce_mod_p)
 
 CERTIFIED = "certified"
 EVIDENCE = "evidence"
@@ -55,6 +54,15 @@ class BadPrime(ArithmeticError):
 
 class FixtureError(ValueError):
     """Malformed witness file."""
+
+
+class Unliftable(ArithmeticError):
+    """A mod-p witness entry has no preimage in the lifting box; the args
+    are its row and column, counted from 1, its residue and the prime."""
+
+    def __str__(self):
+        return ("entry (%d,%d) = %d mod %d has no preimage in the box"
+                % self.args)
 
 
 # ---------------------------------------------------------------- exact side
@@ -727,43 +735,18 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
 
 # ---------------------------------------------------------------- lifting
 
-_LIFT_BOX = 6   # bound on |re|, |im| and the denominator of a lifted entry
 _LIFT_ATTEMPTS = 25   # witnesses certify lifts at one prime before it stops
 
 
-def _lift_scalar(e, p, i_res):
-    """Smallest preimage of e in the box, ordered by (|im|, |re|, den)."""
-    best = None
-    for den in range(1, _LIFT_BOX + 1):
-        if den % p == 0:
-            continue    # no preimage has a denominator that p divides
-        t = e * den % p
-        for b in range(-_LIFT_BOX, _LIFT_BOX + 1):
-            a = (t - b * i_res) % p
-            if a > p // 2:
-                a -= p
-            if abs(a) > _LIFT_BOX:
-                continue
-            key = (abs(b), abs(a), den, b < 0, a < 0)
-            if best is None or key < best[0]:
-                best = (key, GaussianRational(Fraction(a, den),
-                                              Fraction(b, den)))
-    return None if best is None else best[1]
-
-
-def lift_witness(rows, prime: int) -> Matrix | None:
-    """Entry-wise lift of a mod-p matrix to Q(i); None when an entry has
-    no preimage inside the search box."""
+def lift_witness(rows, prime: int) -> Matrix:
+    """Entry-wise lift of a mod-p matrix to Q(i) by `lift_mod_p`; raises
+    Unliftable, naming the first entry that has no preimage in its box."""
     field = PrimeField(prime)
-    lifted = []
-    for row in rows:
-        out = []
-        for e in row:
-            s = _lift_scalar(e % prime, prime, field.i_residue)
+    lifted = [[lift_mod_p(e, field) for e in row] for row in rows]
+    for r, row in enumerate(lifted):
+        for c, s in enumerate(row):
             if s is None:
-                return None
-            out.append(s)
-        lifted.append(tuple(out))
+                raise Unliftable(r + 1, c + 1, rows[r][c] % prime, prime)
     return Matrix(lifted)
 
 
@@ -777,17 +760,6 @@ class Certification:
     candidates: int          # total candidates consumed
     detail: str
     searches: tuple = ()     # the SearchResult of each prime searched
-
-
-def _unliftable(rows, prime):
-    """(row, column, residue) of the first entry, counted from 1, that
-    has no preimage in `lift_witness`'s box, or None."""
-    i_res = PrimeField(prime).i_residue
-    for r, row in enumerate(rows):
-        for c, e in enumerate(row):
-            if _lift_scalar(e % prime, prime, i_res) is None:
-                return r + 1, c + 1, e % prime
-    return None
 
 
 def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
@@ -821,11 +793,13 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         exact, misses = [], []
 
         def enough(found):
-            m = lift_witness(found[-1], prime)
-            if m is None:
-                misses.append(_unliftable(found[-1], prime))
-            elif verify_witness(source, target, m) is None:
-                exact.append(m)
+            try:
+                m = lift_witness(found[-1], prime)
+            except Unliftable as ex:
+                misses.append(str(ex))
+            else:
+                if verify_witness(source, target, m) is None:
+                    exact.append(m)
             return bool(exact) or len(found) >= _LIFT_ATTEMPTS
 
         try:
@@ -844,9 +818,7 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
                 f"witness found mod {prime} and verified exactly",
                 tuple(searches))
         if res.matrices:
-            why = ("entry (%d,%d) = %d mod %d has no preimage in the box"
-                   % (misses[0] + (prime,)) if misses
-                   else "every lift fails the exact check")
+            why = misses[0] if misses else "every lift fails the exact check"
             notes.append(f"{len(res.matrices)} witnesses mod {prime}, "
                          f"none lifted: {why}")
         else:

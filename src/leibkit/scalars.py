@@ -10,9 +10,11 @@ Two element kinds cover every coefficient the kernel manipulates:
   non-square d.  Exactly one square-root generator is supported; nested
   radicals are out of scope by design.
 
-The tower has two rules, each written once here: ``promote`` turns an
-int or a ``fractions.Fraction`` into Q(i), and ``mixes_radicals`` tells
-scalars that need two different radicals, which no one object holds.
+The tower's rules are each written once here: ``promote`` turns an int
+or a ``fractions.Fraction`` into Q(i), ``mixes_radicals`` tells scalars
+that need two different radicals, which no one object holds, and
+``field_sqrt`` and ``adjoin_sqrt`` take square roots, the second one
+adjoining sqrt(x) to Q(i) when x has none in its own field.
 Q(i) values mix freely with extension values: arithmetic and equality
 coerce the Q(i) operand into the extension, and an extension value with
 no sqrt(d) part hashes like its Q(i) value, so a matrix or a table may
@@ -25,7 +27,7 @@ prime with p = 1 (mod 4) and fixes the residue r with r*r = -1 (mod p)
 that plays the role of i, taking the smaller of the two roots so that
 reductions are deterministic.  ``reduce_mod_p`` maps Q(i) into GF(p) as
 plain ints in [0, p); the witness search in ``iso`` does its arithmetic on
-those ints.
+those ints, and ``lift_mod_p`` lifts them back into a small box of Q(i).
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ class FieldMismatch(TypeError):
 
 class DenominatorDividesP(ArithmeticError):
     """Raised when reducing a rational whose denominator vanishes mod p."""
+
+
+class ExtensionTowerNeeded(ArithmeticError):
+    """A square root would need a second quadratic extension; the tower
+    stops at one, so its callers report instead of guessing."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -414,6 +421,31 @@ def quadext_sqrt(q: QuadExtElem) -> QuadExtElem | None:
     return None
 
 
+def field_sqrt(x):
+    """A square root of x in x's own field, Q(i) or its quadratic
+    extension, or None."""
+    if type(x) is QuadExtElem:
+        return quadext_sqrt(x)
+    return gaussian_sqrt(x)
+
+
+def adjoin_sqrt(x):
+    """(root, generator): a square root of x in x's own field with
+    generator None, or else sqrt(x) adjoined to Q(i) with generator x.
+
+    Raises ExtensionTowerNeeded when x already lies in an extension and
+    has no root there.
+    """
+    r = field_sqrt(x)
+    if r is not None:
+        return r, None
+    if type(x) is QuadExtElem:
+        raise ExtensionTowerNeeded(
+            f"sqrt of {x!r} leaves its quadratic extension")
+    fld = QuadExtField(x)
+    return fld.sqrt_d, fld.d
+
+
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -476,3 +508,29 @@ def reduce_mod_p(a: GaussianRational, field: PrimeField) -> int:
     if a._d % p == 0:
         raise DenominatorDividesP(f"denominator of {a!r} vanishes mod {p}")
     return (a._a + a._b * field.i_residue) * pow(a._d, p - 2, p) % p
+
+
+_LIFT_BOX = 6   # bound on |re|, |im| and the denominator of a lifted value
+
+
+def lift_mod_p(e: int, field: PrimeField) -> GaussianRational | None:
+    """The least preimage of the residue e under reduce_mod_p whose |re|,
+    |im| and denominator are at most _LIFT_BOX, in the order (|im|, |re|,
+    denominator, im < 0, re < 0); None when there is none."""
+    p, i_res = field.p, field.i_residue
+    best = None
+    for den in range(1, _LIFT_BOX + 1):
+        if den % p == 0:
+            continue    # no preimage has a denominator that p divides
+        t = e * den % p
+        for b in range(-_LIFT_BOX, _LIFT_BOX + 1):
+            a = (t - b * i_res) % p
+            if a > p // 2:
+                a -= p
+            if abs(a) > _LIFT_BOX:
+                continue
+            key = (abs(b), abs(a), den, b < 0, a < 0)
+            if best is None or key < best[0]:
+                best = (key, GaussianRational(Fraction(a, den),
+                                              Fraction(b, den)))
+    return None if best is None else best[1]

@@ -15,7 +15,6 @@ from leibkit.catalogue import Claims, instantiate, sample_params, verify_entry
 from leibkit.forms import (
     BilinearForm2,
     CanonicalKind,
-    ExtensionTowerNeeded,
     congruence_canonical,
     extract_v_form,
     section_two_eligible,
@@ -24,7 +23,8 @@ from leibkit.invariants import signature
 from leibkit.iso import CERTIFIED, EVIDENCE, certify, verify_witness
 from leibkit.lemmas import exclusion_instance
 from leibkit.linalg import Matrix, SingularMatrix
-from leibkit.scalars import GaussianRational, QuadExtField
+from leibkit.scalars import (ExtensionTowerNeeded, GaussianRational,
+                             QuadExtField)
 
 VERDICTS = []
 

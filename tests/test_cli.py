@@ -159,6 +159,13 @@ def test_canon_kinds(capsys):
     assert code == 0 and "sqrt" in out
 
 
+def test_canon_needs_a_second_radical(capsys):
+    # a Q(i) form whose witness adjoins one root and then needs another
+    assert run(capsys, "canon", "[[i,1],[0,1]]") == (
+        2, "", "error: sqrt of (1/8-1/2*i)-1/8*sqrt((1-4*i)) leaves its "
+        "quadratic extension\n")
+
+
 def test_canon_rejects_garbage(capsys):
     assert run(capsys, "canon", "[[1,2],[3]]")[0] == 2
     assert run(capsys, "canon", "not a matrix")[0] == 2

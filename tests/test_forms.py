@@ -10,7 +10,6 @@ from leibkit.catalogue import instantiate, sample_params
 from leibkit.forms import (
     BilinearForm2,
     CanonicalKind,
-    ExtensionTowerNeeded,
     HypothesisViolation,
     congruence_canonical,
     congruent,
@@ -18,7 +17,8 @@ from leibkit.forms import (
     section_two_eligible,
 )
 from leibkit.linalg import Matrix, SingularMatrix
-from leibkit.scalars import GaussianRational, QuadExtElem, QuadExtField
+from leibkit.scalars import (ExtensionTowerNeeded, GaussianRational,
+                             QuadExtElem, QuadExtField)
 
 
 def canon(rows):

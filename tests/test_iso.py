@@ -22,6 +22,7 @@ from leibkit.iso import (
     BadPrime,
     FixtureError,
     LevelCounts,
+    Unliftable,
     _absorb,
     _at,
     _brk,
@@ -38,7 +39,6 @@ from leibkit.iso import (
     _structural_dims,
     _sweep,
     _Tally,
-    _unliftable,
     _variables,
     _words,
     adapted_search,
@@ -50,7 +50,7 @@ from leibkit.iso import (
 from leibkit.linalg import Matrix, SingularMatrix
 from leibkit.scalars import (ZERO, DenominatorDividesP, GaussianRational,
                              PrimeField, QuadExtElem, QuadExtField,
-                             reduce_mod_p)
+                             lift_mod_p, reduce_mod_p)
 
 
 def small_invertible(rng, n=5):
@@ -464,15 +464,18 @@ def test_lift_failure_names_the_entry(catalogue):
     shear[2][1] = 100
     cert = certify(alg, alg.base_change(Matrix(shear)), primes=(1009,))
     assert cert.status == INCONCLUSIVE
-    misses = [(rows, _unliftable(rows, 1009))
-              for rows in cert.searches[-1].matrices
-              if lift_witness(rows, 1009) is None]
-    rows, (r, c, e) = misses[0]
-    assert rows[r - 1][c - 1] == e
-    assert cert.detail == ("25 witnesses mod 1009, none lifted: entry "
-                           "(%d,%d) = %d mod 1009 has no preimage in the box"
-                           % (r, c, e))
-    assert _unliftable(((1, 0), (0, 7)), 13) is None
+    misses = []
+    for rows in cert.searches[-1].matrices:
+        try:
+            lift_witness(rows, 1009)
+        except Unliftable as miss:
+            misses.append((rows, miss))
+    rows, miss = misses[0]
+    r, c, e, p = miss.args
+    assert p == 1009 and rows[r - 1][c - 1] == e
+    assert str(miss) == ("entry (%d,%d) = %d mod 1009 has no preimage in "
+                         "the box" % (r, c, e))
+    assert cert.detail == "25 witnesses mod 1009, none lifted: %s" % miss
 
 
 def test_adapted_search_exhausts_small_cap(catalogue):
@@ -674,16 +677,24 @@ def test_lift_witness_values():
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), p=st.sampled_from((5, 13, 29, 1009)))
 def test_lift_exists_unless_an_entry_is_unliftable(data, p):
-    # the lift failure detail names an entry exactly when there is no lift
+    # the lifting pass either lifts every entry or names the first entry,
+    # row by row, that has no preimage in the box
     shape = st.integers(1, 5)
     nrows, ncols = data.draw(shape), data.draw(shape)
     rows = data.draw(st.lists(
         st.lists(st.integers(-p, 2 * p), min_size=ncols, max_size=ncols),
         min_size=nrows, max_size=nrows))
-    lifted = lift_witness(rows, p)
-    assert (lifted is None) == (_unliftable(rows, p) is not None)
-    if lifted is not None:
-        field = PrimeField(p)
+    field = PrimeField(p)
+    entries = [e for row in rows for e in row]
+    try:
+        lifted = lift_witness(rows, p)
+    except Unliftable as miss:
+        r, c, e, prime = miss.args
+        k = (r - 1) * ncols + (c - 1)
+        assert prime == p and e == entries[k] % p
+        assert [lift_mod_p(x, field) is None for x in entries[:k + 1]] == \
+            [False] * k + [True]
+    else:
         assert [[reduce_mod_p(x, field) for x in row]
                 for row in lifted.rows] == [[e % p for e in row]
                                             for row in rows]

@@ -6,10 +6,13 @@ witness search checks every relation through one residual: brackets mod
 p are taken only by `residual`, by `images` for the word images, and by
 the set-up routines `_mod_structure`, `_words` and `_rebase`; and its
 candidates are enumerated in one way, each call of `_runs` handing its
-runs straight to `_sweep`.  The scalar tower's two rules live in
-`scalars`: outside it, only `exprs.format_scalar` tests for a Fraction
-or reads a scalar's field, and inside it only `promote` and
-`_as_fraction` test for a Fraction."""
+runs straight to `_sweep`.  The scalar tower's rules live in `scalars`:
+outside it, only `exprs.format_scalar` tests for a Fraction or reads a
+scalar's field, and inside it only `promote` and `_as_fraction` test
+for a Fraction; square roots are taken and radicals adjoined only
+there, `adjoin_sqrt` being the one routine to build an extension field;
+and only `reduce_mod_p` and `lift_mod_p` read the residue that plays
+the role of i, mapping Q(i) into GF(p) and back."""
 
 import ast
 import functools
@@ -137,3 +140,17 @@ def test_scalar_fields_read_only_in_scalars():
     fields = _nodes(lambda node: isinstance(node, ast.Attribute)
                     and node.attr == "field", "field")
     assert _outside_scalars(fields) == [("exprs.py", "format_scalar")], fields
+
+
+def test_roots_and_residues_only_in_scalars():
+    for name in ("QuadExtField", "gaussian_sqrt", "quadext_sqrt"):
+        calls = _calls(lambda func: name in (getattr(func, "id", None),
+                                             getattr(func, "attr", None)),
+                       name)
+        assert _outside_scalars(calls) == [], calls
+    built = _calls(lambda func: _names(func, "QuadExtField"), "QuadExtField")
+    assert built == [("scalars.py", "adjoin_sqrt")], built
+    reads = _nodes(lambda node: isinstance(node, ast.Attribute)
+                   and node.attr == "i_residue", "i_residue")
+    assert set(reads) == {("scalars.py", "reduce_mod_p"),
+                          ("scalars.py", "lift_mod_p")}, reads

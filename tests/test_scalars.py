@@ -12,11 +12,16 @@ from hypothesis import strategies as st
 from leibkit.exprs import format_scalar, parse_scalar
 from leibkit.scalars import (
     DenominatorDividesP,
+    ExtensionTowerNeeded,
     FieldMismatch,
     GaussianRational,
     PrimeField,
+    QuadExtElem,
     QuadExtField,
+    adjoin_sqrt,
+    field_sqrt,
     gaussian_sqrt,
+    lift_mod_p,
     quadext_sqrt,
     rational_sqrt,
     reduce_mod_p,
@@ -155,6 +160,41 @@ def test_quadext_sqrt():
     assert quadext_sqrt(f.embed(Fraction(1, 4))) == f.embed(Fraction(1, 2))
 
 
+gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussians, st.booleans())
+def test_adjoin_sqrt_over_gaussians(x, square):
+    # a root in Q(i) when there is one, else sqrt(x) adjoined to Q(i)
+    x = x * x if square else x
+    root, generator = adjoin_sqrt(x)
+    assert root * root == x
+    assert (generator is None) == (gaussian_sqrt(x) is not None)
+    assert generator in (None, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussians, gaussians, st.booleans(),
+       st.sampled_from((2, 3, -2, GaussianRational(1, 2))))
+def test_adjoin_sqrt_in_an_extension(a, b, square, d):
+    # inside an extension nothing more is adjoined
+    x = QuadExtElem(a, b, QuadExtField(d))
+    x = x * x if square else x
+    if field_sqrt(x) is None:
+        with pytest.raises(ExtensionTowerNeeded) as ex:
+            adjoin_sqrt(x)
+        assert str(ex.value) == f"sqrt of {x!r} leaves its quadratic extension"
+    else:
+        root, generator = adjoin_sqrt(x)
+        assert root * root == x and generator is None
+
+
+@pytest.mark.parametrize("q", ("0", "2", "-2", "-4", "9/4", "1/3"))
+def test_sqrt_literal_is_adjoin_sqrt(q):
+    assert parse_scalar(f"sqrt({q})") == adjoin_sqrt(parse_scalar(q))[0]
+
+
 def test_quadext_field_mismatch():
     a = QuadExtField(2).sqrt_d
     b = QuadExtField(3).sqrt_d
@@ -162,6 +202,32 @@ def test_quadext_field_mismatch():
         a + b
     with pytest.raises(FieldMismatch):
         a * b
+
+
+_BOX = 6   # |re|, |im| and the denominator of a lifted value
+
+
+@pytest.mark.parametrize("p", (5, 13, 29, 1009))
+def test_lift_mod_p_is_the_least_preimage_in_the_box(p):
+    # brute force over the box: every (a + b*i)/den that reduces to e,
+    # least under (|im|, |re|, den, im < 0, re < 0)
+    field = PrimeField(p)
+    r = field.i_residue
+    residues = range(p) if p < 1009 else random.Random(p).sample(range(p), 200)
+    for e in residues:
+        hits = sorted((abs(b), abs(a), den, b < 0, a < 0, a, b)
+                      for den in range(1, _BOX + 1) if den % p
+                      for a in range(-_BOX, _BOX + 1)
+                      for b in range(-_BOX, _BOX + 1)
+                      if (a + b * r - e * den) % p == 0)
+        lifted = lift_mod_p(e, field)
+        if not hits:
+            assert lifted is None, e
+            continue
+        _, _, den, _, _, a, b = hits[0]
+        assert lifted == GaussianRational(Fraction(a, den),
+                                          Fraction(b, den)), e
+        assert reduce_mod_p(lifted, field) == e
 
 
 def test_prime_field_construction():
