@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import AmbientMismatch, Matrix, Subspace
+from .linalg import AmbientMismatch, Matrix, Subspace, _dense, _support
 from .scalars import ONE, ZERO, promote
 
 
@@ -32,10 +32,6 @@ class LeibnizViolation:
         return (f"[e{self.i+1},[e{self.j+1},e{self.k+1}]] != "
                 f"[[e{self.i+1},e{self.j+1}],e{self.k+1}] + "
                 f"[e{self.j+1},[e{self.i+1},e{self.k+1}]]; defect {self.defect}")
-
-
-def _support(vec) -> dict:
-    return {i: x for i, x in enumerate(vec) if not x.is_zero()}
 
 
 def _clean_table(table):
@@ -96,11 +92,8 @@ class LeibnizAlgebra:
         Fraction coordinates are promoted to Q(i)."""
         if len(u) != self.n or len(v) != self.n:
             raise AmbientMismatch("vector length differs from algebra dimension")
-        return self._dense(self._bracket_sparse(
-            _support(map(promote, u)), _support(map(promote, v))))
-
-    def _dense(self, sparse: dict) -> tuple:
-        return tuple(sparse.get(k, ZERO) for k in range(self.n))
+        return _dense(self._bracket_sparse(
+            _support(map(promote, u)), _support(map(promote, v))), self.n)
 
     def _bracket_sparse(self, u: dict, v: dict) -> dict:
         acc = {}
@@ -152,7 +145,7 @@ class LeibnizAlgebra:
                     else:
                         defect[m] = t
             if defect:
-                return LeibnizViolation(*triple, self._dense(defect))
+                return LeibnizViolation(*triple, _dense(defect, n))
         return None
 
     def is_lie(self) -> bool:
@@ -170,21 +163,18 @@ class LeibnizAlgebra:
             value = derived[key] = compute()
         return value
 
-    def _basis_vec(self, i):
-        return tuple(ONE if k == i else ZERO for k in range(self.n))
-
     def full_space(self) -> Subspace:
         return self._once("full", lambda: Subspace._span(
-            self.n, [self._basis_vec(i) for i in range(self.n)]))
+            self.n, [{i: ONE} for i in range(self.n)]))
 
     def subspace_product(self, u_space: Subspace, v_space: Subspace) -> Subspace:
         """Span of [u, v] over basis vectors of the two subspaces."""
         if u_space.ambient != self.n or v_space.ambient != self.n:
             raise AmbientMismatch("subspace ambient differs from algebra dimension")
         vs = [_support(v) for v in v_space.basis]
-        vecs = [self._dense(self._bracket_sparse(u, v))
-                for u in map(_support, u_space.basis) for v in vs]
-        return Subspace._span(self.n, vecs)
+        return Subspace._span(self.n, [self._bracket_sparse(u, v)
+                                       for u in map(_support, u_space.basis)
+                                       for v in vs])
 
     def lower_central_series(self) -> tuple[Subspace, ...]:
         """A^1 = A, A^{i+1} = [A, A^i]; stops at the first repeated term."""
@@ -236,37 +226,41 @@ class LeibnizAlgebra:
         # [e_j, e_i] to those of e_i and e_j
         n = self.n
         sums = [{i: ONE, j: ONE} for i in range(n) for j in range(i, n)]
-        return Subspace._span(n, [self._dense(self._bracket_sparse(x, x))
-                                  for x in sums])
+        return Subspace._span(n, [self._bracket_sparse(x, x) for x in sums])
 
-    def _annihilator(self, left: bool) -> Subspace:
-        # rows: one linear constraint per (probe basis vector j, component k)
-        rows = []
-        n = self.n
-        for j in range(n):
-            comp_rows = {}
-            for i in range(n):
-                pair = (i, j) if left else (j, i)
-                for k, s in self.table.get(pair, {}).items():
-                    comp_rows.setdefault(k, [ZERO] * n)[i] = s
-            rows.extend(comp_rows.values())
+    def _annihilator_rows(self, left: bool) -> list:
+        # one linear constraint per (probe basis vector j, component k):
+        # coordinate k of [x, e_j] (left) or of [e_j, x] (right) is 0
+        rows = {}
+        for (a, b), comps in self.table.items():
+            i, j = (a, b) if left else (b, a)
+            for k, s in comps.items():
+                rows.setdefault((j, k), [ZERO] * self.n)[i] = s
+        return list(rows.values())
+
+    def _kernel(self, rows) -> Subspace:
         if not rows:
             return self.full_space()
-        return Subspace._span(n, Matrix._of(rows, n).nullspace())
+        return Subspace._span(
+            self.n, map(_support, Matrix._of(rows, self.n).nullspace()))
 
     def left_annihilator(self) -> Subspace:
         """{x : [x, a] = 0 for all a}; contains the squares ideal."""
-        return self._once("left_ann", lambda: self._annihilator(True))
+        return self._once("left_ann", lambda: self._kernel(
+            self._annihilator_rows(True)))
 
     def right_annihilator(self) -> Subspace:
         """{x : [a, x] = 0 for all a}."""
-        return self._once("right_ann", lambda: self._annihilator(False))
+        return self._once("right_ann", lambda: self._kernel(
+            self._annihilator_rows(False)))
 
     def center(self) -> Subspace:
         return self._once("center", self._center)
 
     def _center(self):
-        return self.left_annihilator().intersect(self.right_annihilator())
+        # one kernel of the left and right annihilator conditions together
+        return self._kernel(self._annihilator_rows(True)
+                            + self._annihilator_rows(False))
 
     # -- transport ---------------------------------------------------------
 
@@ -284,7 +278,7 @@ class LeibnizAlgebra:
         table = {}
         for a in range(n):
             for b in range(n):
-                w = self._dense(self._bracket_sparse(cols[a], cols[b]))
+                w = _dense(self._bracket_sparse(cols[a], cols[b]), n)
                 new = p_inv.apply(w)
                 comps = {k: s for k, s in enumerate(new) if not s.is_zero()}
                 if comps:

@@ -56,8 +56,9 @@ def signature(algebra: LeibnizAlgebra) -> InvariantSignature:
         dim_center=center.dim,
         dim_left_ann=algebra.left_annihilator().dim,
         dim_right_ann=algebra.right_annihilator().dim,
-        dim_center_cap_sq=center.intersect(sq).dim,
-        dim_leib_cap_cube=leib.intersect(cube).dim,
+        # dim(U cap V) = dim U + dim V - dim(U + V)
+        dim_center_cap_sq=center.dim + sq.dim - (center + sq).dim,
+        dim_leib_cap_cube=leib.dim + cube.dim - (leib + cube).dim,
         dim_sq_bracket_whole=algebra.subspace_product(sq, whole).dim,
         # [A^2, A^2] is A^(3); the series is constant past its last term
         dim_sq_bracket_sq=derived_dims[min(2, len(derived_dims) - 1)],

@@ -1,11 +1,14 @@
-"""Exact dense linear algebra over the scalar tower.
+"""Exact linear algebra over the scalar tower.
 
 Everything here is written for small fixed dimension (ambient spaces of
 dimension 5, matrices at most 10 x 10 or so) and exact scalars, so the
-implementation favors clarity and determinism over asymptotics.  Row
-echelon uses the first nonzero entry in column order as pivot, which makes
-reduced forms canonical for a given row space.  Q(i) entries and entries
-of one quadratic extension may share a matrix or a subspace.
+implementation favors clarity and determinism over asymptotics.  Every
+row reduction (``rref``, and so ``nullspace`` and ``inv``, and every
+span) goes through one incremental echelon, ``_echelon``, on sparse rows
+{column: nonzero scalar}: it keeps the rows taken so far in reduced row
+echelon form, which is unique, so reduced forms are canonical for a given
+row space.  Q(i) entries and entries of one quadratic extension may share
+a matrix or a subspace.
 
 The public constructors ``Matrix(rows)`` and ``Subspace(ambient, vectors)``
 put caller entries through ``scalars.promote``; ``Matrix.apply`` leaves
@@ -112,31 +115,15 @@ class Matrix:
         """Reduced row echelon form.
 
         Returns (matrix, rank, pivots) where pivots is the tuple of pivot
-        column indices.  Pivot choice is the first row with a nonzero entry
-        in the current column, so the result is canonical for the row space.
+        column indices and the zero rows come last.  The RREF is unique,
+        so the result is canonical for the row space.
         """
-        rows = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        rank = 0
-        for col in range(nc):
-            pivot_row = None
-            for r in range(rank, nr):
-                if not rows[r][col].is_zero():
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            inv = rows[rank][col].inv()
-            rows[rank] = [inv * x for x in rows[rank]]
-            for r in range(nr):
-                if r != rank and not rows[r][col].is_zero():
-                    f = rows[r][col]
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-            pivots.append(col)
-            rank += 1
-        return Matrix._of(rows, nc), rank, tuple(pivots)
+        done = _echelon(map(_support, self.rows))
+        pivots = tuple(sorted(done))
+        nc = self.ncols
+        rows = [_dense(done[c], nc) for c in pivots]
+        rows += [(ZERO,) * nc] * (self.nrows - len(rows))
+        return Matrix._of(rows, nc), len(pivots), pivots
 
     def inv(self):
         if self.nrows != self.ncols:
@@ -183,6 +170,57 @@ def _dot(u, v):
     return acc
 
 
+def _support(vec) -> dict:
+    """The sparse row {coordinate: nonzero scalar} of a dense vector."""
+    return {i: x for i, x in enumerate(vec) if not x.is_zero()}
+
+
+def _dense(row, n) -> tuple:
+    return tuple(row.get(k, ZERO) for k in range(n))
+
+
+def _sub_multiple(row, f, pivot_row, pivot):
+    """row -= f * pivot_row in place, outside pivot_row's pivot column."""
+    for c, y in pivot_row.items():
+        if c != pivot:
+            t = row.get(c)
+            t = -(f * y) if t is None else t - f * y
+            if t.is_zero():
+                del row[c]
+            else:
+                row[c] = t
+
+
+def _echelon(rows) -> dict:
+    """The RREF of the span of sparse rows, as {pivot column: row}.
+
+    Rows are taken one at a time.  A new row is reduced at the earlier
+    pivots it touches, scaled at its first column (unless that entry is
+    already 1) and that column is cleared from the earlier rows.  Each
+    row keeps 1 at its pivot and 0 at every other pivot, so the result is
+    the unique RREF.  Pivots hold ONE, and zeros are dropped, so in any
+    field a pivot or a zero entry made dense is Q(i)'s ONE or ZERO.
+    """
+    done = {}
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in done]:
+            _sub_multiple(row, row.pop(c), done[c], c)
+        if not row:
+            continue
+        lead = min(row)
+        x = row[lead]
+        if x != ONE:
+            inv = x.inv()
+            row = {c: inv * y for c, y in row.items()}
+        row[lead] = ONE
+        for other in done.values():
+            if lead in other:
+                _sub_multiple(other, other.pop(lead), row, lead)
+        done[lead] = row
+    return done
+
+
 class Subspace:
     """Subspace of F^n held as the RREF of a spanning set (zero rows dropped).
 
@@ -196,23 +234,21 @@ class Subspace:
         vectors = list(vectors)
         if any(len(v) != ambient for v in vectors):
             raise AmbientMismatch("vector length differs from ambient dimension")
-        self._reduce(ambient, Matrix(vectors))  # Matrix promotes the entries
+        self._reduce(ambient, [_support(map(promote, v)) for v in vectors])
 
     @classmethod
-    def _span(cls, ambient, vectors):
-        """The span of vectors of field scalars the kernel built, each of
-        length ambient; entries are trusted, not promoted."""
+    def _span(cls, ambient, rows):
+        """The span of sparse rows {coordinate: nonzero scalar} of F^ambient
+        that the kernel built; entries are trusted, not promoted."""
         space = object.__new__(cls)
-        space._reduce(ambient, Matrix._of(vectors, ambient))
+        space._reduce(ambient, rows)
         return space
 
-    def _reduce(self, ambient, spanning):
-        basis = ()
-        if spanning.nrows:
-            red, rank, _ = spanning.rref()
-            basis = red.rows[:rank]
+    def _reduce(self, ambient, rows):
+        done = _echelon(rows)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", tuple(_dense(done[c], ambient)
+                                                for c in sorted(done)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -235,7 +271,8 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise AmbientMismatch("ambient dimensions differ")
-        return Subspace._span(self.ambient, self.basis + other.basis)
+        return Subspace._span(self.ambient,
+                              map(_support, self.basis + other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -243,14 +280,10 @@ class Subspace:
         if not self.basis or not other.basis:
             return Subspace(self.ambient, [])
         # solve c*U = d*V: kernel of [U^T | -V^T]
+        u_cols = list(zip(*self.basis))
         cols = [urow + tuple(-x for x in vrow)
-                for urow, vrow in zip(zip(*self.basis), zip(*other.basis))]
+                for urow, vrow in zip(u_cols, zip(*other.basis))]
         kernel = Matrix._of(cols, self.dim + other.dim).nullspace()
-        k = self.dim
-        vecs = []
-        for sol in kernel:
-            coeffs = sol[:k]
-            vec = [_dot(coeffs, [b[j] for b in self.basis])
-                   for j in range(self.ambient)]
-            vecs.append(vec)
-        return Subspace._span(self.ambient, vecs)
+        return Subspace._span(self.ambient, [
+            _support([_dot(sol[:self.dim], col) for col in u_cols])
+            for sol in kernel])

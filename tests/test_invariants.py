@@ -2,6 +2,7 @@
 
 import random
 
+from leibkit import linalg
 from leibkit.algebra import LeibnizAlgebra
 from leibkit.catalogue import instantiate, sample_params
 from leibkit.invariants import signature
@@ -185,22 +186,42 @@ def test_signature_computes_each_product_once(catalogue, monkeypatch):
 
 
 def test_signature_rref_count(catalogue, monkeypatch):
-    # signature reduces each subspace it builds once; 4,278 reductions
-    # over the first points is the count when the subspace products and
-    # the trusted kernel constructors were last reworked
+    # signature reduces each subspace it builds once, every reduction
+    # going through linalg's one elimination routine; 4,026 over the first
+    # points is the count since spans, rref and the center were put on
+    # one sparse echelon and the two intersections read from sums
     calls = []
-    rref = Matrix.rref
+    echelon = linalg._echelon
 
-    def counted(self):
+    def counted(rows):
         calls.append(None)
-        return rref(self)
+        return echelon(rows)
 
-    monkeypatch.setattr(Matrix, "rref", counted)
+    monkeypatch.setattr(linalg, "_echelon", counted)
     per_point = {}
     for entry in catalogue:
         alg = instantiate(entry, sample_params(entry, 1)[0])
         calls.clear()
         signature(LeibnizAlgebra(alg.n, alg.table))
         per_point[entry.name] = len(calls)
-    assert per_point["A_1"] == 18
-    assert sum(per_point.values()) == 4278
+    assert per_point["A_1"] == 16
+    assert sum(per_point.values()) == 4026
+
+
+def test_intersections_match_intersect(catalogue):
+    # at every report point the center (one kernel of both annihilator
+    # conditions) and the two intersections the signature reads from
+    # sums by the dimension formula agree with Subspace.intersect
+    points = 0
+    for entry in catalogue:
+        for values in sample_params(entry, 3):
+            alg = instantiate(entry, values)
+            sig = signature(alg)
+            center, sq = alg.center(), alg.lower_central_term(2)
+            assert center == alg.left_annihilator().intersect(
+                alg.right_annihilator()), (entry.name, values)
+            assert sig.dim_center_cap_sq == center.intersect(sq).dim
+            assert sig.dim_leib_cap_cube == alg.leib_ideal().intersect(
+                alg.lower_central_term(3)).dim
+            points += 1
+    assert points == 545

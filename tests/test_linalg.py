@@ -164,3 +164,87 @@ def test_kernel_results_hold_field_scalars():
         for m in results:
             assert all(type(x) in kinds for row in m.rows for x in row)
             assert m == Matrix(m.rows)
+
+
+def gauss_jordan(m):
+    """The dense Gauss-Jordan loop `Matrix.rref` ran before the sparse
+    echelon, kept as its oracle: (rows, rank, pivots)."""
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    for col in range(m.ncols):
+        rank = len(pivots)
+        found = [r for r in range(rank, m.nrows) if not rows[r][col].is_zero()]
+        if not found:
+            continue
+        rows[rank], rows[found[0]] = rows[found[0]], rows[rank]
+        inv = rows[rank][col].inv()
+        rows[rank] = [inv * x for x in rows[rank]]
+        for r in range(m.nrows):
+            if r != rank and not rows[r][col].is_zero():
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return [tuple(r) for r in rows], len(pivots), tuple(pivots)
+
+
+def kernel_shaped(rng, entry, nrows):
+    """nrows x 5 like the kernel's spans and kernels: a few sparse base
+    rows, then zero rows, repeated rows and combinations of the bases."""
+    def sparse_row():
+        return [entry() if rng.random() < 0.5 else 0 for _ in range(5)]
+
+    bases = [sparse_row() for _ in range(rng.randint(0, 5))]
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.15 or not bases:
+            rows.append([0] * 5)
+        elif roll < 0.3 and rows:
+            rows.append(list(rng.choice(rows)))
+        else:
+            coeffs = [entry() if rng.random() < 0.6 else 0 for _ in bases]
+            rows.append([sum((c * b[k] for c, b in zip(coeffs, bases)),
+                             GaussianRational(0)) for k in range(5)])
+    return Matrix(rows)
+
+
+def gaussian(rng):
+    return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                            Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+
+
+@pytest.mark.parametrize("nrows", [5, 10, 15, 20, 25])
+def test_rref_matches_gauss_jordan_over_qi(nrows):
+    rng = random.Random(nrows)
+    for _ in range(30):
+        m = kernel_shaped(rng, lambda: gaussian(rng), nrows)
+        red, rank, pivots = m.rref()
+        rows, rank_gj, pivots_gj = gauss_jordan(m)
+        assert (rank, pivots) == (rank_gj, pivots_gj)
+        assert red.rows == tuple(rows)
+        assert all(type(x) is GaussianRational for row in red.rows
+                   for x in row)
+
+
+@pytest.mark.parametrize("nrows", [5, 15, 25])
+def test_rref_matches_gauss_jordan_mixed(nrows):
+    # values only: where the loop left extension elements equal to 0 or
+    # to a pivot's 1, the echelon holds Q(i)'s ZERO and ONE
+    rng = random.Random(100 + nrows)
+    field = QuadExtField(2)
+
+    def entry():
+        x = gaussian(rng)
+        return field.embed(x) + field.sqrt_d * x if rng.random() < 0.3 else x
+
+    for _ in range(20):
+        m = kernel_shaped(rng, entry, nrows)
+        red, rank, pivots = m.rref()
+        rows, rank_gj, pivots_gj = gauss_jordan(m)
+        assert (rank, pivots) == (rank_gj, pivots_gj)
+        assert red.rows == tuple(rows)
+        for row in red.rows:
+            assert all(type(x) is GaussianRational for x in row
+                       if x.is_zero())
+        for r, c in enumerate(pivots):
+            assert type(red[r, c]) is GaussianRational and red[r, c] == 1

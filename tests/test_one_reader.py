@@ -1,7 +1,7 @@
 """One place each, checked on the package's syntax trees: JSON is decoded
 only by the catalogue's document reader, check outcomes are built only
 by `verify_point`, each field has one elimination routine, the only one
-to invert a pivot: `_absorb` mod p and `Matrix.rref` exactly, and the
+to invert a pivot: `_absorb` mod p and `linalg._echelon` exactly, and the
 witness search checks every relation through one residual: brackets mod
 p are taken only by `residual`, by `images` for the word images, and by
 the set-up routines `_mod_structure`, `_words` and `_rebase`; and its
@@ -87,7 +87,8 @@ def test_one_elimination_per_field():
     pows = _calls(lambda func: getattr(func, "id", None) == "pow", "pow")
     assert [c for c in pows if c[0] == "iso.py"] == [("iso.py", "_absorb")]
     invs = _calls(lambda func: getattr(func, "attr", None) == "inv", "inv")
-    assert [c for c in invs if c[0] == "linalg.py"] == [("linalg.py", "rref")]
+    assert [c for c in invs if c[0] == "linalg.py"] == [("linalg.py",
+                                                         "_echelon")]
 
 
 def test_one_residual_per_relation():
