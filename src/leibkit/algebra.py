@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import AmbientMismatch, Matrix, Subspace, _dense, _support
+from .linalg import (AmbientMismatch, Matrix, Subspace, _combine, _dense,
+                     _support)
 from .scalars import ONE, ZERO, promote
 
 
@@ -273,14 +274,13 @@ class LeibnizAlgebra:
         n = self.n
         if p_matrix.nrows != n or p_matrix.ncols != n:
             raise AmbientMismatch("base change matrix has wrong shape")
-        p_inv = p_matrix.inv()
         cols = [_support(col) for col in p_matrix.transpose().rows]
+        inv_cols = [_support(col) for col in p_matrix.inv().transpose().rows]
         table = {}
         for a in range(n):
             for b in range(n):
-                w = _dense(self._bracket_sparse(cols[a], cols[b]), n)
-                new = p_inv.apply(w)
-                comps = {k: s for k, s in enumerate(new) if not s.is_zero()}
+                comps = _combine(inv_cols,
+                                 self._bracket_sparse(cols[a], cols[b]))
                 if comps:
                     table[(a, b)] = comps
         return LeibnizAlgebra(n, table)

@@ -2,12 +2,12 @@
 
 A witness for "A is isomorphic to B" is an invertible matrix Q whose
 column j holds the image of the j-th basis vector of A written in the
-basis of B.  Witnesses are verified exactly: B's products written by
-`base_change` in the basis of Q's columns must be A's.  The search for
-new ones runs over GF(p) and checks each complete map it reaches the
-same way, with `_rebase` in place of `base_change`; it lifts candidates
-back to Q(i), each entry by `scalars.lift_mod_p`, for exact
-re-verification, so nothing modular is ever trusted on its own.
+basis of B.  Witnesses are verified exactly, product by product:
+Q [e_i, e_j] in A must be [Q e_i, Q e_j] in B, the first pair that
+differs ending the check.  The search for new ones runs over GF(p) and
+checks each complete map it reaches in the two word tables (`_rebase`);
+it lifts candidates back to Q(i), each entry by `scalars.lift_mod_p`,
+for exact re-verification, so nothing modular is trusted on its own.
 
 The search follows the lower central series, as the lifting step of
 p-group generation does (O'Brien 1990; Eick, Leedham-Green and O'Brien
@@ -16,11 +16,12 @@ each deeper layer of their images as an affine system mod p.  Every
 relation check, class or layer, is the L_t part of one residual over the
 source's word images, a class level setting the generators still to
 come to zero; a layer system's matrix is its residuals' change at unit
-steps.  Run on polynomials in a node's unknowns, the residuals give that
-node's checks once.  Its candidates come in runs that move one
-coordinate, along which each check is a polynomial in it; a run is
-decided from the checks' roots, so the candidates it rejects are counted
-in stretches rather than one by one.
+steps, linear in the classes, so it is built once per search and each
+distinct one solved once.  Run on polynomials in a node's unknowns, the
+residuals give that node's checks once.  Its candidates come in runs
+that move one coordinate, along which each check is a polynomial in it;
+a run is decided from the checks' roots, so the candidates it rejects
+are counted in stretches rather than one by one.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .catalogue import (DIMENSION, CatalogueError, _expect,
                         read_document)
 from .catalogue import instantiate as cat_instantiate
 from .invariants import signature
-from .linalg import Matrix, SingularMatrix
+from .linalg import Matrix, _combine, _support
 from .scalars import (DenominatorDividesP, FieldMismatch, PrimeField,
                       lift_mod_p, mixes_radicals, reduce_mod_p)
 
@@ -70,21 +71,20 @@ class Unliftable(ArithmeticError):
 def verify_witness(source: LeibnizAlgebra, target: LeibnizAlgebra,
                    matrix: Matrix) -> str | None:
     """None when the matrix is a bijective homomorphism source -> target,
-    otherwise a short description of the first failure: the target's
-    products in the basis of the matrix's columns must be the source's."""
+    otherwise a short description of the first failure: a singular
+    matrix, or the first (i, j) with Q [e_i, e_j] != [Q e_i, Q e_j]."""
     n = source.n
     if target.n != n:
         return "algebras have different dimensions"
     if matrix.nrows != n or matrix.ncols != n:
         return "matrix shape does not match the algebras"
-    try:
-        moved = target.base_change(matrix)
-    except SingularMatrix:
+    if matrix.rref()[1] != n:
         return "matrix is singular"
-    for i in range(n):
-        for j in range(n):
-            if moved.bracket_basis(i, j) != source.bracket_basis(i, j):
-                return f"product ({i + 1},{j + 1}) is not preserved"
+    cols = [_support(col) for col in matrix.transpose().rows]
+    for i, j in itertools.product(range(n), repeat=2):
+        if (_combine(cols, source.bracket_basis(i, j))
+                != target._bracket_sparse(cols[i], cols[j])):
+            return f"product ({i + 1},{j + 1}) is not preserved"
     return None
 
 
@@ -506,32 +506,31 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     """Search for witnesses source -> target over GF(prime), layer by
     layer through the lower central series.
 
-    Each algebra is written in its own left-normed words (`_words`,
-    chosen mod prime) over generators that complete its square, so the
-    words of length t, layer L_t, complete A^(t+1) to A^t; a witness is
-    fixed by the images x_a of the source's generators g_a.  Every
-    relation check, class or layer, is the L_t part of one residual
-    [y_i, y_j] - sum s_k y_k over the word images y.  First
-    each generator's class, its L_1 part, is enumerated small-first; a
-    class dependent on the earlier ones, or one that breaks the graded
-    part of a relation it completes (t the sum of the layers of b_i and
-    b_j, the generators still to come set to zero), is dropped.  Then for
-    t = 3, ..., c the L_t parts of all relations are affine in the
-    L_(t-1) parts of the x_a, so the system's columns are the changes of
-    its residuals at unit steps of the x_a; it is solved mod prime and
-    only its solutions are tried, free variables small-first.  The last
-    layer enters no relation and is set to 0.  Each class and each affine
-    solution tried counts as one candidate.  Every complete map is
-    checked as `verify_witness` checks a witness, in the two word tables:
-    the target's, rewritten by `_rebase` in the images of the source's
-    words, must equal the source's (a singular map counts under `rank`).
-    A node's checks (a class's dependence and relations, or the next
-    layer's consistency) are polynomials over GF(prime) in its unknowns,
-    the class or the kernel coefficients; they are compiled once per
-    node and evaluated once per run of candidates (`_runs`, `_sweep`),
-    which counts the rejected stretches between the candidates that
-    vanish there in one step each.  The search stops once
-    `enough(witnesses so far)` is true; the default, `bool`, at the first.
+    Each algebra is written in its own left-normed words (`_words`, chosen
+    mod prime) over generators that complete its square, so the words of
+    length t, layer L_t, complete A^(t+1) to A^t; a witness is fixed by the
+    images x_a of the source's generators g_a.  Every relation check, class or
+    layer, is the L_t part of one residual [y_i, y_j] - sum s_k y_k over the
+    word images y.  First each generator's class, its L_1 part, is enumerated
+    small-first; a class dependent on the earlier ones, or one that breaks
+    the graded part of a relation it completes (t the sum of the layers of
+    b_i and b_j, the generators still to come set to zero), is dropped.  Then
+    for t = 3, ..., c the L_t parts of all relations are affine in the
+    L_(t-1) parts of the x_a, so the system's columns are the changes of its
+    residuals at unit steps of the x_a, linear in the classes: built once per
+    search (`system`), each distinct one is solved mod prime once, and only
+    its solutions are tried, free variables small-first.  The last layer
+    enters no relation and is set to 0.  Each class and each affine solution
+    tried counts as one candidate.  Every complete map is checked in the two
+    word tables: the target's, rewritten by `_rebase` in the images of the
+    source's words, must equal the source's (a singular map counts under
+    `rank`).  A node's checks (a class's dependence and relations, or the next
+    layer's consistency) are polynomials over GF(prime) in its unknowns, the
+    class or the kernel coefficients; they are compiled once per node and
+    evaluated once per run of candidates (`_runs`, `_sweep`), which counts
+    the rejected stretches between the candidates that vanish there in one
+    step each.  The search stops once `enough(witnesses so far)` is true; the
+    default, `bool`, at the first.
 
     Raises BadPrime when the reduction is undefined or drops a
     structural dimension.
@@ -615,19 +614,43 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
 
     def jacobian(t, x):
         """The L_t parts of the relations as linear maps of the L_(t-1)
-        parts of the x_a: column (a, r) is rhs at x less rhs at x plus e_r
-        on x_a.  The difference is exact and depends on the classes alone:
-        only a step's single brackets with the L_1 parts reach L_t, since
-        two steps bracket into L_(2t-2), inside L_(t+1) for t >= 3."""
+        parts of the x_a, one column after another: column (a, r) is rhs
+        at x less rhs at x plus e_r on x_a.  It is exact and linear in the
+        classes alone: each entry is one bracket of e_r with an L_1 part,
+        as two steps bracket into L_(2t-2), inside L_(t+1) for t >= 3."""
         base = rhs(t, images(x))
         cols = []
         for g in range(m):
             for r in span[t - 1]:
                 step = list(x)
                 step[g] = [v + (k == r) for k, v in enumerate(x[g])]
-                cols.append([(b - c) % p for b, c
-                             in zip(base, rhs(t, images(step)))])
-        return _prepare(list(zip(*cols)), len(cols), p)
+                cols += [(b - c) % p for b, c
+                         in zip(base, rhs(t, images(step)))]
+        return cols
+
+    linear = {}   # t -> J_t(0) and D_(g,i), its change at unit class (g, i)
+    solved = {}   # (t, J_t) -> its `_prepare`
+
+    def system(t, x):
+        """The layer-t system at x's classes, J_t(0) + sum x[g][i] D_(g,i),
+        built on first use; each distinct matrix is `_prepare`d once."""
+        if t not in linear:
+            zero = [[0] * n] * m
+            linear[t] = at0, steps = jacobian(t, zero), []
+            for g, i in itertools.product(range(m), repeat=2):
+                unit = [[int(k == i) for k in range(n)]]
+                at = jacobian(t, zero[:g] + unit + zero[g + 1:])
+                steps.append((g, i, [(a - b) % p for a, b in zip(at, at0)]))
+        cols, steps = linear[t]
+        for g, i, step in steps:
+            if x[g][i]:
+                cols = [(a + x[g][i] * b) % p for a, b in zip(cols, step)]
+        key = t, tuple(cols)
+        if key not in solved:
+            u = m * len(span[t - 1])
+            q = len(cols) // u
+            solved[key] = _prepare([cols[e::q] for e in range(q)], u, p)
+        return solved[key]
 
     levels = [LevelCounts("class %d" % (a + 1)) for a in range(m)]
     levels += [LevelCounts("layer %d" % t) for t in range(3, depth + 1)]
@@ -666,9 +689,9 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
                            for c in residual(t, y, i, j, terms)], p)
         for v in _sweep(tally, level, _runs(m, p), broken, "relations", p,
                         dependence):
-            settle(a + 1, x + [v + pad], {})
+            settle(a + 1, x + [v + pad])
 
-    def settle(s, x, systems):
+    def settle(s, x):
         """Carry a candidate that passed level s - 1 on to level s.
 
         At layer t the solutions are x0 + sum c_i N_i over the kernel
@@ -681,9 +704,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         if s == len(levels):
             return leaf(images(x), done)
         t = s - m + 3
-        if t not in systems:
-            systems[t] = jacobian(t, x)
-        tests, solve, null = systems[t]
+        tests, solve, null = system(t, x)
         b = rhs(t, images(x))
         if any(sum(b[e] * v for e, v in f) % p for f in tests):
             done.inconsistent += 1
@@ -706,27 +727,23 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
 
         rows = []
         if t < depth:
-            # x's L_(t-1) parts are still 0 here, but the next system
-            # depends on the classes alone
-            if t + 1 not in systems:
-                systems[t + 1] = jacobian(t + 1, x)
             b = rhs(t + 1, images(solution([1] + _variables(len(null)))))
             rows = [sum(b[e] * v for e, v in f) % p
-                    for f in systems[t + 1][0]]
+                    for f in system(t + 1, x)[0]]
         inconsistent = _compile(rows, p)
         level = levels[s]
         if inconsistent is None:
             return tally.step(level, "inconsistent", p ** len(null))
         if not null:
             tally.step(level)
-            return settle(s + 1, solution((1,)), systems)
+            return settle(s + 1, solution((1,)))
         for coef in _sweep(tally, level, _runs(len(null), p, zero=True),
                            inconsistent, "inconsistent", p):
-            settle(s + 1, solution((1, *coef)), systems)
+            settle(s + 1, solution((1, *coef)))
 
     status = "exhausted"
     try:
-        settle(0, [], None)
+        settle(0, [])
     except _Stop:
         status = "capped"
     return SearchResult("found" if found else status, prime, tally.count,

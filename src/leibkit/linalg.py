@@ -11,12 +11,11 @@ row space.  Q(i) entries and entries of one quadratic extension may share
 a matrix or a subspace.
 
 The public constructors ``Matrix(rows)`` and ``Subspace(ambient, vectors)``
-put caller entries through ``scalars.promote``; ``Matrix.apply`` leaves
-its vector to the scalar operators, which promote an int or Fraction
-operand themselves.  What the kernel builds from its own scalars (the
-results of ``rref``, ``transpose``, ``@``, ``inv`` and ``identity``, and
-the spans of kernel vectors) goes through ``Matrix._of`` and
-``Subspace._span``, which trust their entries and skip the promotion.
+put caller entries through ``scalars.promote``.  What the kernel builds
+from its own scalars (the results of ``rref``, ``transpose``, ``@``,
+``inv`` and ``identity``, and the spans of kernel vectors) goes through
+``Matrix._of`` and ``Subspace._span``, which trust their entries and
+skip the promotion.
 """
 
 from __future__ import annotations
@@ -105,12 +104,6 @@ class Matrix:
             return Matrix._of([()] * self.ncols, 0)
         return Matrix._of(zip(*self.rows), self.nrows)
 
-    def apply(self, vec):
-        """Matrix-vector product; vec is a sequence of scalars."""
-        if len(vec) != self.ncols:
-            raise AmbientMismatch("vector length differs from column count")
-        return tuple(_dot(row, vec) for row in self.rows)
-
     def rref(self):
         """Reduced row echelon form.
 
@@ -177,6 +170,15 @@ def _support(vec) -> dict:
 
 def _dense(row, n) -> tuple:
     return tuple(row.get(k, ZERO) for k in range(n))
+
+
+def _combine(cols, coefs) -> dict:
+    """sum_k coefs[k] cols[k] over sparse rows, in increasing index order."""
+    acc = {}
+    for k, c in coefs.items():
+        for r, y in cols[k].items():
+            acc[r] = acc[r] + y * c if r in acc else y * c
+    return {r: acc[r] for r in sorted(acc) if not acc[r].is_zero()}
 
 
 def _sub_multiple(row, f, pivot_row, pivot):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from leibkit import exprs
+from leibkit import exprs, iso
 from leibkit.algebra import LeibnizAlgebra
 from leibkit.catalogue import instantiate, sample_params
 from leibkit.iso import (
@@ -65,6 +65,11 @@ def small_invertible(rng, n=5):
 
 # -- the witness check against the loop over every product ----------------
 
+def _apply(matrix, vec):
+    """The matrix times a dense vector of scalars."""
+    return tuple(sum(map(operator.mul, row, vec), ZERO) for row in matrix.rows)
+
+
 def _verify_by_products(source, target, matrix):
     """The check product by product: Q [e_i, e_j] against [Q e_i, Q e_j]
     for every (i, j), with the same four verdict texts."""
@@ -79,7 +84,7 @@ def _verify_by_products(source, target, matrix):
     for i in range(n):
         for j in range(n):
             w = source.bracket_basis(i, j)
-            lhs = matrix.apply(tuple(w.get(k, ZERO) for k in range(n)))
+            lhs = _apply(matrix, tuple(w.get(k, ZERO) for k in range(n)))
             rhs = target.bracket(cols[i], cols[j])
             if tuple(lhs) != tuple(rhs):
                 return f"product ({i + 1},{j + 1}) is not preserved"
@@ -661,6 +666,44 @@ def test_prepare_solves_layer_systems(data, p, u):
         _rank([[*row, e] for row, e in zip(rows, b)], p) == rank)
     if consistent(b):
         assert apply(solution(b)) == b
+
+
+# the pairs of perfbench's iso_dense workload: four found, four capped
+ISO_DENSE_FOUND = (("A_5", 2), ("A_116", 2), ("A_5", 3), ("A_116", 3))
+ISO_DENSE_CAPPED = (("A_36", "A_37"), ("A_38", "A_39"), ("A_44", "A_45"),
+                    ("A_136", "A_137"))
+
+
+def test_layer_systems_solved_once_per_distinct_matrix(catalogue,
+                                                       monkeypatch):
+    # a search builds each layer's system once, linear in the classes,
+    # and solves each distinct matrix once: 40 eliminations (leaf and word
+    # inverses included) where one per candidate past the classes made 530
+    calls = []
+    prepare = iso._prepare
+
+    def counted(rows, u, p):
+        calls.append(u)
+        return prepare(rows, u, p)
+
+    def first(name):
+        entry = catalogue.entry(name)
+        return instantiate(entry, sample_params(entry, 1)[0]
+                           if entry.is_parametric else {})
+
+    monkeypatch.setattr(iso, "_prepare", counted)
+    verdicts = []
+    for name, alpha in ISO_DENSE_FOUND:
+        entry = catalogue.entry(name)
+        cert = certify(instantiate(entry, {"alpha": alpha}),
+                       instantiate(entry, {"alpha": -alpha}))
+        verdicts.append((cert.status, cert.candidates))
+    for a, b in ISO_DENSE_CAPPED:
+        cert = certify(first(a), first(b), cap=20_000)
+        verdicts.append((cert.status, cert.candidates))
+    assert verdicts == [(CERTIFIED, 2383), (CERTIFIED, 16)] * 2 \
+        + [(INCONCLUSIVE, 40_000)] * 4
+    assert len(calls) == 40
 
 
 def test_lift_witness_values():

@@ -51,14 +51,6 @@ def test_matmul_and_transpose():
         a @ Matrix([[1, 2, 3]])
 
 
-def test_apply():
-    a = Matrix([[1, 2], [3, 4]])
-    assert a.apply((1, 0)) == (GaussianRational(1), GaussianRational(3))
-    assert a.apply((1, 1)) == (GaussianRational(3), GaussianRational(7))
-    with pytest.raises(AmbientMismatch):
-        a.apply((1, 2, 3))
-
-
 def test_rref_canonical():
     m = Matrix([[2, 4, 0], [1, 2, 1]])
     red, rank, pivots = m.rref()
@@ -130,8 +122,6 @@ def test_empty_shapes():
     back = t.transpose()
     assert (back.nrows, back.ncols) == (3, 0) and back == three_by_zero
     assert t != Matrix([])
-    zero = GaussianRational(0)
-    assert Matrix([[], []]).apply([]) == (zero, zero)
     assert three_by_zero @ t == Matrix([[0] * 3] * 3)
 
 
