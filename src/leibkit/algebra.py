@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import (AmbientMismatch, Matrix, Subspace, _combine, _dense,
-                     _support)
+                     _nullspace, _support)
 from .scalars import ONE, ZERO, promote
 
 
@@ -172,10 +172,9 @@ class LeibnizAlgebra:
         """Span of [u, v] over basis vectors of the two subspaces."""
         if u_space.ambient != self.n or v_space.ambient != self.n:
             raise AmbientMismatch("subspace ambient differs from algebra dimension")
-        vs = [_support(v) for v in v_space.basis]
         return Subspace._span(self.n, [self._bracket_sparse(u, v)
-                                       for u in map(_support, u_space.basis)
-                                       for v in vs])
+                                       for u in u_space.echelon
+                                       for v in v_space.echelon])
 
     def lower_central_series(self) -> tuple[Subspace, ...]:
         """A^1 = A, A^{i+1} = [A, A^i]; stops at the first repeated term."""
@@ -236,14 +235,11 @@ class LeibnizAlgebra:
         for (a, b), comps in self.table.items():
             i, j = (a, b) if left else (b, a)
             for k, s in comps.items():
-                rows.setdefault((j, k), [ZERO] * self.n)[i] = s
+                rows.setdefault((j, k), {})[i] = s
         return list(rows.values())
 
     def _kernel(self, rows) -> Subspace:
-        if not rows:
-            return self.full_space()
-        return Subspace._span(
-            self.n, map(_support, Matrix._of(rows, self.n).nullspace()))
+        return Subspace._span(self.n, _nullspace(rows, self.n))
 
     def left_annihilator(self) -> Subspace:
         """{x : [x, a] = 0 for all a}; contains the squares ideal."""

@@ -306,11 +306,10 @@ def extract_v_form(algebra: LeibnizAlgebra) -> tuple[BilinearForm2, AdaptedBasis
     if reason is not None:
         raise HypothesisViolation(reason)
     n = algebra.n
-    rows = algebra.lower_central_term(2).basis
-    ell = algebra.leib_ideal().basis[0]
-    pivots = [next(c for c, x in enumerate(row) if not x.is_zero())
-              for row in rows]
-    s = max(r for r, p in enumerate(pivots) if not ell[p].is_zero())
+    sq, leib = algebra.lower_central_term(2), algebra.leib_ideal()
+    rows, ell = sq.basis, leib.basis[0]
+    pivots = [min(row) for row in sq.echelon]
+    s = max(r for r, p in enumerate(pivots) if p in leib.echelon[0])
     p_s = pivots[s]
     free = [c for c in range(n) if c not in pivots]
     comp = [tuple(ONE if k == c else ZERO for k in range(n)) for c in free]

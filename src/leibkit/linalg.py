@@ -3,17 +3,19 @@
 Everything here is written for small fixed dimension (ambient spaces of
 dimension 5, matrices at most 10 x 10 or so) and exact scalars, so the
 implementation favors clarity and determinism over asymptotics.  Every
-row reduction (``rref``, and so ``nullspace`` and ``inv``, and every
-span) goes through one incremental echelon, ``_echelon``, on sparse rows
-{column: nonzero scalar}: it keeps the rows taken so far in reduced row
-echelon form, which is unique, so reduced forms are canonical for a given
-row space.  Q(i) entries and entries of one quadratic extension may share
-a matrix or a subspace.
+row reduction (``rref``, ``inv``, every span and, through ``_nullspace``,
+every kernel) goes through one incremental echelon, ``_echelon``, on
+sparse rows {column: nonzero scalar}: it keeps the rows taken so far in
+reduced row echelon form, which is unique, so reduced forms are canonical
+for a given row space.  A subspace keeps its echelon's sparse rows, so
+dense vectors appear only at the public edge (``Matrix``,
+``Subspace(ambient, vectors)``, ``Subspace.basis``).  Q(i) entries and
+entries of one quadratic extension may share a matrix or a subspace.
 
 The public constructors ``Matrix(rows)`` and ``Subspace(ambient, vectors)``
 put caller entries through ``scalars.promote``.  What the kernel builds
 from its own scalars (the results of ``rref``, ``transpose``, ``@``,
-``inv`` and ``identity``, and the spans of kernel vectors) goes through
+``inv`` and ``identity``, and the spans of sparse rows) goes through
 ``Matrix._of`` and ``Subspace._span``, which trust their entries and
 skip the promotion.
 """
@@ -133,22 +135,12 @@ class Matrix:
         return Matrix._of([row[n:] for row in red.rows], n)
 
     def nullspace(self):
-        """Basis of the right kernel as a tuple of vectors (tuples).
-
-        Basis vectors carry 1 in their free coordinate and are produced in
-        increasing free-column order, so the result is canonical.
-        """
-        red, rank, pivots = self.rref()
+        """Basis of the right kernel, ``_nullspace`` made dense: vectors
+        (tuples) with 1 in their free coordinate, in increasing free-column
+        order, so the result is canonical."""
         nc = self.ncols
-        free = [c for c in range(nc) if c not in pivots]
-        basis = []
-        for fc in free:
-            vec = [ZERO] * nc
-            vec[fc] = ONE
-            for i, pc in enumerate(pivots):
-                vec[pc] = -red.rows[i][fc]
-            basis.append(tuple(vec))
-        return tuple(basis)
+        return tuple(_dense(row, nc)
+                     for row in _nullspace(map(_support, self.rows), nc))
 
 
 def _dot(u, v):
@@ -223,14 +215,26 @@ def _echelon(rows) -> dict:
     return done
 
 
+def _nullspace(rows, ncols) -> list:
+    """The right kernel of sparse rows of length ncols: one sparse row per
+    free column of their echelon, in increasing order, holding 1 there and
+    at each pivot the negated entry of that pivot's row in the column."""
+    done = _echelon(rows)
+    return [{fc: ONE, **{p: -row[fc] for p, row in done.items() if fc in row}}
+            for fc in range(ncols) if fc not in done]
+
+
 class Subspace:
     """Subspace of F^n held as the RREF of a spanning set (zero rows dropped).
 
-    Two Subspace objects are equal iff they are literally the same subspace;
-    the canonical RREF basis makes that a tuple comparison.
+    ``echelon`` is ``_echelon``'s tuple of sparse rows, in pivot order, and
+    ``basis`` makes them dense.  The rows are shared, not copied (safe only
+    because ``_echelon`` copies every row it takes): nothing may mutate
+    them.  Two Subspace objects are equal iff they are literally the same
+    subspace; the canonical RREF makes that a comparison of rows.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "echelon")
 
     def __init__(self, ambient: int, vectors):
         vectors = list(vectors)
@@ -249,20 +253,24 @@ class Subspace:
     def _reduce(self, ambient, rows):
         done = _echelon(rows)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(_dense(done[c], ambient)
-                                                for c in sorted(done)))
+        object.__setattr__(self, "echelon", tuple(map(done.get, sorted(done))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @property
+    def basis(self):
+        """The RREF rows as dense tuples, in pivot order."""
+        return tuple(_dense(row, self.ambient) for row in self.echelon)
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self.echelon)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
+        return self.ambient == other.ambient and self.echelon == other.echelon
 
     def __hash__(self):
         return hash((self.ambient, self.basis))
@@ -273,19 +281,15 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise AmbientMismatch("ambient dimensions differ")
-        return Subspace._span(self.ambient,
-                              map(_support, self.basis + other.basis))
+        return Subspace._span(self.ambient, self.echelon + other.echelon)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise AmbientMismatch("ambient dimensions differ")
-        if not self.basis or not other.basis:
-            return Subspace(self.ambient, [])
-        # solve c*U = d*V: kernel of [U^T | -V^T]
-        u_cols = list(zip(*self.basis))
-        cols = [urow + tuple(-x for x in vrow)
-                for urow, vrow in zip(u_cols, zip(*other.basis))]
-        kernel = Matrix._of(cols, self.dim + other.dim).nullspace()
-        return Subspace._span(self.ambient, [
-            _support([_dot(sol[:self.dim], col) for col in u_cols])
-            for sol in kernel])
+        # Zassenhaus: the echelon of the rows (u | u) and (v | 0) holds
+        # U + V at pivots left of n and U cap V in its rows right of them
+        n = self.ambient
+        done = _echelon([{**u, **{n + k: x for k, x in u.items()}}
+                         for u in self.echelon] + list(other.echelon))
+        return Subspace._span(n, [{k - n: x for k, x in row.items()}
+                                  for p, row in done.items() if p >= n])

@@ -2,7 +2,7 @@
 
 import random
 
-from leibkit import linalg
+from leibkit import algebra, linalg
 from leibkit.algebra import LeibnizAlgebra
 from leibkit.catalogue import instantiate, sample_params
 from leibkit.invariants import signature
@@ -206,6 +206,29 @@ def test_signature_rref_count(catalogue, monkeypatch):
         per_point[entry.name] = len(calls)
     assert per_point["A_1"] == 16
     assert sum(per_point.values()) == 4026
+
+
+def test_signature_converts_no_vector(catalogue, monkeypatch):
+    # subspaces keep their echelon's sparse rows, and every kernel is read
+    # off one echelon, so a signature pass neither takes the sparse row of
+    # a dense vector nor makes a row dense
+    calls = []
+
+    def counted(convert):
+        def call(*args):
+            calls.append(None)
+            return convert(*args)
+        return call
+
+    for name in ("_support", "_dense"):
+        # algebra binds both names at import
+        wrapped = counted(getattr(linalg, name))
+        monkeypatch.setattr(linalg, name, wrapped)
+        monkeypatch.setattr(algebra, name, wrapped)
+    for entry in catalogue:
+        alg = instantiate(entry, sample_params(entry, 1)[0])
+        signature(LeibnizAlgebra(alg.n, alg.table))
+    assert len(calls) == 0
 
 
 def test_intersections_match_intersect(catalogue):

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from leibkit.algebra import LeibnizAlgebra
 from leibkit.linalg import AmbientMismatch, Matrix, SingularMatrix, Subspace
 from leibkit.scalars import GaussianRational, QuadExtElem, QuadExtField
 
@@ -238,3 +241,66 @@ def test_rref_matches_gauss_jordan_mixed(nrows):
                        if x.is_zero())
         for r, c in enumerate(pivots):
             assert type(red[r, c]) is GaussianRational and red[r, c] == 1
+
+
+@pytest.mark.parametrize("nrows", [3, 5, 10])
+def test_nullspace_matches_rref_assembly(nrows):
+    # the kernel vectors the dense loop assembled from the RREF: 1 at each
+    # free column, minus that column of each pivot row at its pivot
+    rng = random.Random(200 + nrows)
+    for _ in range(30):
+        m = kernel_shaped(rng, lambda: gaussian(rng), nrows)
+        red, _, pivots = m.rref()
+        want = []
+        for fc in (c for c in range(m.ncols) if c not in pivots):
+            vec = [GaussianRational(int(c == fc)) for c in range(m.ncols)]
+            for i, pc in enumerate(pivots):
+                vec[pc] = -red[i, fc]
+            want.append(tuple(vec))
+        kernel = m.nullspace()
+        assert kernel == tuple(want)
+        assert all(m @ Matrix([[x] for x in vec]) == Matrix([[0]] * nrows)
+                   for vec in kernel)
+
+
+SQRT2 = QuadExtField(2)
+small = st.integers(-3, 3)
+with_root = st.tuples(small, small).map(
+    lambda ab: SQRT2.embed(ab[0]) + SQRT2.sqrt_d * GaussianRational(ab[1]))
+# a bracket on F^4 for subspace_product; it need not satisfy Leibniz
+PRODUCT = LeibnizAlgebra(4, {(0, 1): {2: 1, 3: 2}, (1, 0): {2: -1},
+                             (2, 0): {3: 1}, (3, 3): {0: 1, 1: -1}})
+
+
+def _rows(space):
+    """Each echelon row's items in order, to see any change to a row."""
+    return [list(row.items()) for row in space.echelon]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.one_of(small, with_root), min_size=4,
+                         max_size=4), min_size=1, max_size=4),
+       st.lists(st.lists(small, min_size=4, max_size=4), min_size=4,
+                max_size=4))
+@example(vectors=[[0, 0, 1, 1], [0, 1, 0, 1]],
+         coeffs=[[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+@example(vectors=[[SQRT2.sqrt_d, 1, 0, 0], [0, 1, SQRT2.sqrt_d, 2],
+                  [1, 0, 0, 1]],
+         coeffs=[[1, 0, 0, 2], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
+def test_spans_canonical_hashable_unaliased(vectors, coeffs):
+    # a second spanning set of the same space: an invertible recombination
+    # of the first, listed in reverse; both examples give echelon rows
+    # that list equal items in different orders
+    k = len(vectors)
+    mix = Matrix([row[:k] for row in coeffs[:k]])
+    assume(mix.rref()[1] == k)
+    a = Subspace(4, vectors)
+    b = Subspace(4, reversed((mix @ Matrix(vectors)).rows))
+    assert a == b and hash(a) == hash(b)
+    red, rank, _ = Matrix(vectors).rref()
+    assert a.basis == b.basis == red.rows[:rank]
+    before = _rows(a), _rows(b)
+    assert a + b == a.intersect(b) == a
+    PRODUCT.subspace_product(a, b)
+    PRODUCT._kernel(list(a.echelon + b.echelon))
+    assert (_rows(a), _rows(b)) == before

@@ -12,7 +12,12 @@ scalar's field, and inside it only `promote` and `_as_fraction` test
 for a Fraction; square roots are taken and radicals adjoined only
 there, `adjoin_sqrt` being the one routine to build an extension field;
 and only `reduce_mod_p` and `lift_mod_p` read the residue that plays
-the role of i, mapping Q(i) into GF(p) and back."""
+the role of i, mapping Q(i) into GF(p) and back.  Vectors change between
+dense tuples and sparse rows (`linalg._support` and `_dense`) only at
+the public edge, where a caller hands a dense vector in or reads one
+out: `Matrix.rref`, `Matrix.nullspace`, `Subspace.__init__` and
+`Subspace.basis`, the algebra's `bracket`, `check_leibniz` and
+`base_change`, and `iso.verify_witness`."""
 
 import ast
 import functools
@@ -89,6 +94,20 @@ def test_one_elimination_per_field():
     invs = _calls(lambda func: getattr(func, "attr", None) == "inv", "inv")
     assert [c for c in invs if c[0] == "linalg.py"] == [("linalg.py",
                                                          "_echelon")]
+
+
+def test_dense_sparse_conversions_only_at_the_edge():
+    found = set()
+    for name in ("_support", "_dense"):
+        found |= set(_nodes(lambda node: isinstance(node, ast.Name)
+                            and node.id == name, name))
+    # "__init__" is Subspace's: Matrix's promotes without a sparse row
+    assert found == {("linalg.py", "rref"), ("linalg.py", "nullspace"),
+                     ("linalg.py", "__init__"), ("linalg.py", "basis"),
+                     ("algebra.py", "bracket"),
+                     ("algebra.py", "check_leibniz"),
+                     ("algebra.py", "base_change"),
+                     ("iso.py", "verify_witness")}, found
 
 
 def test_one_residual_per_relation():
