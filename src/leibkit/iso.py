@@ -4,10 +4,13 @@ A witness for "A is isomorphic to B" is an invertible matrix Q whose
 column j holds the image of the j-th basis vector of A written in the
 basis of B.  Witnesses are verified exactly, product by product:
 Q [e_i, e_j] in A must be [Q e_i, Q e_j] in B, the first pair that
-differs ending the check.  The search for new ones runs over GF(p) and
-checks each complete map it reaches in the two word tables (`_rebase`);
-it lifts candidates back to Q(i), each entry by `scalars.lift_mod_p`,
-for exact re-verification, so nothing modular is trusted on its own.
+differs ending the check.  The search for new ones runs over GF(p): it
+reduces each algebra's constants to GF(p) elements, reads the lower
+central series, Leib and Z off the reduced algebra's own methods, then
+runs on plain ints and checks each complete map it reaches in the two
+word tables (`_rebase`).  It lifts candidates back to Q(i), each entry by
+`scalars.lift_mod_p`, for exact re-verification, so nothing modular is
+trusted on its own.
 
 The search follows the lower central series, as the lifting step of
 p-group generation does (O'Brien 1990; Eick, Leedham-Green and O'Brien
@@ -38,7 +41,7 @@ from .catalogue import instantiate as cat_instantiate
 from .invariants import signature
 from .linalg import Matrix, _combine, _support
 from .scalars import (DenominatorDividesP, FieldMismatch, PrimeField,
-                      lift_mod_p, mixes_radicals, reduce_mod_p)
+                      lift_mod_p, mixes_radicals)
 
 CERTIFIED = "certified"
 EVIDENCE = "evidence"
@@ -90,19 +93,17 @@ def verify_witness(source: LeibnizAlgebra, target: LeibnizAlgebra,
 
 # ---------------------------------------------------------------- mod-p side
 
-def _int_table(alg: LeibnizAlgebra, field: PrimeField) -> dict:
-    """The structure constants mod p as (k, int) rows; raises
-    DenominatorDividesP when a denominator vanishes mod p."""
-    table = {}
-    for ij, comps in alg.table.items():
-        row = []
-        for k, s in sorted(comps.items()):
-            r = reduce_mod_p(s, field)
-            if r:
-                row.append((k, r))
-        if row:
-            table[ij] = tuple(row)
-    return table
+def _mod_p(alg: LeibnizAlgebra, field: PrimeField) -> LeibnizAlgebra:
+    """The algebra over GF(p), its constants taken in by the field."""
+    return LeibnizAlgebra(alg.n, {
+        ij: {k: field(s) for k, s in sorted(comps.items())}
+        for ij, comps in alg.table.items()})
+
+
+def _int_table(alg: LeibnizAlgebra) -> dict:
+    """The constants of an algebra over GF(p) as (k, int) rows."""
+    return {ij: tuple((k, s.value) for k, s in comps.items())
+            for ij, comps in alg.table.items()}
 
 
 def _brk(table, u, v, n, p):
@@ -215,6 +216,7 @@ def _reduce(rows, v, p):
 
 def _absorb(rows, v, p):
     """Add v to the echelon rows; False when it was already dependent."""
+    # plain ints: `_echelon` on GF(p) elements is 1.3-4x slower on these rows
     v = _reduce(rows, v, p)
     piv = next((t for t in range(len(v)) if v[t]), None)
     if piv is None:
@@ -421,69 +423,28 @@ def _structural_dims(alg: LeibnizAlgebra) -> tuple:
     return (alg.lower_central_dims(), alg.leib_ideal().dim, alg.center().dim)
 
 
-def _mod_structure(tab, n, p):
-    """(lower central dims, dim Leib, dim Z) of an int table mod p, the
-    triple `_structural_dims` gives on the exact side, and the echelon
-    rows of A^2, A^3, ... mod p, up to the first term that vanishes or
-    repeats its predecessor."""
-    units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
-    dims = [n]
-    series = []
-    term = units
-    while True:
-        rows = []
-        for u in units:
-            for v in term:
-                _absorb(rows, _brk(tab, u, v, n, p), p)
-        # the terms are nested, so an equal dimension means an equal term
-        if len(rows) == dims[-1]:
-            break
-        dims.append(len(rows))
-        series.append(rows)
-        if not rows:
-            break
-        term = [bv for _, bv in rows]
-    # the squares of e_i and of e_i + e_j span the squares and the
-    # polarised squares [e_i, e_j] + [e_j, e_i]
-    leib = []
-    for i in range(n):
-        for j in range(i, n):
-            u = [a + b for a, b in zip(units[i], units[j])]
-            _absorb(leib, _brk(tab, u, u, n, p), p)
-    # Z is the kernel of x -> ([x, e_j], [e_j, x])_j
-    images = []
-    for u in units:
-        img = []
-        for v in units:
-            img += _brk(tab, u, v, n, p) + _brk(tab, v, u, n, p)
-        _absorb(images, img, p)
-    return (tuple(dims), len(leib), n - len(images)), series
-
-
-def _words(tab, series, n, p):
+def _words(alg, field):
     """Left-normed words [g_a, w] over the generators g_a, the unit
     vectors that complete A^2, each word kept when it is independent
     modulo the next series term: a basis adapted to the lower central
-    series.  Returns the word rows, for each word past the generators its
-    pair (a, w), and each word's layer, its length."""
-    below = list(series[0])
-    units = (tuple(int(t == i) for t in range(n)) for i in range(n))
-    rows = [u for u in units if _absorb(below, u, p)]
-    m = len(rows)
-    pairs, layer = [None] * m, [1] * m
-    last = range(m)
-    for t, term in enumerate(series[1:], 2):
-        below = list(term)
-        new = []
-        for a in range(m):
-            for w in last:
-                v = _brk(tab, rows[a], rows[w], n, p)
-                if _absorb(below, v, p):
-                    new.append(len(rows))
-                    rows.append(tuple(v))
-                    pairs.append((a, w))
-                    layer.append(t)
-        last = new
+    series of an algebra over GF(p).  Returns the word rows, for each
+    word past the generators its pair (a, w), and each word's layer."""
+    n, p, tab = alg.n, field.p, _int_table(alg)
+    rows, pairs, layer = [], [], []
+    pending = [(None, tuple(int(t == i) for t in range(n))) for i in range(n)]
+    for t, term in enumerate(alg.lower_central_series()[1:], 1):
+        # A^(t+1) as (pivot, int row) pairs; a pivot holds Q(i)'s ONE, so
+        # the field takes in every entry
+        below = [(min(row), tuple(field(row.get(k, 0)).value
+                                  for k in range(n))) for row in term.echelon]
+        for pair, v in pending:
+            if _absorb(below, v, p):
+                rows.append(tuple(v))
+                pairs.append(pair)
+                layer.append(t)
+        pending = [((a, w), _brk(tab, rows[a], rows[w], n, p))
+                   for a in range(layer.count(1))
+                   for w in range(len(rows)) if layer[w] == t]
     return rows, pairs, layer
 
 
@@ -541,12 +502,10 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     p = prime
     field = PrimeField(prime)
     try:
-        tab_s = _int_table(source, field)
-        tab_t = _int_table(target, field)
+        mod_s, mod_t = _mod_p(source, field), _mod_p(target, field)
     except (DenominatorDividesP, FieldMismatch) as ex:
         raise BadPrime(f"reduction undefined mod {prime}: {ex}") from None
-    dims_s, series_s = _mod_structure(tab_s, n, prime)
-    dims_t, series_t = _mod_structure(tab_t, n, prime)
+    dims_s, dims_t = _structural_dims(mod_s), _structural_dims(mod_t)
     if (_structural_dims(source) != dims_s
             or _structural_dims(target) != dims_t):
         raise BadPrime(f"{prime} degenerates a structural dimension")
@@ -556,13 +515,13 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         raise ValueError("the layered search needs nilpotent algebras")
 
     # both sides in their own words; equal dims give them equal layers
-    words, pairs, layer = _words(tab_s, series_s, n, p)
-    basis, _, _ = _words(tab_t, series_t, n, p)
+    words, pairs, layer = _words(mod_s, field)
+    basis, _, _ = _words(mod_t, field)
     if len(words) != n or len(basis) != n:
         raise BadPrime(f"{prime} breaks generation by the complement")
     inv_words = _inv_mat(words, p)
-    src = _rebase(tab_s, words, inv_words, n, p)
-    tgt = _rebase(tab_t, basis, _inv_mat(basis, p), n, p)
+    src = _rebase(_int_table(mod_s), words, inv_words, n, p)
+    tgt = _rebase(_int_table(mod_t), basis, _inv_mat(basis, p), n, p)
     # word k has length layer[k], and [A^i, A^j] lies in A^(i+j)
     for tab in (src, tgt):
         if any(layer[k] < layer[i] + layer[j]

@@ -134,14 +134,6 @@ class Matrix:
             raise SingularMatrix("matrix is singular")
         return Matrix._of([row[n:] for row in red.rows], n)
 
-    def nullspace(self):
-        """Basis of the right kernel, ``_nullspace`` made dense: vectors
-        (tuples) with 1 in their free coordinate, in increasing free-column
-        order, so the result is canonical."""
-        nc = self.ncols
-        return tuple(_dense(row, nc)
-                     for row in _nullspace(map(_support, self.rows), nc))
-
 
 def _dot(u, v):
     it = iter(zip(u, v))

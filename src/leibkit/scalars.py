@@ -1,7 +1,7 @@
 """Exact scalar arithmetic: Q(i), quadratic extensions of it, and the
 prime fields of the witness search.
 
-Two element kinds cover every coefficient the kernel manipulates:
+Two element kinds cover every exact coefficient the kernel manipulates:
 
 * ``GaussianRational`` -- (a + b*i)/d with integers a, b, d, kept in normal
   form (d > 0, gcd(a, b, d) = 1) so arithmetic runs on plain ints.  This
@@ -22,12 +22,12 @@ hold both kinds.  The kernel's constants are ``ONE`` and ``ZERO``
 whatever field the entries live in.  Both types are immutable and
 hashable.
 
-``PrimeField`` is a descriptor, not an element type: it checks that p is a
-prime with p = 1 (mod 4) and fixes the residue r with r*r = -1 (mod p)
-that plays the role of i, taking the smaller of the two roots so that
-reductions are deterministic.  ``reduce_mod_p`` maps Q(i) into GF(p) as
-plain ints in [0, p); the witness search in ``iso`` does its arithmetic on
-those ints, and ``lift_mod_p`` lifts them back into a small box of Q(i).
+``PrimeField`` checks that p is a prime with p = 1 (mod 4) and fixes the
+residue r with r*r = -1 (mod p) that plays the role of i, taking the
+smaller root so that reductions are deterministic.  ``reduce_mod_p`` maps
+Q(i) into GF(p) as ints in [0, p), ``lift_mod_p`` lifts those back into a
+small box of Q(i), and a ``PrimeField`` called on an int or a Q(i) value
+gives its ``PrimeFieldElem``: GF(p) scalars that the exact kernel takes.
 """
 
 from __future__ import annotations
@@ -471,7 +471,7 @@ def _is_probable_prime(n: int) -> bool:
 
 class PrimeField:
     """A prime p = 1 (mod 4) and `i_residue`, the smaller square root of -1
-    mod p; the search's GF(p) arithmetic itself runs on plain ints."""
+    mod p; called on a scalar, it gives that scalar's `PrimeFieldElem`."""
 
     __slots__ = ("p", "i_residue")
 
@@ -491,6 +491,49 @@ class PrimeField:
 
     def __setattr__(self, name, value):
         raise AttributeError("PrimeField is immutable")
+
+    def __call__(self, x) -> "PrimeFieldElem":
+        """x in GF(p): its own elements as they are, else by `reduce_mod_p`."""
+        if type(x) is PrimeFieldElem and x.field.p == self.p:
+            return x
+        return PrimeFieldElem(reduce_mod_p(promote(x), self), self)
+
+
+def _mod_p_op(op):
+    # op on two residues, the second operand taken into GF(p) by the field
+    return lambda x, y: PrimeFieldElem(op(x.value, x.field(y).value), x.field)
+
+
+class PrimeFieldElem:
+    """An element of GF(p): an int `value` in [0, p) and its PrimeField,
+    with the arithmetic the exact kernel asks of a scalar.  The field takes
+    in an int or Q(i) operand, such as ONE, and refuses any other."""
+
+    __slots__ = ("value", "field")
+    __hash__ = None   # it equals every scalar that reduces to it
+
+    def __init__(self, value: int, field: PrimeField):
+        self.value, self.field = value % field.p, field
+
+    __add__ = __radd__ = _mod_p_op(int.__add__)
+    __sub__ = _mod_p_op(int.__sub__)
+    __rsub__ = _mod_p_op(int.__rsub__)
+    __mul__ = __rmul__ = _mod_p_op(int.__mul__)
+
+    def __neg__(self):
+        return PrimeFieldElem(-self.value, self.field)
+
+    def inv(self) -> "PrimeFieldElem":
+        return PrimeFieldElem(pow(self.value, -1, self.field.p), self.field)
+
+    def is_zero(self) -> bool:
+        return not self.value
+
+    def __eq__(self, other):
+        return self.value == self.field(other).value
+
+    def __repr__(self):
+        return f"{self.value} mod {self.field.p}"
 
 
 def reduce_mod_p(a: GaussianRational, field: PrimeField) -> int:

@@ -29,7 +29,7 @@ from leibkit.iso import (
     _compile,
     _int_table,
     _inv_mat,
-    _mod_structure,
+    _mod_p,
     _Poly,
     _prepare,
     _rebase,
@@ -526,25 +526,28 @@ def test_bad_prime_degenerate_dimension(catalogue):
 
 
 def test_int_table_and_mod_structure(catalogue):
+    # the structure mod p is the algebra's own, computed over GF(p)
     field = PrimeField(13)
     alg = instantiate(catalogue.entry("A_1"))
-    tab = _int_table(alg, field)
+    reduced = _mod_p(alg, field)
+    tab = _int_table(reduced)
     assert tab[(1, 0)] == ((2, 12),)
-    dims, series = _mod_structure(tab, 5, 13)
+    dims = _structural_dims(reduced)
     assert dims[0] == (5, 3, 2, 1, 0)
     assert dims == _structural_dims(alg)
-    assert [len(rows) for rows in series] == [3, 2, 1, 0]
+    series = reduced.lower_central_series()[1:]
+    assert [term.dim for term in series] == [3, 2, 1, 0]
     quarter = LeibnizAlgebra(2, {(0, 0): {1: GaussianRational(Fraction(1, 4))}})
-    assert _int_table(quarter, field) == {(0, 0): ((1, 10),)}
-    assert _int_table(LeibnizAlgebra(5, {(0, 0): {4: GaussianRational(13)}}),
-                      field) == {}
+    assert _int_table(_mod_p(quarter, field)) == {(0, 0): ((1, 10),)}
+    assert _int_table(_mod_p(
+        LeibnizAlgebra(5, {(0, 0): {4: GaussianRational(13)}}), field)) == {}
 
 
 def test_mod_structure_matches_exact_dims(catalogue):
     field = PrimeField(29)
     for entry in catalogue:
         alg = instantiate(entry, sample_params(entry, 1)[0])
-        dims, _ = _mod_structure(_int_table(alg, field), 5, 29)
+        dims = _structural_dims(_mod_p(alg, field))
         assert dims == _structural_dims(alg), entry.name
 
 
@@ -558,13 +561,14 @@ def test_words_adapted_to_the_series(catalogue, p):
     for entry in catalogue:
         alg = instantiate(entry, sample_params(entry, 1)[0])
         try:
-            tab = _int_table(alg, field)
+            reduced = _mod_p(alg, field)
         except DenominatorDividesP:
             continue
-        dims, series = _mod_structure(tab, 5, p)
+        dims = _structural_dims(reduced)
         if dims != _structural_dims(alg):
             continue
-        rows, pairs, layer = _words(tab, series, 5, p)
+        tab = _int_table(reduced)
+        rows, pairs, layer = _words(reduced, field)
         assert len(rows) == _rank(rows, p) == 5, entry.name
         lower = dims[0]
         assert [layer.count(t) for t in range(1, len(lower))] == [
@@ -593,7 +597,7 @@ def reducible_points(catalogue):
         alg = instantiate(entry, sample_params(entry, 1)[0])
         for p in REBASE_PRIMES:
             try:
-                _int_table(alg, PrimeField(p))
+                _mod_p(alg, PrimeField(p))
             except DenominatorDividesP:
                 continue
             points[p].append((entry.name, alg))
@@ -617,8 +621,9 @@ def test_rebase_matches_base_change(reducible_points, data, p):
     if inv is None:
         return
     field = PrimeField(p)
-    moved = _int_table(alg.base_change(Matrix(rows)), field)
-    assert _rebase(_int_table(alg, field), cols, inv, 5, p) == moved, name
+    moved = _mod_p(alg.base_change(Matrix(rows)), field)
+    tab = _int_table(_mod_p(alg, field))
+    assert _rebase(tab, cols, inv, 5, p) == _int_table(moved), name
 
 
 # -- the layer systems' solver against the echelon rank -------------------

@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leibkit.algebra import LeibnizAlgebra
-from leibkit.linalg import AmbientMismatch, Matrix, SingularMatrix, Subspace
+from leibkit.linalg import (AmbientMismatch, Matrix, SingularMatrix, Subspace,
+                            _dense, _nullspace, _support)
 from leibkit.scalars import GaussianRational, QuadExtElem, QuadExtField
 
 
@@ -245,8 +246,9 @@ def test_rref_matches_gauss_jordan_mixed(nrows):
 
 @pytest.mark.parametrize("nrows", [3, 5, 10])
 def test_nullspace_matches_rref_assembly(nrows):
-    # the kernel vectors the dense loop assembled from the RREF: 1 at each
-    # free column, minus that column of each pivot row at its pivot
+    # `_nullspace` against the kernel vectors a dense loop assembles from
+    # the RREF: 1 at each free column, minus that column of each pivot row
+    # at its pivot
     rng = random.Random(200 + nrows)
     for _ in range(30):
         m = kernel_shaped(rng, lambda: gaussian(rng), nrows)
@@ -257,10 +259,10 @@ def test_nullspace_matches_rref_assembly(nrows):
             for i, pc in enumerate(pivots):
                 vec[pc] = -red[i, fc]
             want.append(tuple(vec))
-        kernel = m.nullspace()
-        assert kernel == tuple(want)
-        assert all(m @ Matrix([[x] for x in vec]) == Matrix([[0]] * nrows)
-                   for vec in kernel)
+        kernel = _nullspace(map(_support, m.rows), m.ncols)
+        assert kernel == [_support(vec) for vec in want]
+        assert all(m @ Matrix([[x] for x in _dense(row, m.ncols)])
+                   == Matrix([[0]] * nrows) for row in kernel)
 
 
 SQRT2 = QuadExtField(2)

@@ -4,20 +4,19 @@ by `verify_point`, each field has one elimination routine, the only one
 to invert a pivot: `_absorb` mod p and `linalg._echelon` exactly, and the
 witness search checks every relation through one residual: brackets mod
 p are taken only by `residual`, by `images` for the word images, and by
-the set-up routines `_mod_structure`, `_words` and `_rebase`; and its
-candidates are enumerated in one way, each call of `_runs` handing its
-runs straight to `_sweep`.  The scalar tower's rules live in `scalars`:
-outside it, only `exprs.format_scalar` tests for a Fraction or reads a
-scalar's field, and inside it only `promote` and `_as_fraction` test
-for a Fraction; square roots are taken and radicals adjoined only
-there, `adjoin_sqrt` being the one routine to build an extension field;
-and only `reduce_mod_p` and `lift_mod_p` read the residue that plays
-the role of i, mapping Q(i) into GF(p) and back.  Vectors change between
-dense tuples and sparse rows (`linalg._support` and `_dense`) only at
-the public edge, where a caller hands a dense vector in or reads one
-out: `Matrix.rref`, `Matrix.nullspace`, `Subspace.__init__` and
-`Subspace.basis`, the algebra's `bracket`, `check_leibniz` and
-`base_change`, and `iso.verify_witness`."""
+the set-up routines `_words` and `_rebase`; and its candidates are
+enumerated in one way, each call of `_runs` handing its runs straight to
+`_sweep`.  The scalar tower's rules live in `scalars`: outside it, only
+`exprs.format_scalar` tests for a Fraction or reads a scalar's field,
+and inside it only `promote` and `_as_fraction` test for a Fraction;
+square roots are taken and radicals adjoined only there, `adjoin_sqrt`
+being the one routine to build an extension field; and only
+`reduce_mod_p` and `lift_mod_p` read the residue that plays the role of
+i, mapping Q(i) into GF(p) and back.  Vectors change between dense
+tuples and sparse rows (`linalg._support` and `_dense`) only at the
+public edge, where a caller hands a dense vector in or reads one out:
+`Matrix.rref`, `Subspace.__init__` and `Subspace.basis`, the algebra's
+`bracket`, `check_leibniz` and `base_change`, and `iso.verify_witness`."""
 
 import ast
 import functools
@@ -102,8 +101,8 @@ def test_dense_sparse_conversions_only_at_the_edge():
         found |= set(_nodes(lambda node: isinstance(node, ast.Name)
                             and node.id == name, name))
     # "__init__" is Subspace's: Matrix's promotes without a sparse row
-    assert found == {("linalg.py", "rref"), ("linalg.py", "nullspace"),
-                     ("linalg.py", "__init__"), ("linalg.py", "basis"),
+    assert found == {("linalg.py", "rref"), ("linalg.py", "__init__"),
+                     ("linalg.py", "basis"),
                      ("algebra.py", "bracket"),
                      ("algebra.py", "check_leibniz"),
                      ("algebra.py", "base_change"),
@@ -113,7 +112,7 @@ def test_dense_sparse_conversions_only_at_the_edge():
 def test_one_residual_per_relation():
     brks = _calls(lambda func: getattr(func, "id", None) == "_brk", "_brk")
     assert set(brks) == {("iso.py", name) for name in (
-        "_mod_structure", "_words", "_rebase", "images", "residual")}, brks
+        "_words", "_rebase", "images", "residual")}, brks
 
 
 def _names(func, name):

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from leibkit.exprs import format_scalar, parse_scalar
 from leibkit.scalars import (
+    ONE,
     DenominatorDividesP,
     ExtensionTowerNeeded,
     FieldMismatch,
     GaussianRational,
     PrimeField,
+    PrimeFieldElem,
     QuadExtElem,
     QuadExtField,
     adjoin_sqrt,
@@ -259,6 +261,57 @@ def test_reduce_mod_p_is_homomorphism():
         assert 0 <= ra < 29 and 0 <= rb < 29
         assert reduce_mod_p(a + b, f) == (ra + rb) % 29
         assert reduce_mod_p(a * b, f) == ra * rb % 29
+
+
+# -- GF(p) elements: the image of Q(i) under reduce_mod_p -------------------
+
+gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=gaussians, b=gaussians, p=st.sampled_from((5, 13, 29)))
+def test_reduce_mod_p_is_a_ring_homomorphism_onto_gf_p(a, b, p):
+    field = PrimeField(p)
+    try:
+        x, y = field(a), field(b)
+    except DenominatorDividesP:
+        return
+    assert (type(x), x.value) == (PrimeFieldElem, reduce_mod_p(a, field))
+    assert x + y == field(a + b) and (x + y).value == (x.value + y.value) % p
+    assert x - y == field(a - b) and -x == field(-a)
+    assert x * y == field(a * b) and (x * y).value == x.value * y.value % p
+    if not x.is_zero():
+        assert (x * x.inv()).value == 1
+        try:
+            assert x.inv() == field(a.inv())
+        except DenominatorDividesP:
+            pass    # a's conjugate reduces to 0, so 1/a has no image
+    # onto: every residue is the image of an int
+    assert [field(k).value for k in range(p)] == list(range(p))
+
+
+def test_gf_p_mixes_with_q_i_only():
+    field = PrimeField(13)
+    x = field(GaussianRational(Fraction(1, 2), 1))    # 7 + 5 = 12
+    assert x.value == 12 and x == -1 and x != 1 and field(x) is x
+    i = GaussianRational(0, 1)
+    mixes = (ONE * x, x * i, i * x, x + ONE, ONE + x, x - ONE, ONE - x,
+             x * Fraction(1, 2), 3 + x)
+    assert all(type(m) is PrimeFieldElem for m in mixes), mixes
+    assert [m.value for m in mixes] == [12, 8, 8, 0, 0, 11, 2, 6, 2]
+    # nothing maps back to Q(i), and no other field mixes with GF(p)
+    with pytest.raises(FieldMismatch):
+        reduce_mod_p(x, field)
+    with pytest.raises(FieldMismatch):
+        GaussianRational.coerce(x)
+    sqrt2 = QuadExtField(2).sqrt_d
+    for other in (sqrt2, PrimeField(29)(1)):
+        with pytest.raises(FieldMismatch):
+            x * other
+    with pytest.raises(FieldMismatch):
+        sqrt2 + x
+    with pytest.raises(TypeError):
+        hash(x)
 
 
 # -- the integer triple against a Fraction-pair reference ----------------

@@ -6,13 +6,15 @@ entry wrapping round to the first; prime 13, cap 200.  Each search adds
 its status, candidate count, witness matrices and per-level counters, or
 the type and text of the exception it raised.  A change to the order in
 which candidates are tried, to any level's systems or checks, or to a
-counter moves the digest.  Every search of both digests must also leave
+counter moves the digest.  Every search of each digest must also leave
 the leaf's re-check of complete maps idle (`assert_leaf_agrees`).
 """
 
 import hashlib
 import random
+import sys
 
+from leibkit import iso
 from leibkit.catalogue import instantiate, sample_params
 from leibkit.iso import adapted_search
 from leibkit.linalg import Matrix
@@ -90,3 +92,42 @@ def test_deep_search_digest(catalogue):
             enough=lambda found: len(found) >= 3)))
     text = "\n".join(lines) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == DEEP_DIGEST, text
+
+
+# Four first points under one seeded base change, whose searches build
+# many distinct nonzero layer systems, at prime 13 and cap 20,000, keeping
+# up to three witnesses.  The searches above build almost none (the
+# A_5 ones only all-zero systems, A_143's base change one nonzero system),
+# so a layer system that ignores the classes passes them; here it moves
+# the digest.
+LAYER_DIGEST = ("9544ea3cc8bee7472e0b0debb7bcdc96"
+                "f257c48166dd20e8985df15b4c34d457")
+LAYERED = ("A_69", "A_72", "A_107", "A_117")
+
+
+def test_layer_system_digest(catalogue, monkeypatch):
+    built = []
+    prepare = iso._prepare
+
+    def record(rows, u, p):
+        # the leaf's `_inv_mat` solves through `_prepare` too; only the
+        # matrices of layer systems are kept
+        if sys._getframe(1).f_code.co_name == "system":
+            built.append(tuple(map(tuple, rows)))
+        return prepare(rows, u, p)
+
+    monkeypatch.setattr(iso, "_prepare", record)
+    rng = random.Random(0)
+    change = Matrix([[rng.randint(-2, 2) for _ in range(5)]
+                     for _ in range(5)])
+    lines = []
+    for name in LAYERED:
+        alg = _point(catalogue, name, None)
+        built.clear()
+        lines.append("%s %s" % (name, search_line(
+            alg, alg.base_change(change), prime=13, cap=20_000,
+            enough=lambda found: len(found) >= 3)))
+        nonzero = {m for m in built if any(map(any, m))}
+        assert len(nonzero) >= 2, (name, len(nonzero))
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == LAYER_DIGEST, text
