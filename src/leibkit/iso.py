@@ -5,12 +5,13 @@ column j holds the image of the j-th basis vector of A written in the
 basis of B.  Witnesses are verified exactly, product by product:
 Q [e_i, e_j] in A must be [Q e_i, Q e_j] in B, the first pair that
 differs ending the check.  The search for new ones runs over GF(p): it
-reduces each algebra's constants to GF(p) elements, reads the lower
-central series, Leib and Z off the reduced algebra's own methods, then
-runs on plain ints and checks each complete map it reaches in the two
-word tables (`_rebase`).  It lifts candidates back to Q(i), each entry by
-`scalars.lift_mod_p`, for exact re-verification, so nothing modular is
-trusted on its own.
+reduces each algebra's constants to GF(p) elements and sets itself up on
+the reduced algebra's own methods (the lower central series, Leib and Z,
+its words and the tables in them by `base_change`), runs its candidates
+on plain ints, and checks each complete map it reaches by
+`verify_witness` over GF(p).  It lifts candidates back to Q(i), each
+entry by `scalars.lift_mod_p`, for exact re-verification, so nothing
+modular is trusted on its own.
 
 The search follows the lower central series, as the lifting step of
 p-group generation does (O'Brien 1990; Eick, Leedham-Green and O'Brien
@@ -39,7 +40,7 @@ from .catalogue import (DIMENSION, CatalogueError, _expect,
                         read_document)
 from .catalogue import instantiate as cat_instantiate
 from .invariants import signature
-from .linalg import Matrix, _combine, _support
+from .linalg import Matrix, Subspace, _combine, _support
 from .scalars import (DenominatorDividesP, FieldMismatch, PrimeField,
                       lift_mod_p, mixes_radicals)
 
@@ -71,18 +72,24 @@ class Unliftable(ArithmeticError):
 
 # ---------------------------------------------------------------- exact side
 
+_SINGULAR = "matrix is singular"
+
+
 def verify_witness(source: LeibnizAlgebra, target: LeibnizAlgebra,
                    matrix: Matrix) -> str | None:
     """None when the matrix is a bijective homomorphism source -> target,
     otherwise a short description of the first failure: a singular
-    matrix, or the first (i, j) with Q [e_i, e_j] != [Q e_i, Q e_j]."""
+    matrix (`_SINGULAR`), or the first (i, j) with Q [e_i, e_j] !=
+    [Q e_i, Q e_j].  It runs over any field the kernel takes, GF(p)
+    included, as the search's check of a complete map; an exact verdict
+    rests only on the Q(i) matrices that `lift_witness` builds."""
     n = source.n
     if target.n != n:
         return "algebras have different dimensions"
     if matrix.nrows != n or matrix.ncols != n:
         return "matrix shape does not match the algebras"
     if matrix.rref()[1] != n:
-        return "matrix is singular"
+        return _SINGULAR
     cols = [_support(col) for col in matrix.transpose().rows]
     for i, j in itertools.product(range(n), repeat=2):
         if (_combine(cols, source.bracket_basis(i, j))
@@ -259,25 +266,6 @@ def _prepare(rows, u, p):
             [(col, functional(row)) for col, row in reduced], null)
 
 
-def _inv_mat(rows, p):
-    """Inverse of a square int matrix mod p, or None when it is
-    singular."""
-    tests, solve, _null = _prepare(rows, len(rows), p)
-    if tests:
-        return None
-    inv = [[0] * len(rows) for _ in rows]
-    for col, f in solve:
-        for e, v in f:
-            inv[col][e] = v
-    return inv
-
-
-def _matmul(a, b, p):
-    """The product of two int matrices mod p, as rows."""
-    return [[sum(map(operator.mul, row, col)) % p for col in zip(*b)]
-            for row in a]
-
-
 def _balanced_vals(p):
     """The residues 0, 1, -1, 2, -2, ... of GF(p), one at a time."""
     yield 0
@@ -399,9 +387,9 @@ class LevelCounts:
     level: str               # "class a" or "layer t"
     tried: int = 0
     dependent: int = 0       # class dependent on the earlier classes
-    relations: int = 0       # a class relation, or a leaf product, fails
+    relations: int = 0       # a class relation, or a leaf's product, fails
     inconsistent: int = 0    # the next layer's affine system has no solution
-    rank: int = 0            # the leaf matrix is singular
+    rank: int = 0            # the leaf's map is singular mod p
     found: int = 0
 
     @property
@@ -423,42 +411,30 @@ def _structural_dims(alg: LeibnizAlgebra) -> tuple:
     return (alg.lower_central_dims(), alg.leib_ideal().dim, alg.center().dim)
 
 
-def _words(alg, field):
+def _words(alg):
     """Left-normed words [g_a, w] over the generators g_a, the unit
     vectors that complete A^2, each word kept when it is independent
     modulo the next series term: a basis adapted to the lower central
-    series of an algebra over GF(p).  Returns the word rows, for each
-    word past the generators its pair (a, w), and each word's layer."""
-    n, p, tab = alg.n, field.p, _int_table(alg)
-    rows, pairs, layer = [], [], []
+    series of an algebra over GF(p).  Returns the words as the columns of
+    a matrix, for each word past the generators its pair (a, w), and each
+    word's layer.  The generators hold Q(i)'s 0 and 1, which the field
+    takes in as it takes in the kernel's pivots."""
+    n = alg.n
+    words, pairs, layer = [], [], []
     pending = [(None, tuple(int(t == i) for t in range(n))) for i in range(n)]
-    for t, term in enumerate(alg.lower_central_series()[1:], 1):
-        # A^(t+1) as (pivot, int row) pairs; a pivot holds Q(i)'s ONE, so
-        # the field takes in every entry
-        below = [(min(row), tuple(field(row.get(k, 0)).value
-                                  for k in range(n))) for row in term.echelon]
+    for t, below in enumerate(alg.lower_central_series()[1:], 1):
+        if t > 1:   # the words of length t, none past the last term
+            pending = [((a, w), alg.bracket(words[a], words[w]))
+                       for a in range(layer.count(1))
+                       for w in range(len(words)) if layer[w] == t - 1]
         for pair, v in pending:
-            if _absorb(below, v, p):
-                rows.append(tuple(v))
+            grown = below + Subspace(n, [v])
+            if grown.dim > below.dim:
+                below = grown
+                words.append(v)
                 pairs.append(pair)
                 layer.append(t)
-        pending = [((a, w), _brk(tab, rows[a], rows[w], n, p))
-                   for a in range(layer.count(1))
-                   for w in range(len(rows)) if layer[w] == t]
-    return rows, pairs, layer
-
-
-def _rebase(tab, basis, inv, n, p):
-    """The int table written in the given basis rows, whose inverse is
-    `inv`."""
-    out = {}
-    for i, u in enumerate(basis):
-        for j, v in enumerate(basis):
-            (w,) = _matmul([_brk(tab, u, v, n, p)], inv, p)
-            row = tuple((k, c) for k, c in enumerate(w) if c)
-            if row:
-                out[(i, j)] = row
-    return out
+    return Matrix(words).transpose(), pairs, layer
 
 
 def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
@@ -482,11 +458,11 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     search (`system`), each distinct one is solved mod prime once, and only
     its solutions are tried, free variables small-first.  The last layer
     enters no relation and is set to 0.  Each class and each affine solution
-    tried counts as one candidate.  Every complete map is checked in the two
-    word tables: the target's, rewritten by `_rebase` in the images of the
-    source's words, must equal the source's (a singular map counts under
-    `rank`).  A node's checks (a class's dependence and relations, or the next
-    layer's consistency) are polynomials over GF(prime) in its unknowns, the
+    tried counts as one candidate.  Every complete map is checked over
+    GF(prime) by `verify_witness` on the reduced algebras (a singular map
+    counts under `rank`, a broken product under `relations`).  A node's
+    checks (a class's dependence and relations, or the next layer's
+    consistency) are polynomials over GF(prime) in its unknowns, the
     class or the kernel coefficients; they are compiled once per node and
     evaluated once per run of candidates (`_runs`, `_sweep`), which counts
     the rejected stretches between the candidates that vanish there in one
@@ -515,13 +491,12 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         raise ValueError("the layered search needs nilpotent algebras")
 
     # both sides in their own words; equal dims give them equal layers
-    words, pairs, layer = _words(mod_s, field)
-    basis, _, _ = _words(mod_t, field)
-    if len(words) != n or len(basis) != n:
+    words, pairs, layer = _words(mod_s)
+    basis, _, _ = _words(mod_t)
+    if words.ncols != n or basis.ncols != n:
         raise BadPrime(f"{prime} breaks generation by the complement")
-    inv_words = _inv_mat(words, p)
-    src = _rebase(_int_table(mod_s), words, inv_words, n, p)
-    tgt = _rebase(_int_table(mod_t), basis, _inv_mat(basis, p), n, p)
+    src = _int_table(mod_s.base_change(words))
+    tgt = _int_table(mod_t.base_change(basis))
     # word k has length layer[k], and [A^i, A^j] lies in A^(i+j)
     for tab in (src, tgt):
         if any(layer[k] < layer[i] + layer[j]
@@ -617,19 +592,20 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     tally = _Tally(cap)
 
     def leaf(y, level):
-        """Check the complete map in the two word tables: the target's,
-        rewritten in the word images y, must be the source's.  A map that
-        passes becomes the witness: cols[c], the image of the source's
-        e_c in the target's basis, is its column c."""
-        inv = _inv_mat(y, p)
-        if inv is None:
+        """Check the complete map q = basis Y words^-1 over GF(prime), Y's
+        columns the word images y taken into the field, so every entry of
+        q is in GF(prime): column c of q is the image of the source's e_c
+        in the target's basis.  A map that `verify_witness` passes becomes
+        the witness, its entries as ints."""
+        q = basis @ Matrix([map(field, row) for row in zip(*y)]) @ words.inv()
+        why = verify_witness(mod_s, mod_t, q)
+        if why == _SINGULAR:
             level.rank += 1
-        elif _rebase(tgt, y, inv, n, p) != src:
+        elif why:
             level.relations += 1
         else:
             level.found += 1
-            cols = _matmul(inv_words, _matmul(y, basis, p), p)
-            found.append(tuple(zip(*cols)))
+            found.append(tuple(tuple(e.value for e in row) for row in q.rows))
             if enough(found):
                 raise _Stop
 

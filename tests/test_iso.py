@@ -23,16 +23,15 @@ from leibkit.iso import (
     FixtureError,
     LevelCounts,
     Unliftable,
+    _SINGULAR,
     _absorb,
     _at,
     _brk,
     _compile,
     _int_table,
-    _inv_mat,
     _mod_p,
     _Poly,
     _prepare,
-    _rebase,
     _reduce,
     _runs,
     _Stop,
@@ -567,24 +566,25 @@ def test_words_adapted_to_the_series(catalogue, p):
         dims = _structural_dims(reduced)
         if dims != _structural_dims(alg):
             continue
-        tab = _int_table(reduced)
-        rows, pairs, layer = _words(reduced, field)
-        assert len(rows) == _rank(rows, p) == 5, entry.name
+        words, pairs, layer = _words(reduced)
+        cols = words.transpose().rows
+        assert len(cols) == words.rref()[1] == 5, entry.name
         lower = dims[0]
         assert [layer.count(t) for t in range(1, len(lower))] == [
             a - b for a, b in zip(lower, lower[1:])], entry.name
-        for row, pair, t in zip(rows, pairs, layer):
+        for col, pair, t in zip(cols, pairs, layer):
             if t == 1:
-                assert pair is None and sorted(row) == [0, 0, 0, 0, 1]
+                assert pair is None and sorted(
+                    field(e).value for e in col) == [0, 0, 0, 0, 1]
                 continue
             a, w = pair
             assert (layer[a], layer[w]) == (1, t - 1), entry.name
-            assert list(row) == _brk(tab, rows[a], rows[w], 5, p), entry.name
+            assert col == reduced.bracket(cols[a], cols[w]), entry.name
         checked += 1
     assert checked > 250
 
 
-# -- the search leaf's rewrite mod p against the exact base change --------
+# -- the search leaf's check mod p against the exact base change ---------
 
 REBASE_PRIMES = (5, 13, 29)
 
@@ -606,24 +606,25 @@ def reducible_points(catalogue):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), p=st.sampled_from(REBASE_PRIMES))
-def test_rebase_matches_base_change(reducible_points, data, p):
-    # the leaf's check of a complete map, against `verify_witness`'s
+def test_leaf_check_matches_base_change(reducible_points, data, p):
+    # the leaf's check of a complete map, `verify_witness` on the reduced
+    # algebras, against the exact base change: Q maps A.base_change(Q) to A
     name, alg = data.draw(st.sampled_from(reducible_points[p]))
     entries = data.draw(st.lists(st.integers(-3, 3), min_size=25,
                                  max_size=25))
     rows = [entries[5 * r:5 * r + 5] for r in range(5)]
-    cols = [[rows[r][c] % p for r in range(5)] for c in range(5)]
     echelon = []
-    for col in cols:
-        _absorb(echelon, col, p)
-    inv = _inv_mat(cols, p)
-    assert (inv is None) == (len(echelon) < 5), name
-    if inv is None:
-        return
+    for row in rows:
+        _absorb(echelon, [x % p for x in row], p)
     field = PrimeField(p)
+    reduced = _mod_p(alg, field)
+    q = Matrix([map(field, row) for row in rows])
+    singular = len(echelon) < 5
+    assert (verify_witness(reduced, reduced, q) == _SINGULAR) == singular
+    if singular:
+        return
     moved = _mod_p(alg.base_change(Matrix(rows)), field)
-    tab = _int_table(_mod_p(alg, field))
-    assert _rebase(tab, cols, inv, 5, p) == _int_table(moved), name
+    assert verify_witness(moved, reduced, q) is None, name
 
 
 # -- the layer systems' solver against the echelon rank -------------------
@@ -682,8 +683,9 @@ ISO_DENSE_CAPPED = (("A_36", "A_37"), ("A_38", "A_39"), ("A_44", "A_45"),
 def test_layer_systems_solved_once_per_distinct_matrix(catalogue,
                                                        monkeypatch):
     # a search builds each layer's system once, linear in the classes,
-    # and solves each distinct matrix once: 40 eliminations (leaf and word
-    # inverses included) where one per candidate past the classes made 530
+    # and solves each distinct matrix once: 12 eliminations, where one per
+    # candidate past the classes made 530; the word and leaf inverses are
+    # `Matrix.inv`'s over GF(p)
     calls = []
     prepare = iso._prepare
 
@@ -708,7 +710,7 @@ def test_layer_systems_solved_once_per_distinct_matrix(catalogue,
         verdicts.append((cert.status, cert.candidates))
     assert verdicts == [(CERTIFIED, 2383), (CERTIFIED, 16)] * 2 \
         + [(INCONCLUSIVE, 40_000)] * 4
-    assert len(calls) == 40
+    assert len(calls) == 12
 
 
 def test_lift_witness_values():

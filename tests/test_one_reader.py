@@ -1,22 +1,24 @@
-"""One place each, checked on the package's syntax trees: JSON is decoded
-only by the catalogue's document reader, check outcomes are built only
-by `verify_point`, each field has one elimination routine, the only one
-to invert a pivot: `_absorb` mod p and `linalg._echelon` exactly, and the
-witness search checks every relation through one residual: brackets mod
-p are taken only by `residual`, by `images` for the word images, and by
-the set-up routines `_words` and `_rebase`; and its candidates are
-enumerated in one way, each call of `_runs` handing its runs straight to
-`_sweep`.  The scalar tower's rules live in `scalars`: outside it, only
-`exprs.format_scalar` tests for a Fraction or reads a scalar's field,
-and inside it only `promote` and `_as_fraction` test for a Fraction;
-square roots are taken and radicals adjoined only there, `adjoin_sqrt`
-being the one routine to build an extension field; and only
-`reduce_mod_p` and `lift_mod_p` read the residue that plays the role of
-i, mapping Q(i) into GF(p) and back.  Vectors change between dense
-tuples and sparse rows (`linalg._support` and `_dense`) only at the
-public edge, where a caller hands a dense vector in or reads one out:
-`Matrix.rref`, `Subspace.__init__` and `Subspace.basis`, the algebra's
-`bracket`, `check_leibniz` and `base_change`, and `iso.verify_witness`."""
+"""One place each, checked on the package's syntax trees: JSON is
+decoded only by the catalogue's document reader, check outcomes are
+built only by `verify_point`, and two elimination routines invert
+pivots: the witness search's per-candidate eliminations mod p go through
+`_absorb`, and everything else, exact or over GF(p), through
+`linalg._echelon`.  The witness search checks every relation through one
+residual: its int brackets mod p are taken only by `residual` and by
+`images` for the word images, its set-up and leaf running on the reduced
+algebra's own methods; and its candidates are enumerated in one way,
+each call of `_runs` handing its runs straight to `_sweep`.  The scalar
+tower's rules live in `scalars`: outside it, only `exprs.format_scalar`
+tests for a Fraction or reads a scalar's field, and inside it only
+`promote` and `_as_fraction` test for a Fraction; square roots are taken
+and radicals adjoined only there, `adjoin_sqrt` being the one routine to
+build an extension field; and only `reduce_mod_p` and `lift_mod_p` read
+the residue that plays the role of i, mapping Q(i) into GF(p) and back.
+Vectors change between dense tuples and sparse rows (`linalg._support`
+and `_dense`) only at the public edge, where a caller hands a dense
+vector in or reads one out: `Matrix.rref`, `Subspace.__init__` and
+`Subspace.basis`, the algebra's `bracket`, `check_leibniz` and
+`base_change`, and `iso.verify_witness`."""
 
 import ast
 import functools
@@ -112,7 +114,7 @@ def test_dense_sparse_conversions_only_at_the_edge():
 def test_one_residual_per_relation():
     brks = _calls(lambda func: getattr(func, "id", None) == "_brk", "_brk")
     assert set(brks) == {("iso.py", name) for name in (
-        "_words", "_rebase", "images", "residual")}, brks
+        "images", "residual")}, brks
 
 
 def _names(func, name):

@@ -110,8 +110,8 @@ def test_layer_system_digest(catalogue, monkeypatch):
     prepare = iso._prepare
 
     def record(rows, u, p):
-        # the leaf's `_inv_mat` solves through `_prepare` too; only the
-        # matrices of layer systems are kept
+        # only the matrices that `system` hands over, the layer systems,
+        # are kept
         if sys._getframe(1).f_code.co_name == "system":
             built.append(tuple(map(tuple, rows)))
         return prepare(rows, u, p)
