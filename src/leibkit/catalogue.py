@@ -132,6 +132,21 @@ def parse_expr_checked(text, params, where):
                              % (where, text, e)) from None
 
 
+def _memo_parser():
+    """parse_expr_checked for one document load: each distinct (text,
+    params) is parsed once, and only a parse that succeeds is kept, so
+    every error is raised afresh with its own `where`."""
+    memo = {}
+
+    def parse(text, params, where):
+        key = (text, params) if isinstance(text, str) else None
+        ast = memo.get(key)
+        if ast is None:   # a key of None is never stored: its parse raises
+            ast = memo[key] = parse_expr_checked(text, params, where)
+        return ast
+    return parse
+
+
 _JSON_TYPES = {dict: "object", list: "array", str: "string"}
 
 
@@ -168,6 +183,10 @@ def parse_products(recs, params, where):
     for `params`); a pair listed twice or a product without
     components is an error.  Raises CatalogueError naming `where`.
     """
+    return _parse_products(recs, params, where, parse_expr_checked)
+
+
+def _parse_products(recs, params, where, parse):
     keys = {str(k): k for k in range(1, DIMENSION + 1)}
     products = []
     seen = set()
@@ -189,8 +208,7 @@ def parse_products(recs, params, where):
             if key not in keys:
                 raise CatalogueError("%s: bad component index %r"
                                      % (where, key))
-            comps.append((keys[key],
-                          parse_expr_checked(text, params, where)))
+            comps.append((keys[key], parse(text, params, where)))
         if not comps:
             raise CatalogueError("%s: empty product [%d, %d]" % (where, i, j))
         comps.sort()
@@ -212,7 +230,7 @@ def _parse_params(rec, where):
     return params
 
 
-def _parse_iso(irec, params, where):
+def _parse_iso(irec, params, where, parse):
     _expect(irec, dict, "%s iso" % where)
     pairs = []
     for pmap in _expect(irec.get("pairs", []), list, "%s iso pairs" % where):
@@ -221,19 +239,19 @@ def _parse_iso(irec, params, where):
             if p not in params:
                 raise CatalogueError("%s: iso map names foreign "
                                      "parameter %r" % (where, p))
-            parse_expr_checked(text, params, where)
+            parse(text, params, where)
             items.append((p, text))
         pairs.append(tuple(items))
     statement = _expect(irec.get("statement", ""), str,
                         "%s iso statement" % where)
     invariant = irec.get("invariant")
     if invariant is not None:
-        parse_expr_checked(invariant, params, where)
+        parse(invariant, params, where)
     return IsoCriteria(statement=statement, pairs=tuple(pairs),
                        invariant=invariant)
 
 
-def _parse_entry(rec, cases):
+def _parse_entry(rec, cases, parse):
     name = _expect(rec, dict, "catalogue entry").get("name")
     if not isinstance(name, str) or not name:
         raise CatalogueError("entry without a name")
@@ -245,7 +263,7 @@ def _parse_entry(rec, cases):
     constraints = tuple(_expect(rec.get("constraints", []), list,
                                 "%s constraints" % where))
     for text in constraints:
-        parse_expr_checked(text, params, where)
+        parse(text, params, where)
     constraints_any = tuple(
         tuple(_expect(cl, list, "%s any-clause" % where))
         for cl in _expect(rec.get("constraints_any", []), list,
@@ -254,11 +272,11 @@ def _parse_entry(rec, cases):
         if not clause:
             raise CatalogueError("%s: empty any-clause" % where)
         for text in clause:
-            parse_expr_checked(text, params, where)
+            parse(text, params, where)
 
-    products = parse_products(rec.get("products", []), params, where)
+    products = _parse_products(rec.get("products", []), params, where, parse)
     irec = rec.get("iso")
-    iso = None if irec is None else _parse_iso(irec, params, where)
+    iso = None if irec is None else _parse_iso(irec, params, where, parse)
     return CatalogueEntry(
         name=name, params=params, constraints=constraints,
         constraints_any=constraints_any, products=products,
@@ -303,8 +321,9 @@ def parse_catalogue(path=None):
 
     entries = []
     names = set()
+    parse = _memo_parser()
     for rec in _expect(doc.get("entries", []), list, "entries"):
-        entry = _parse_entry(rec, cases)
+        entry = _parse_entry(rec, cases, parse)
         if entry.name in names:
             raise CatalogueError("duplicate entry name %r" % entry.name)
         names.add(entry.name)

@@ -497,6 +497,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         raise BadPrime(f"{prime} breaks generation by the complement")
     src = _int_table(mod_s.base_change(words))
     tgt = _int_table(mod_t.base_change(basis))
+    words_inv = words.inv()   # the right factor of every complete map
     # word k has length layer[k], and [A^i, A^j] lies in A^(i+j)
     for tab in (src, tgt):
         if any(layer[k] < layer[i] + layer[j]
@@ -597,7 +598,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         q is in GF(prime): column c of q is the image of the source's e_c
         in the target's basis.  A map that `verify_witness` passes becomes
         the witness, its entries as ints."""
-        q = basis @ Matrix([map(field, row) for row in zip(*y)]) @ words.inv()
+        q = basis @ Matrix([map(field, row) for row in zip(*y)]) @ words_inv
         why = verify_witness(mod_s, mod_t, q)
         if why == _SINGULAR:
             level.rank += 1

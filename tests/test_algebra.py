@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leibkit.algebra import LeibnizAlgebra, LeibnizViolation
 from leibkit.catalogue import instantiate, sample_params
+from leibkit.iso import _mod_p
 from leibkit.linalg import AmbientMismatch, Matrix, SingularMatrix, Subspace
-from leibkit.scalars import ONE, ZERO, GaussianRational, QuadExtField
+from leibkit.scalars import (ONE, ZERO, GaussianRational, PrimeField,
+                             QuadExtField)
 
 
 # [e1,e1] = e2: the smallest non-Lie left Leibniz algebra
@@ -251,24 +253,29 @@ def test_sparse_check_on_catalogue_mutants(catalogue):
 
 def test_check_leibniz_brackets_per_product(catalogue, monkeypatch):
     # 3n^3 = 375 brackets at n = 5 whatever the table; the table has 7
-    # products, and at most 3n of them each may be spent
+    # products, and each may spend at most 2 passes over the table's
+    # index, one for [e_x, [e_a, e_b]] and one for [[e_a, e_b], e_x]
+    # over every x, and no bracket of two vectors
     calls = []
-    sparse = LeibnizAlgebra._bracket_sparse
 
-    def counted(self, u, v):
-        calls.append(None)
-        return sparse(self, u, v)
+    def counted(method, kind):
+        def call(self, *args):
+            calls.append(kind)
+            return method(self, *args)
+        return call
 
-    monkeypatch.setattr(LeibnizAlgebra, "_bracket_sparse", counted)
-    alg = a1()
-    assert alg.check_leibniz() is None
-    assert len(calls) <= 3 * alg.n * len(alg.table)
+    for name in ("_unit_products", "_bracket_sparse"):
+        monkeypatch.setattr(LeibnizAlgebra, name, counted(
+            getattr(LeibnizAlgebra, name), name))
+    algebras = [a1()]
     for name in ("A_16", "A_242"):
         entry = catalogue.entry(name)
-        alg = instantiate(entry, sample_params(entry, 1)[0])
+        algebras.append(instantiate(entry, sample_params(entry, 1)[0]))
+    for alg in algebras:
         calls.clear()
         assert alg.check_leibniz() is None
-        assert len(calls) <= 3 * alg.n * len(alg.table)
+        assert set(calls) == {"_unit_products"}
+        assert len(calls) <= 2 * len(alg.table)
 
 
 # -- products of subspaces ---------------------------------------------------
@@ -281,18 +288,56 @@ def test_subspace_product_checks_ambient():
         alg.subspace_product(alg.full_space(), Subspace(6, []))
 
 
+def _same_products(alg, spaces):
+    """Each of [A, V], [V, A] and [U, V] over the given subspaces (U the
+    one before V, cyclically) is the span of the brackets of their basis
+    vectors."""
+    whole = alg.full_space()
+    pairs = [(whole, v) for v in spaces] + [(v, whole) for v in spaces]
+    pairs += list(zip(spaces[-1:] + spaces[:-1], spaces))
+    for u_space, v_space in pairs:
+        want = Subspace(alg.n, [alg.bracket(u, v) for u in u_space.basis
+                                for v in v_space.basis])
+        assert alg.subspace_product(u_space, v_space) == want
+
+
 def test_subspace_product_matches_bracket_span(catalogue):
+    # the catalogue's points over Q(i), and the same algebras reduced to
+    # GF(13) with subspaces over GF(13)
     rng = random.Random(13)
+    field = PrimeField(13)
     for entry in list(catalogue)[::9]:
         alg = instantiate(entry, sample_params(entry, 1)[0])
-        for _ in range(3):
-            u_space, v_space = (
-                Subspace(5, [[rng.randint(-2, 2) for _ in range(5)]
+        for over, scalar in ((alg, int), (_mod_p(alg, field), field)):
+            _same_products(over, [
+                Subspace(5, [[scalar(rng.randint(-2, 2)) for _ in range(5)]
                              for _ in range(rng.randint(0, 3))])
-                for _ in range(2))
-            want = Subspace(5, [alg.bracket(u, v) for u in u_space.basis
-                                for v in v_space.basis])
-            assert alg.subspace_product(u_space, v_space) == want
+                for _ in range(3)])
         whole = alg.full_space()
         assert (alg.subspace_product(whole, whole)
                 == alg.lower_central_term(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(st.one_of(gaussian, with_root)), st.data())
+def test_subspace_product_matches_bracket_span_with_roots(n_table, data):
+    alg = LeibnizAlgebra(*n_table)
+    vector = st.lists(st.one_of(gaussian, with_root),
+                      min_size=alg.n, max_size=alg.n)
+    _same_products(alg, [Subspace(alg.n, data.draw(st.lists(vector,
+                                                            max_size=3)))
+                         for _ in range(2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(st.one_of(gaussian, with_root)))
+@example((4, {(0, 1): {2: 1}, (1, 0): {2: -1, 3: 1}}))
+def test_leib_ideal_is_the_span_of_squares(n_table):
+    # the squares of e_i + e_j (i <= j) span every square; in the example
+    # Leib is e_4's line inside A^2 = <e_3, e_4>
+    alg = LeibnizAlgebra(*n_table)
+    n = alg.n
+    sums = [[int(k in (i, j)) for k in range(n)]
+            for i in range(n) for j in range(i, n)]
+    assert alg.leib_ideal() == Subspace(n, [alg.bracket(x, x)
+                                            for x in sums])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from leibkit import exprs
 from leibkit.algebra import LeibnizAlgebra
 from leibkit.catalogue import (
     CatalogueError,
@@ -190,6 +191,35 @@ def test_parse_rejects_garbage(tmp_path):
     path.write_text(with_claims
                     % '{"dim_sq": 3, "leib_equals_center": false}')
     assert parse_catalogue(path).cases["c"].leib_equals_center is False
+
+
+def test_each_expression_parsed_once_per_load(tmp_path, shipped_document,
+                                             monkeypatch):
+    # 1,873 expressions in the shipped table, 160 distinct (text, params)
+    calls = []
+    parse = exprs.parse_expr
+
+    def counted(text, params):
+        calls.append((text, params))
+        return parse(text, params)
+
+    monkeypatch.setattr(exprs, "parse_expr", counted)
+    parse_catalogue()
+    assert len(calls) == len(set(calls)) == 160
+    # a parse is shared only under the same parameter names
+    case = shipped_document["entries"][0]["case"]
+    entries = [{"name": name, "case": case, "params": params,
+                "products": [{"left": 1, "right": 1,
+                              "components": {"5": "a"}}]}
+               for name, params in (("X_1", ["a"]), ("X_2", []))]
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(dict(shipped_document, entries=entries)))
+    with pytest.raises(CatalogueError, match="^entry X_2: bad expression"):
+        parse_catalogue(path)
+    # and nothing is kept from one load to the next
+    calls.clear()
+    parse_catalogue()
+    assert len(calls) == 160
 
 
 def test_structure_computed_once_per_algebra(catalogue, monkeypatch):

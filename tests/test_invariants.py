@@ -208,6 +208,40 @@ def test_signature_rref_count(catalogue, monkeypatch):
     assert sum(per_point.values()) == 4026
 
 
+def test_signature_index_pass_count(catalogue, monkeypatch):
+    # a product with the whole algebra is read off the table's index by
+    # consumed component, one pass per echelon row of the other factor:
+    # 2,833 passes over the first points; the 1,533 brackets of two
+    # vectors are the derived series past A^2.  The Leibniz check, Leib
+    # and the lower central series bracket no vectors at all
+    calls = []
+
+    def counted(method, kind):
+        def call(self, *args):
+            calls.append(kind)
+            return method(self, *args)
+        return call
+
+    for name in ("_unit_products", "_bracket_sparse"):
+        monkeypatch.setattr(LeibnizAlgebra, name, counted(
+            getattr(LeibnizAlgebra, name), name))
+    per_point = {}
+    for entry in catalogue:
+        alg = instantiate(entry, sample_params(entry, 1)[0])
+        calls.clear()
+        fresh = LeibnizAlgebra(alg.n, alg.table)
+        fresh.check_leibniz()
+        fresh.leib_ideal()
+        fresh.lower_central_series()
+        assert "_bracket_sparse" not in calls, entry.name
+        calls.clear()
+        signature(LeibnizAlgebra(alg.n, alg.table))
+        per_point[entry.name] = (calls.count("_unit_products"),
+                                 calls.count("_bracket_sparse"))
+    assert per_point["A_1"] == (14, 9)
+    assert [sum(c) for c in zip(*per_point.values())] == [2833, 1533]
+
+
 def test_signature_converts_no_vector(catalogue, monkeypatch):
     # subspaces keep their echelon's sparse rows, and every kernel is read
     # off one echelon, so a signature pass neither takes the sparse row of

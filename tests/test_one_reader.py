@@ -7,7 +7,13 @@ pivots: the witness search's per-candidate eliminations mod p go through
 residual: its int brackets mod p are taken only by `residual` and by
 `images` for the word images, its set-up and leaf running on the reduced
 algebra's own methods; and its candidates are enumerated in one way,
-each call of `_runs` handing its runs straight to `_sweep`.  The scalar
+each call of `_runs` handing its runs straight to `_sweep`.  An
+algebra's structure passes read its products off the table's index by
+consumed component: `check_leibniz`, `_leib_ideal` and
+`_lower_central_series` never bracket two vectors, and
+`_bracket_sparse` is called only by `bracket`, `base_change`,
+`iso.verify_witness` and `subspace_product` for a pair of proper
+subspaces.  The scalar
 tower's rules live in `scalars`: outside it, only `exprs.format_scalar`
 tests for a Fraction or reads a scalar's field, and inside it only
 `promote` and `_as_fraction` test for a Fraction; square roots are taken
@@ -115,6 +121,16 @@ def test_one_residual_per_relation():
     brks = _calls(lambda func: getattr(func, "id", None) == "_brk", "_brk")
     assert set(brks) == {("iso.py", name) for name in (
         "images", "residual")}, brks
+
+
+def test_structure_passes_bracket_no_vectors():
+    # so not check_leibniz, _leib_ideal or _lower_central_series
+    brackets = _calls(lambda func: getattr(func, "attr", None)
+                      == "_bracket_sparse", "_bracket_sparse")
+    assert set(brackets) == {("algebra.py", "bracket"),
+                             ("algebra.py", "subspace_product"),
+                             ("algebra.py", "base_change"),
+                             ("iso.py", "verify_witness")}, brackets
 
 
 def _names(func, name):
