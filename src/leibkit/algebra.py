@@ -284,26 +284,30 @@ class LeibnizAlgebra:
                 rows.setdefault((j, k), {})[i] = s
         return list(rows.values())
 
+    def _conditions(self, left: bool) -> list:
+        # each side's rows, built once for its annihilator and the center
+        return self._once(("ann_rows", left),
+                          lambda: self._annihilator_rows(left))
+
     def _kernel(self, rows) -> Subspace:
         return Subspace._span(self.n, _nullspace(rows, self.n))
 
     def left_annihilator(self) -> Subspace:
         """{x : [x, a] = 0 for all a}; contains the squares ideal."""
         return self._once("left_ann", lambda: self._kernel(
-            self._annihilator_rows(True)))
+            self._conditions(True)))
 
     def right_annihilator(self) -> Subspace:
         """{x : [a, x] = 0 for all a}."""
         return self._once("right_ann", lambda: self._kernel(
-            self._annihilator_rows(False)))
+            self._conditions(False)))
 
     def center(self) -> Subspace:
         return self._once("center", self._center)
 
     def _center(self):
         # one kernel of the left and right annihilator conditions together
-        return self._kernel(self._annihilator_rows(True)
-                            + self._annihilator_rows(False))
+        return self._kernel(self._conditions(True) + self._conditions(False))
 
     # -- transport ---------------------------------------------------------
 

@@ -7,7 +7,8 @@ Q [e_i, e_j] in A must be [Q e_i, Q e_j] in B, the first pair that
 differs ending the check.  The search for new ones runs over GF(p): it
 reduces each algebra's constants to GF(p) elements and sets itself up on
 the reduced algebra's own methods (the lower central series, Leib and Z,
-its words and the tables in them by `base_change`), runs its candidates
+its words and the tables in them by `base_change`), row-reduces mod p
+through `linalg._echelon` as the exact side does, runs its candidates
 on plain ints, and checks each complete map it reaches by
 `verify_witness` over GF(p).  It lifts candidates back to Q(i), each
 entry by `scalars.lift_mod_p`, for exact re-verification, so nothing
@@ -40,7 +41,7 @@ from .catalogue import (DIMENSION, CatalogueError, _expect,
                         read_document)
 from .catalogue import instantiate as cat_instantiate
 from .invariants import signature
-from .linalg import Matrix, Subspace, _combine, _support
+from .linalg import Matrix, Subspace, _combine, _echelon, _nullspace, _support
 from .scalars import (DenominatorDividesP, FieldMismatch, PrimeField,
                       lift_mod_p, mixes_radicals)
 
@@ -126,8 +127,8 @@ def _brk(table, u, v, n, p):
 class _Poly(dict):
     """A polynomial over the integers as {monomial: coef}, a monomial
     being the sorted tuple of its variables' indices.  It has the
-    arithmetic of `_brk`, `_reduce` and the search's residuals, so these
-    run unchanged on vectors that mix ints and polynomials."""
+    arithmetic of `_brk` and the search's residuals, so these run
+    unchanged on vectors that mix ints and polynomials."""
 
     def __add__(self, other):
         out = _Poly(self)
@@ -168,32 +169,35 @@ def _variables(k):
     return [_Poly({(i,): 1}) for i in range(k)]
 
 
-def _compile(polys, p):
+def _compile(polys, field):
     """The checks `polys` (ints or _Poly) along runs, or None when they
-    span a nonzero constant and so fail everywhere.  They are reduced
-    once to echelon rows over their monomials, the rows that lead with
-    the lowest degree first.  On a run only variable pos moves, so each
-    row is a polynomial in it, t: `along(vec, pos)` gives each row's
-    coefficients of 1, t, t^2, ..."""
+    span a nonzero constant and so fail everywhere.  `_echelon` reduces
+    them once over their monomials, highest first; its rows, as ints
+    through the field, lead with the lowest degree first.  On a run only
+    variable pos moves, so each row is a polynomial in it, t:
+    `along(vec, pos)` gives each row's coefficients of 1, t, t^2, ..."""
+    p = field.p
     polys = [_as_poly(f) for f in polys]
     monos = {mo[:d] for f in polys for mo in f for d in range(len(mo) + 1)}
     monos = sorted(monos, key=lambda mo: (len(mo), mo))
     index = {mo: e for e, mo in enumerate(monos)}
     steps = [(index[mo[:-1]], mo[-1]) for mo in monos[1:]]
-    basis = []
-    for f in polys:
-        _absorb(basis, [f.get(mo, 0) % p for mo in reversed(monos)], p)
-    basis.sort(reverse=True)
-    if basis and basis[0][0] == len(monos) - 1:
+    last = len(monos) - 1   # the column of the constant monomial
+    done = _echelon({last - index[mo]: field(c) for mo, c in f.items()
+                     if c % p} for f in polys)
+    if last in done:
         return None
+    basis = [[field(row[c]).value if c in row else 0
+              for c in range(last, -1, -1)]
+             for _, row in sorted(done.items(), reverse=True)]
     layouts = {}
 
     def layout(pos):
         """Each row split by the degree in variable pos of its monomials."""
         degrees = [mo.count(pos) for mo in monos]
-        return [[[c if d == deg else 0 for c, d in zip(row[::-1], degrees)]
+        return [[[c if d == deg else 0 for c, d in zip(row, degrees)]
                  for deg in range(max(degrees + [1]) + 1)]
-                for _, row in basis]
+                for row in basis]
 
     def along(vec, pos):
         if pos not in layouts:
@@ -211,67 +215,40 @@ def _at(f, t, p):
     return sum(c * t ** d for d, c in enumerate(f)) % p
 
 
-def _reduce(rows, v, p):
-    """v less its parts along the echelon rows."""
-    v = list(v)
-    for piv, bv in rows:
-        c = v[piv]
-        if c:
-            v = [(a - c * b) % p for a, b in zip(v, bv)]
-    return v
-
-
-def _absorb(rows, v, p):
-    """Add v to the echelon rows; False when it was already dependent."""
-    # plain ints: `_echelon` on GF(p) elements is 1.3-4x slower on these rows
-    v = _reduce(rows, v, p)
-    piv = next((t for t in range(len(v)) if v[t]), None)
-    if piv is None:
-        return False
-    inv = pow(v[piv], p - 2, p)
-    rows.append((piv, tuple(x * inv % p for x in v)))
-    return True
-
-
-def _prepare(rows, u, p):
-    """Solve J x = b mod p once, for many right-hand sides b.
-
-    `rows` are the equations of J over u unknowns.  Each row of J beside
-    its row of the identity, [J_r | e_r], is absorbed into echelon rows;
-    one `_reduce` pass then clears each row whose pivot lies in J of the
-    later pivots, so J's part is reduced.  Returns (tests, solve, null)
-    with sparse functionals of b: the tests, read off the rows whose
-    pivot lies in the identity block, all vanish exactly when b is
-    consistent; x[col] = f(b) for (col, f) in solve is then a solution,
-    and the null vectors span the kernel of J.
-    """
-    q = len(rows)
-    aug = []
-    for r, row in enumerate(rows):
-        _absorb(aug, list(row) + [int(e == r) for e in range(q)], p)
-    reduced = [(col, _reduce(aug[k + 1:], row, p))
-               for k, (col, row) in enumerate(aug) if col < u]
+def _prepare(rows, u, field):
+    """Solve J x = b mod p once, for many right-hand sides b, J's rows
+    the int equations over u unknowns: (tests, solve, null), as ints
+    through the field, are read off one `_echelon` of the rows [J_r | e_r].
+    The tests, the rows with a pivot in the identity block, are sparse
+    functionals of b that all vanish exactly when b is consistent; x[col]
+    = f(b) for (col, f) in solve is then a solution; the null vectors,
+    `_nullspace` of the rows with a pivot col in J, span J's kernel."""
+    done = _echelon({**{c: field(x) for c, x in enumerate(row) if x},
+                     u + r: field(1)} for r, row in enumerate(rows))
 
     def functional(row):
-        return tuple((e, v) for e, v in enumerate(row[u:]) if v)
+        return tuple(sorted((c - u, field(x).value)
+                            for c, x in row.items() if c >= u))
+    pivots = [col for col in done if col < u]
+    return ([functional(row) for col, row in done.items() if col >= u],
+            [(col, functional(done[col])) for col in pivots],
+            [[field(vec[c]).value if c in vec else 0 for c in range(u)]
+             for vec in _nullspace(map(done.get, pivots), u)])
 
-    null = []
-    for free in sorted(set(range(u)).difference(col for col, _ in reduced)):
-        vec = [0] * u
-        vec[free] = 1
-        for col, row in reduced:
-            vec[col] = -row[free] % p
-        null.append(vec)
-    return ([functional(row) for col, row in aug if col >= u],
-            [(col, functional(row)) for col, row in reduced], null)
+
+def _balanced_value(i, p):
+    """The residue at place i of the order 0, 1, -1, 2, -2, ... of GF(p)."""
+    return (i + 1) // 2 if i % 2 else -(i // 2) % p
+
+
+def _balanced_place(t, p):
+    """The place of the residue t in that order, `_balanced_value` undone."""
+    return max(2 * t - 1, 0) if 2 * t < p else 2 * (p - t)
 
 
 def _balanced_vals(p):
-    """The residues 0, 1, -1, 2, -2, ... of GF(p), one at a time."""
-    yield 0
-    for k in range(1, (p - 1) // 2 + 1):
-        yield k
-        yield p - k
+    """The residues of GF(p) in that order, one at a time."""
+    return map(_balanced_value, range(p), itertools.repeat(p))
 
 
 def _runs(k, p, zero=False):
@@ -329,11 +306,8 @@ def _zeros(rows, lo, p):
         if any(f[2:]):
             undecided = True
         elif f[1]:
-            root = []
-            if f[0]:
-                _absorb(root, f[1::-1], p)
-            t = -root[0][1][1] % p if root else 0
-            i = max(2 * t - 1, 0) if 2 * t < p else 2 * (p - t)  # t's place
+            t = -f[0] * pow(f[1], -1, p) % p
+            i = _balanced_place(t, p)
             return (i,) if i >= lo and not any(
                 _at(g, t, p) for g in rows) else ()
         elif f[0]:
@@ -360,7 +334,7 @@ def _sweep(tally, level, runs, checks, outcome, p, dependence=None):
         ok = _zeros(rows, lo, p)
         i = lo
         while i < p:
-            t = (i + 1) // 2 if i % 2 else -(i // 2) % p   # the i-th value
+            t = _balanced_value(i, p)
             if i in dep:
                 tally.step(level, "dependent")
             elif ok is None and any(_at(f, t, p) for f in rows):
@@ -584,7 +558,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         if key not in solved:
             u = m * len(span[t - 1])
             q = len(cols) // u
-            solved[key] = _prepare([cols[e::q] for e in range(q)], u, p)
+            solved[key] = _prepare([cols[e::q] for e in range(q)], u, field)
         return solved[key]
 
     levels = [LevelCounts("class %d" % (a + 1)) for a in range(m)]
@@ -612,17 +586,18 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
 
     def classes(a, x):
         """Try each class v of generator a against its checks, compiled
-        once as polynomials in v: v's remainder modulo the earlier
-        classes, and the residuals of the relations that v completes."""
+        once as polynomials in v: the forms that `_nullspace` gives for
+        the earlier classes, all zero exactly when v depends on them, and
+        the residuals of the relations that v completes."""
         level = levels[a]
         pad = (0,) * (n - m)
         y = images(x + [_variables(m) + list(pad)])
-        rows = []
-        for u in x:
-            _absorb(rows, u[:m], p)
-        dependence = _compile(_reduce(rows, _variables(m), p), p)
+        forms = _nullspace(({r: field(c) for r, c in enumerate(u[:m]) if c}
+                            for u in x), m)
+        dependence = _compile([_Poly({(r,): field(c).value for r, c
+                                      in w.items()}) for w in forms], field)
         broken = _compile([c for t, i, j, terms in checks[a]
-                           for c in residual(t, y, i, j, terms)], p)
+                           for c in residual(t, y, i, j, terms)], field)
         for v in _sweep(tally, level, _runs(m, p), broken, "relations", p,
                         dependence):
             settle(a + 1, x + [v + pad])
@@ -666,7 +641,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
             b = rhs(t + 1, images(solution([1] + _variables(len(null)))))
             rows = [sum(b[e] * v for e, v in f) % p
                     for f in system(t + 1, x)[0]]
-        inconsistent = _compile(rows, p)
+        inconsistent = _compile(rows, field)
         level = levels[s]
         if inconsistent is None:
             return tally.step(level, "inconsistent", p ** len(null))

@@ -224,14 +224,15 @@ def test_each_expression_parsed_once_per_load(tmp_path, shipped_document,
 
 def test_structure_computed_once_per_algebra(catalogue, monkeypatch):
     # count the computations behind the cached accessors
-    computed = {"_lower_central_series": [], "_center": []}
+    computed = {"_lower_central_series": [], "_center": [],
+                "_annihilator_rows": []}
 
     def counted(attr):
         original = getattr(LeibnizAlgebra, attr)
 
-        def compute(self):
-            computed[attr].append(self)
-            return original(self)
+        def compute(self, *args):
+            computed[attr].append((self, *args))
+            return original(self, *args)
         return compute
 
     for attr in computed:
@@ -239,8 +240,11 @@ def test_structure_computed_once_per_algebra(catalogue, monkeypatch):
 
     report = verify_point(catalogue.entry("A_5"), {"alpha": 2})
     assert report.passed
-    [algebra] = computed["_lower_central_series"]
-    assert computed["_center"] == [algebra]
+    [(algebra,)] = computed["_lower_central_series"]
+    assert computed["_center"] == [(algebra,)]
+    # each side's annihilator rows serve its annihilator and the center
+    assert sorted(computed["_annihilator_rows"], key=lambda c: c[1]) == [
+        (algebra, False), (algebra, True)]
     assert isinstance(algebra.lower_central_series(), tuple)
     assert isinstance(algebra.derived_series(), tuple)
     assert len(computed["_lower_central_series"]) == 1

@@ -24,21 +24,21 @@ from leibkit.iso import (
     LevelCounts,
     Unliftable,
     _SINGULAR,
-    _absorb,
     _at,
+    _balanced_place,
+    _balanced_vals,
+    _balanced_value,
     _brk,
     _compile,
     _int_table,
     _mod_p,
     _Poly,
     _prepare,
-    _reduce,
     _runs,
     _Stop,
     _structural_dims,
     _sweep,
     _Tally,
-    _variables,
     _words,
     adapted_search,
     certify,
@@ -46,7 +46,7 @@ from leibkit.iso import (
     load_fixtures,
     verify_witness,
 )
-from leibkit.linalg import Matrix, SingularMatrix
+from leibkit.linalg import Matrix, SingularMatrix, _nullspace
 from leibkit.scalars import (ZERO, DenominatorDividesP, GaussianRational,
                              PrimeField, QuadExtElem, QuadExtField,
                              lift_mod_p, reduce_mod_p)
@@ -60,6 +60,24 @@ def small_invertible(rng, n=5):
             return m
         except SingularMatrix:
             continue
+
+
+def _rank(rows, p):
+    """The rank of int rows mod p, by an int echelon of the tests' own:
+    the reference that the search's eliminations through
+    `linalg._echelon` are compared against."""
+    echelon = []
+    for v in rows:
+        v = [x % p for x in v]
+        for piv, bv in echelon:
+            c = v[piv]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, bv)]
+        piv = next((t for t, x in enumerate(v) if x), None)
+        if piv is not None:
+            inv = pow(v[piv], p - 2, p)
+            echelon.append((piv, [x * inv % p for x in v]))
+    return len(echelon)
 
 
 # -- the witness check against the loop over every product ----------------
@@ -258,10 +276,7 @@ def test_layered_search_finds_base_changes_mod_5(m2_points, data):
     rows = [entries[5 * r:5 * r + 5] for r in range(5)]
     # invertible mod 5, so the moved table reduces mod 5 to an algebra
     # isomorphic to the reduction of the original
-    echelon = []
-    for row in rows:
-        _absorb(echelon, [x % 5 for x in row], 5)
-    assume(len(echelon) == 5)
+    assume(_rank(rows, 5) == 5)
     result = adapted_search(alg, alg.base_change(Matrix(rows)), prime=5)
     assert result.status == "found", name
     assert_counts_add_up(result)
@@ -344,7 +359,7 @@ def test_compiled_bracket_matches_brk(data, p, n, k):
     # see a nonzero entry exactly where there is one, and none in the
     # differences, also after reducing them to a basis
     def nonzero(polys):
-        along = _compile(polys, p)
+        along = _compile(polys, PrimeField(p))
         return along is None or any(_at(f, point[pos], p)
                                     for f in along(tuple(point), pos))
     for f, c in zip(w, want):
@@ -399,6 +414,24 @@ def test_images_order(p):
             assert _flattened(k, p, zero=True) == [(0,) * k] + got
 
 
+@pytest.mark.parametrize("p", [5, 13, 29, 1000000009])
+def test_balanced_order_maps_invert_each_other(p):
+    # place -> residue and residue -> place, at every place of a small
+    # prime and at a seeded sample of places and residues of a large one
+    rng = random.Random(p)
+    places = range(p) if p < 100 else rng.sample(range(p), 2000)
+    for i in places:
+        t = _balanced_value(i, p)
+        assert 0 <= t < p and _balanced_place(t, p) == i
+    for t in places:
+        assert _balanced_value(_balanced_place(t, p), p) == t
+    head = min(p, 10_000)
+    assert list(itertools.islice(_balanced_vals(p), head)) == [
+        _balanced_value(i, p) for i in range(head)]
+    if p < 100:
+        assert list(_balanced_vals(p)) == _balanced(p)
+
+
 @st.composite
 def _run_checks(draw, k, p):
     """Polynomials of degree at most 2 in k variables, some of them zero
@@ -435,19 +468,23 @@ def test_sweep_matches_candidate_loop(data, p, k):
             want.relations += 1
         else:
             passed.append(v)
+    # the dependence checks as `classes` builds them: the linear forms
+    # that vanish on the earlier vectors, one per `_nullspace` row
+    field = PrimeField(p)
     dependence = None
     if earlier is not None:
-        rows = []
-        for u in earlier:
-            _absorb(rows, list(u), p)
-        dependence = _compile(_reduce(rows, _variables(k), p), p)
+        forms = _nullspace(({r: field(c) for r, c in enumerate(u) if c}
+                            for u in earlier), k)
+        dependence = _compile([_Poly({(r,): field(c).value for r, c
+                                      in w.items()}) for w in forms], field)
     got = LevelCounts("x")
     tally = _Tally(cap)
     swept = []
     with pytest.raises(_Stop) if cap < len(candidates) else \
             contextlib.nullcontext():
-        for v in _sweep(tally, got, _runs(k, p, zero), _compile(checks, p),
-                        "relations", p, dependence):
+        for v in _sweep(tally, got, _runs(k, p, zero),
+                        _compile(checks, field), "relations", p,
+                        dependence):
             swept.append(v)
     assert (got, swept, tally.count) == (want, passed, want.tried)
 
@@ -613,13 +650,10 @@ def test_leaf_check_matches_base_change(reducible_points, data, p):
     entries = data.draw(st.lists(st.integers(-3, 3), min_size=25,
                                  max_size=25))
     rows = [entries[5 * r:5 * r + 5] for r in range(5)]
-    echelon = []
-    for row in rows:
-        _absorb(echelon, [x % p for x in row], p)
     field = PrimeField(p)
     reduced = _mod_p(alg, field)
     q = Matrix([map(field, row) for row in rows])
-    singular = len(echelon) < 5
+    singular = _rank(rows, p) < 5
     assert (verify_witness(reduced, reduced, q) == _SINGULAR) == singular
     if singular:
         return
@@ -628,11 +662,6 @@ def test_leaf_check_matches_base_change(reducible_points, data, p):
 
 
 # -- the layer systems' solver against the echelon rank -------------------
-
-def _rank(rows, p):
-    echelon = []
-    return sum(_absorb(echelon, row, p) for row in rows)
-
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), p=st.sampled_from(REBASE_PRIMES),
@@ -644,9 +673,14 @@ def test_prepare_solves_layer_systems(data, p, u):
     pool = data.draw(st.lists(vector, min_size=1, max_size=4))
     rows = data.draw(st.lists(st.sampled_from(pool), max_size=8))
     q = len(rows)
-    tests, solve, null = _prepare(rows, u, p)
+    tests, solve, null = _prepare(rows, u, PrimeField(p))
     rank = _rank(rows, p)
     assert (len(solve), len(null), len(tests)) == (rank, u - rank, q - rank)
+    # every entry leaves `_echelon` through the field, so none is Q(i)'s
+    # ONE that `_echelon` writes at its pivots
+    coefs = [v for f in tests + [f for _, f in solve] for _, v in f]
+    for x in coefs + [x for vec in null for x in vec]:
+        assert type(x) is int and 0 <= x < p, x
 
     def apply(x):
         return [sum(map(operator.mul, row, x)) % p for row in rows]
@@ -689,9 +723,9 @@ def test_layer_systems_solved_once_per_distinct_matrix(catalogue,
     calls = []
     prepare = iso._prepare
 
-    def counted(rows, u, p):
+    def counted(rows, u, field):
         calls.append(u)
-        return prepare(rows, u, p)
+        return prepare(rows, u, field)
 
     def first(name):
         entry = catalogue.entry(name)

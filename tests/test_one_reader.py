@@ -1,9 +1,11 @@
 """One place each, checked on the package's syntax trees: JSON is
 decoded only by the catalogue's document reader, check outcomes are
-built only by `verify_point`, and two elimination routines invert
-pivots: the witness search's per-candidate eliminations mod p go through
-`_absorb`, and everything else, exact or over GF(p), through
-`linalg._echelon`.  The witness search checks every relation through one
+built only by `verify_point`, and one elimination routine inverts
+pivots, `linalg._echelon`, for every elimination, exact or over GF(p),
+the witness search's included: in `linalg` only `_echelon` calls `inv`;
+in `iso` the one `.inv()` is `Matrix.inv` of the source's word matrix,
+once per search, and the one `pow` is the root of a linear check in
+`_zeros`.  The witness search checks every relation through one
 residual: its int brackets mod p are taken only by `residual` and by
 `images` for the word images, its set-up and leaf running on the reduced
 algebra's own methods; and its candidates are enumerated in one way,
@@ -97,10 +99,13 @@ def test_check_outcomes_built_only_by_verify_point():
 
 def test_one_elimination_per_field():
     pows = _calls(lambda func: getattr(func, "id", None) == "pow", "pow")
-    assert [c for c in pows if c[0] == "iso.py"] == [("iso.py", "_absorb")]
+    assert [c for c in pows if c[0] == "iso.py"] == [("iso.py", "_zeros")]
     invs = _calls(lambda func: getattr(func, "attr", None) == "inv", "inv")
     assert [c for c in invs if c[0] == "linalg.py"] == [("linalg.py",
                                                          "_echelon")]
+    # `words.inv()`, a `Matrix.inv`: its elimination is `_echelon`'s
+    assert [c for c in invs if c[0] == "iso.py"] == [("iso.py",
+                                                      "adapted_search")]
 
 
 def test_dense_sparse_conversions_only_at_the_edge():

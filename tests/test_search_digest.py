@@ -109,12 +109,12 @@ def test_layer_system_digest(catalogue, monkeypatch):
     built = []
     prepare = iso._prepare
 
-    def record(rows, u, p):
+    def record(rows, u, field):
         # only the matrices that `system` hands over, the layer systems,
         # are kept
         if sys._getframe(1).f_code.co_name == "system":
             built.append(tuple(map(tuple, rows)))
-        return prepare(rows, u, p)
+        return prepare(rows, u, field)
 
     monkeypatch.setattr(iso, "_prepare", record)
     rng = random.Random(0)
