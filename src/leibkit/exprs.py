@@ -176,48 +176,40 @@ def _format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _format_gaussian(x: GaussianRational) -> str:
-    re_part, im_part = x.re, x.im
-    if im_part == 0:
-        return _format_fraction(re_part)
-    if im_part == 1:
-        im_s = "i"
-    elif im_part == -1:
-        im_s = "-i"
+def _format_sum(a, b, unit, fmt, atomic) -> str:
+    """a + b*unit as text, each part written by `fmt`: b = +/-1 is the
+    bare unit, a zero part is left out, a part that is not `atomic` gets
+    parentheses, and a minus sign takes the place of the plus."""
+    if b == 0:
+        return fmt(a)
+    if b == 1:
+        b_s = unit
+    elif b == -1:
+        b_s = "-" + unit
     else:
-        im_s = f"{_format_fraction(im_part)}*i"
-    if re_part == 0:
-        return im_s
-    joiner = "+" if not im_s.startswith("-") else ""
-    return f"{_format_fraction(re_part)}{joiner}{im_s}"
+        b_s = (fmt(b) if atomic(b) else f"({fmt(b)})") + "*" + unit
+    if a == 0:
+        return b_s
+    a_s = fmt(a) if atomic(a) else f"({fmt(a)})"
+    return a_s + ("" if b_s[0] == "-" else "+") + b_s
+
+
+def _format_gaussian(x: GaussianRational) -> str:
+    return _format_sum(x.re, x.im, "i", _format_fraction, lambda f: True)
 
 
 def format_scalar(x) -> str:
-    """Literal text for a scalar; inverse of parse_scalar where the grammar
-    can express the value (QuadExt elements with a rational generator)."""
+    """Literal text for a scalar: one printer writes both a + b*i and
+    a + b*sqrt(d), with a non-rational generator d in parentheses, as in
+    sqrt((i)).  It is the inverse of parse_scalar where the grammar can
+    express the value (extension elements with a rational generator)."""
     if isinstance(x, Fraction):
         return _format_fraction(x)
     if isinstance(x, GaussianRational):
         return _format_gaussian(x)
     if isinstance(x, QuadExtElem):
         d = x.field.d
-        d_s = _format_fraction(d.re) if d.is_rational() else f"({_format_gaussian(d)})"
-        root = f"sqrt({d_s})"
-        if x.b.is_zero():
-            return _format_gaussian(x.a)
-        b_s = _format_gaussian(x.b)
-        if x.b == 1:
-            b_root = root
-        elif x.b == -1:
-            b_root = f"-{root}"
-        elif x.b.is_rational() or x.b.re == 0:
-            b_root = f"{b_s}*{root}"
-        else:
-            b_root = f"({b_s})*{root}"
-        if x.a.is_zero():
-            return b_root
-        a_s = _format_gaussian(x.a)
-        a_wrapped = a_s if (x.a.is_rational() or x.a.re == 0) else f"({a_s})"
-        joiner = "+" if not b_root.startswith("-") else ""
-        return f"{a_wrapped}{joiner}{b_root}"
+        d_s = _format_gaussian(d) if d.is_rational() else f"({_format_gaussian(d)})"
+        return _format_sum(x.a, x.b, f"sqrt({d_s})", _format_gaussian,
+                           lambda y: y.is_rational() or y.re == 0)
     return repr(x)

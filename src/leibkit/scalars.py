@@ -14,7 +14,9 @@ The tower's rules are each written once here: ``promote`` turns an int
 or a ``fractions.Fraction`` into Q(i), ``mixes_radicals`` tells scalars
 that need two different radicals, which no one object holds, and
 ``field_sqrt`` and ``adjoin_sqrt`` take square roots, the second one
-adjoining sqrt(x) to Q(i) when x has none in its own field.
+adjoining sqrt(x) to Q(i) when x has none in its own field.  One root
+formula, ``_root_over``, serves both floors, since Q(i) is Q(sqrt(-1))
+over Q just as an extension is Q(i)(sqrt(d)) over Q(i).
 Q(i) values mix freely with extension values: arithmetic and equality
 coerce the Q(i) operand into the extension, and an extension value with
 no sqrt(d) part hashes like its Q(i) value, so a matrix or a table may
@@ -26,8 +28,9 @@ hashable.
 residue r with r*r = -1 (mod p) that plays the role of i, taking the
 smaller root so that reductions are deterministic.  ``reduce_mod_p`` maps
 Q(i) into GF(p) as ints in [0, p), ``lift_mod_p`` lifts those back into a
-small box of Q(i), and a ``PrimeField`` called on an int or a Q(i) value
-gives its ``PrimeFieldElem``: GF(p) scalars that the exact kernel takes.
+small box of Q(i), and a ``PrimeField`` called on an int (as its residue
+mod p) or a Q(i) value gives its ``PrimeFieldElem``: GF(p) scalars that
+the exact kernel takes.
 """
 
 from __future__ import annotations
@@ -240,28 +243,6 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def gaussian_sqrt(a: GaussianRational) -> GaussianRational | None:
-    """A square root of a inside Q(i), or None when no such root exists.
-
-    For a = x + yi with y != 0, any root u + vi satisfies
-    u^2 = (x + s)/2 with s = sqrt(x^2 + y^2) and v = y/(2u); the root exists
-    in Q(i) exactly when both s and (x + s)/2 are rational squares.
-    """
-    x, y = a.re, a.im
-    if y == 0:
-        r = rational_sqrt(x) if x >= 0 else rational_sqrt(-x)
-        if r is None:
-            return None
-        return GaussianRational(r) if x >= 0 else GaussianRational(0, r)
-    s = rational_sqrt(x * x + y * y)
-    if s is None:
-        return None
-    u = rational_sqrt((x + s) / 2)
-    if u is None or u == 0:
-        return None
-    return GaussianRational(u, y / (2 * u))
-
-
 class QuadExtField:
     """Q(i) extended by one square root sqrt(d), arithmetic mod x^2 - d."""
 
@@ -271,7 +252,7 @@ class QuadExtField:
         d = GaussianRational.coerce(d)
         if d.is_zero():
             raise ValueError("extension generator d must be nonzero")
-        if gaussian_sqrt(d) is not None:
+        if field_sqrt(d) is not None:
             raise ValueError(f"d = {d!r} is already a square in Q(i)")
         object.__setattr__(self, "d", d)
 
@@ -289,10 +270,6 @@ class QuadExtField:
 
     def embed(self, a) -> "QuadExtElem":
         return QuadExtElem(GaussianRational.coerce(a), ZERO, self)
-
-    @property
-    def zero(self):
-        return self.embed(0)
 
     @property
     def sqrt_d(self):
@@ -392,32 +369,28 @@ def mixes_radicals(scalars) -> bool:
     return len({x.field for x in scalars if type(x) is QuadExtElem}) > 1
 
 
-def quadext_sqrt(q: QuadExtElem) -> QuadExtElem | None:
-    """A square root of q inside its own quadratic extension, or None.
+def _root_over(a, b, d, root):
+    """A root (u, v) of a + b*sqrt(d) in F(sqrt(d)), u + v*sqrt(d), for a,
+    b in a field F whose square roots `root` finds; None when it has none.
 
-    Writing q = a + b*sqrt(d), a root u + v*sqrt(d) exists in the same
-    extension iff the norm a^2 - d b^2 has a Gaussian square root n and
-    (a +/- n)/2 is a Gaussian square (then v = b/(2u)); both signs are tried.
+    With b = 0 the root is sqrt(a) or sqrt(a/d)*sqrt(d).  Otherwise
+    u^2 = (a + n)/2 or (a - n)/2, with n a root of the norm a^2 - d*b^2,
+    and v = b/(2u); u = 0 would make b = 0.  At most one of the two is a
+    square in F, as their product d*b^2/4 is not.
     """
-    fld = q.field
-    if q.is_zero():
-        return fld.zero
-    if q.b.is_zero():
-        r = gaussian_sqrt(q.a)
+    if b == 0:
+        r = root(a)
         if r is not None:
-            return fld.embed(r)
-        # sqrt(a) = sqrt(a/d) * sqrt(d) when a/d is a Gaussian square.
-        r = gaussian_sqrt(q.a / fld.d)
-        if r is not None:
-            return QuadExtElem(ZERO, r, fld)
-        return None
-    n = gaussian_sqrt(q.a * q.a - fld.d * q.b * q.b)
+            return r, b
+        r = root(a / d)
+        return None if r is None else (b, r)
+    n = root(a * a - d * b * b)
     if n is None:
         return None
-    for sign in (1, -1):
-        u = gaussian_sqrt((q.a + n * sign) / 2)
-        if u is not None and not u.is_zero():
-            return QuadExtElem(u, q.b / (u * 2), fld)
+    for s in (n, -n):
+        u = root((a + s) / 2)
+        if u is not None:
+            return u, b / (2 * u)
     return None
 
 
@@ -425,8 +398,10 @@ def field_sqrt(x):
     """A square root of x in x's own field, Q(i) or its quadratic
     extension, or None."""
     if type(x) is QuadExtElem:
-        return quadext_sqrt(x)
-    return gaussian_sqrt(x)
+        r = _root_over(x.a, x.b, x.field.d, field_sqrt)
+        return None if r is None else QuadExtElem(*r, x.field)
+    r = _root_over(x.re, x.im, -1, rational_sqrt)
+    return None if r is None else GaussianRational(*r)
 
 
 def adjoin_sqrt(x):
@@ -493,7 +468,10 @@ class PrimeField:
         raise AttributeError("PrimeField is immutable")
 
     def __call__(self, x) -> "PrimeFieldElem":
-        """x in GF(p): its own elements as they are, else by `reduce_mod_p`."""
+        """x in GF(p): its own elements as they are, an int as x % p, else
+        by `reduce_mod_p`."""
+        if type(x) is int:
+            return PrimeFieldElem(x, self)
         if type(x) is PrimeFieldElem and x.field.p == self.p:
             return x
         return PrimeFieldElem(reduce_mod_p(promote(x), self), self)

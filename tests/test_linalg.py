@@ -86,10 +86,10 @@ def test_inv_roundtrip():
 def test_quadext_matrix_inverse():
     f = QuadExtField(2)
     s = f.sqrt_d
-    one = f.embed(1)
-    m = Matrix([[one, s], [f.zero, one]])
-    assert m.inv() == Matrix([[one, -s], [f.zero, one]])
-    d = Matrix([[s, f.zero], [f.zero, one]])
+    zero, one = f.embed(0), f.embed(1)
+    m = Matrix([[one, s], [zero, one]])
+    assert m.inv() == Matrix([[one, -s], [zero, one]])
+    d = Matrix([[s, zero], [zero, one]])
     assert d @ d.inv() == Matrix.identity(2)
 
 

@@ -20,8 +20,10 @@ tower's rules live in `scalars`: outside it, only `exprs.format_scalar`
 tests for a Fraction or reads a scalar's field, and inside it only
 `promote` and `_as_fraction` test for a Fraction; square roots are taken
 and radicals adjoined only there, `adjoin_sqrt` being the one routine to
-build an extension field; and only `reduce_mod_p` and `lift_mod_p` read
-the residue that plays the role of i, mapping Q(i) into GF(p) and back.
+build an extension field and `_root_over` the one root formula, which
+only `field_sqrt` calls, on Q(i) with `rational_sqrt`; and only
+`reduce_mod_p` and `lift_mod_p` read the residue that plays the role of
+i, mapping Q(i) into GF(p) and back.
 Vectors change between dense tuples and sparse rows (`linalg._support`
 and `_dense`) only at the public edge, where a caller hands a dense
 vector in or reads one out: `Matrix.rref`, `Subspace.__init__` and
@@ -185,11 +187,18 @@ def test_scalar_fields_read_only_in_scalars():
 
 
 def test_roots_and_residues_only_in_scalars():
-    for name in ("QuadExtField", "gaussian_sqrt", "quadext_sqrt"):
+    for name in ("QuadExtField", "_root_over"):
         calls = _calls(lambda func: name in (getattr(func, "id", None),
                                              getattr(func, "attr", None)),
                        name)
         assert _outside_scalars(calls) == [], calls
+    # one root formula serves both floors: only `field_sqrt` names the
+    # rational root or the routine that takes a root one floor up
+    for name in ("rational_sqrt", "_root_over"):
+        named = _nodes(lambda node: name in (getattr(node, "id", None),
+                                             getattr(node, "attr", None)),
+                       name)
+        assert named and set(named) == {("scalars.py", "field_sqrt")}, named
     built = _calls(lambda func: _names(func, "QuadExtField"), "QuadExtField")
     assert built == [("scalars.py", "adjoin_sqrt")], built
     reads = _nodes(lambda node: isinstance(node, ast.Attribute)

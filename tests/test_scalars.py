@@ -1,5 +1,6 @@
 """Exact scalar domains: Q(i), quadratic extensions, GF(p)."""
 
+import hashlib
 import operator
 import random
 from fractions import Fraction
@@ -22,9 +23,7 @@ from leibkit.scalars import (
     QuadExtField,
     adjoin_sqrt,
     field_sqrt,
-    gaussian_sqrt,
     lift_mod_p,
-    quadext_sqrt,
     rational_sqrt,
     reduce_mod_p,
 )
@@ -110,22 +109,22 @@ def test_rational_square_helpers():
 
 
 def test_gaussian_sqrt_concrete():
-    assert gaussian_sqrt(GaussianRational(0, 2)) in (
+    assert field_sqrt(GaussianRational(0, 2)) in (
         GaussianRational(1, 1), GaussianRational(-1, -1))
-    r = gaussian_sqrt(GaussianRational(-4))
+    r = field_sqrt(GaussianRational(-4))
     assert r is not None and r * r == GaussianRational(-4)
-    r = gaussian_sqrt(GaussianRational(5, 12))
+    r = field_sqrt(GaussianRational(5, 12))
     assert r is not None and r * r == GaussianRational(5, 12)
-    assert gaussian_sqrt(GaussianRational(Fraction(9, 4))) == GaussianRational(Fraction(3, 2))
-    assert gaussian_sqrt(GaussianRational(2)) is None
-    assert gaussian_sqrt(GaussianRational(0, 1)) is None  # sqrt(i) leaves Q(i)
+    assert field_sqrt(GaussianRational(Fraction(9, 4))) == GaussianRational(Fraction(3, 2))
+    assert field_sqrt(GaussianRational(2)) is None
+    assert field_sqrt(GaussianRational(0, 1)) is None  # sqrt(i) leaves Q(i)
 
 
 def test_gaussian_sqrt_random_squares():
     rng = random.Random(202)
     for _ in range(30):
         g = rand_gaussian(rng)
-        r = gaussian_sqrt(g * g)
+        r = field_sqrt(g * g)
         assert r is not None and r * r == g * g
 
 
@@ -155,11 +154,11 @@ def test_quadext_arithmetic():
 def test_quadext_sqrt():
     f = QuadExtField(2)
     x = f.embed(3) + f.sqrt_d * 2  # (1+sqrt2)^2
-    r = quadext_sqrt(x)
+    r = field_sqrt(x)
     assert r is not None and r * r == x
-    assert quadext_sqrt(f.embed(3)) is None
-    assert quadext_sqrt(f.zero) == f.zero
-    assert quadext_sqrt(f.embed(Fraction(1, 4))) == f.embed(Fraction(1, 2))
+    assert field_sqrt(f.embed(3)) is None
+    assert field_sqrt(f.embed(0)) == f.embed(0)
+    assert field_sqrt(f.embed(Fraction(1, 4))) == f.embed(Fraction(1, 2))
 
 
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -172,7 +171,7 @@ def test_adjoin_sqrt_over_gaussians(x, square):
     x = x * x if square else x
     root, generator = adjoin_sqrt(x)
     assert root * root == x
-    assert (generator is None) == (gaussian_sqrt(x) is not None)
+    assert (generator is None) == (field_sqrt(x) is not None)
     assert generator in (None, x)
 
 
@@ -190,6 +189,50 @@ def test_adjoin_sqrt_in_an_extension(a, b, square, d):
     else:
         root, generator = adjoin_sqrt(x)
         assert root * root == x and generator is None
+
+
+# -- the tower's square roots and printed text, pinned ----------------------
+
+TOWER_GENERATORS = (2, -3, Fraction(-1, 2), GaussianRational(0, 1),
+                    GaussianRational(1, 2))
+TOWER_DIGEST = "90c1d79c2a57421d4f7638f1d4190d1a9347cec1dbbfc84ae71eacbdaba849cc"
+
+
+def _small_gaussian(rng):
+    # small parts, so that 0, 1, -1 and non-atomic a + b*i all come up
+    return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                            Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+
+def _tower_corpus(rng, count):
+    """Q(i) values and values of each extension, every other one a square,
+    after each extension's own zero, units and generator."""
+    fields = [QuadExtField(d) for d in TOWER_GENERATORS]
+    for f in fields:
+        yield from (f.embed(0), f.embed(1), f.sqrt_d, -f.sqrt_d, f.embed(f.d))
+    for k in range(count):
+        x = _small_gaussian(rng)
+        y = QuadExtElem(_small_gaussian(rng), _small_gaussian(rng),
+                        fields[k % len(fields)])
+        yield from ((x * x, y * y) if k % 2 else (x, y))
+
+
+def _root_line(x):
+    """x's text, then None or its root's text, type and component types."""
+    r = field_sqrt(x)
+    if r is None:
+        return f"{format_scalar(x)} None"
+    parts = (r.a, r.b) if type(r) is QuadExtElem else _triple(r)
+    return " ".join([format_scalar(x), format_scalar(r), type(r).__name__]
+                    + [type(c).__name__ for c in parts])
+
+
+def test_tower_digest():
+    # the root field_sqrt finds, or None, and the printed text of every
+    # value and root, over Q(i) and five extensions of it
+    lines = [_root_line(x) for x in _tower_corpus(random.Random(4141), 1500)]
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == TOWER_DIGEST
 
 
 @pytest.mark.parametrize("q", ("0", "2", "-2", "-4", "9/4", "1/3"))
@@ -288,6 +331,17 @@ def test_reduce_mod_p_is_a_ring_homomorphism_onto_gf_p(a, b, p):
             pass    # a's conjugate reduces to 0, so 1/a has no image
     # onto: every residue is the image of an int
     assert [field(k).value for k in range(p)] == list(range(p))
+
+
+@pytest.mark.parametrize("p", (5, 13, 1000000009))
+def test_ints_enter_gf_p_as_residues(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    ints = [0, p, -p, 10**30, -10**30] + [rng.randint(-10**12, 10**12)
+                                         for _ in range(200)]
+    for k in ints:
+        assert field(k).value == k % p == reduce_mod_p(GaussianRational(k),
+                                                       field), k
 
 
 def test_gf_p_mixes_with_q_i_only():
