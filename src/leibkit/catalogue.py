@@ -126,25 +126,18 @@ def parse_expr_checked(text, params, where):
         raise CatalogueError("%s: expression %r is not a string"
                              % (where, text))
     try:
-        return exprs.parse_expr(text, params)
+        return _parsed(text, params)
     except ValueError as e:
         raise CatalogueError("%s: bad expression %r (%s)"
                              % (where, text, e)) from None
 
 
-def _memo_parser():
-    """parse_expr_checked for one document load: each distinct (text,
-    params) is parsed once, and only a parse that succeeds is kept, so
-    every error is raised afresh with its own `where`."""
-    memo = {}
-
-    def parse(text, params, where):
-        key = (text, params) if isinstance(text, str) else None
-        ast = memo.get(key)
-        if ast is None:   # a key of None is never stored: its parse raises
-            ast = memo[key] = parse_expr_checked(text, params, where)
-        return ast
-    return parse
+@functools.lru_cache(maxsize=None)
+def _parsed(text, params):
+    """The AST of one expression text: the package's one parse memo,
+    started afresh by each `parse_catalogue`.  A failed parse is not
+    kept, so each error is raised afresh with its own `where`."""
+    return exprs.parse_expr(text, params)
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string"}
@@ -183,10 +176,6 @@ def parse_products(recs, params, where):
     for `params`); a pair listed twice or a product without
     components is an error.  Raises CatalogueError naming `where`.
     """
-    return _parse_products(recs, params, where, parse_expr_checked)
-
-
-def _parse_products(recs, params, where, parse):
     keys = {str(k): k for k in range(1, DIMENSION + 1)}
     products = []
     seen = set()
@@ -208,7 +197,8 @@ def _parse_products(recs, params, where, parse):
             if key not in keys:
                 raise CatalogueError("%s: bad component index %r"
                                      % (where, key))
-            comps.append((keys[key], parse(text, params, where)))
+            comps.append((keys[key],
+                          parse_expr_checked(text, params, where)))
         if not comps:
             raise CatalogueError("%s: empty product [%d, %d]" % (where, i, j))
         comps.sort()
@@ -230,7 +220,7 @@ def _parse_params(rec, where):
     return params
 
 
-def _parse_iso(irec, params, where, parse):
+def _parse_iso(irec, params, where):
     _expect(irec, dict, "%s iso" % where)
     pairs = []
     for pmap in _expect(irec.get("pairs", []), list, "%s iso pairs" % where):
@@ -239,19 +229,19 @@ def _parse_iso(irec, params, where, parse):
             if p not in params:
                 raise CatalogueError("%s: iso map names foreign "
                                      "parameter %r" % (where, p))
-            parse(text, params, where)
+            parse_expr_checked(text, params, where)
             items.append((p, text))
         pairs.append(tuple(items))
     statement = _expect(irec.get("statement", ""), str,
                         "%s iso statement" % where)
     invariant = irec.get("invariant")
     if invariant is not None:
-        parse(invariant, params, where)
+        parse_expr_checked(invariant, params, where)
     return IsoCriteria(statement=statement, pairs=tuple(pairs),
                        invariant=invariant)
 
 
-def _parse_entry(rec, cases, parse):
+def _parse_entry(rec, cases):
     name = _expect(rec, dict, "catalogue entry").get("name")
     if not isinstance(name, str) or not name:
         raise CatalogueError("entry without a name")
@@ -263,7 +253,7 @@ def _parse_entry(rec, cases, parse):
     constraints = tuple(_expect(rec.get("constraints", []), list,
                                 "%s constraints" % where))
     for text in constraints:
-        parse(text, params, where)
+        parse_expr_checked(text, params, where)
     constraints_any = tuple(
         tuple(_expect(cl, list, "%s any-clause" % where))
         for cl in _expect(rec.get("constraints_any", []), list,
@@ -272,11 +262,11 @@ def _parse_entry(rec, cases, parse):
         if not clause:
             raise CatalogueError("%s: empty any-clause" % where)
         for text in clause:
-            parse(text, params, where)
+            parse_expr_checked(text, params, where)
 
-    products = _parse_products(rec.get("products", []), params, where, parse)
+    products = parse_products(rec.get("products", []), params, where)
     irec = rec.get("iso")
-    iso = None if irec is None else _parse_iso(irec, params, where, parse)
+    iso = None if irec is None else _parse_iso(irec, params, where)
     return CatalogueEntry(
         name=name, params=params, constraints=constraints,
         constraints_any=constraints_any, products=products,
@@ -308,8 +298,10 @@ def parse_catalogue(path=None):
     """Load and validate a catalogue document (default: the shipped table).
 
     The file is read once; the digest of its text goes on the result.
+    Each load starts the parse memo `_parsed` afresh.
     """
     text, doc = read_document(path, "catalogue.json", CatalogueError)
+    _parsed.cache_clear()
     dimension = _expect(doc, dict, "catalogue document").get("dimension")
     if dimension != DIMENSION:
         raise CatalogueError("unsupported dimension %r" % dimension)
@@ -321,9 +313,8 @@ def parse_catalogue(path=None):
 
     entries = []
     names = set()
-    parse = _memo_parser()
     for rec in _expect(doc.get("entries", []), list, "entries"):
-        entry = _parse_entry(rec, cases, parse)
+        entry = _parse_entry(rec, cases)
         if entry.name in names:
             raise CatalogueError("duplicate entry name %r" % entry.name)
         names.add(entry.name)
@@ -345,11 +336,6 @@ def _sample_stream():
     return [GaussianRational.coerce(v) for v in vals]
 
 
-@functools.lru_cache(maxsize=None)
-def _parsed(texts, params):
-    return tuple(exprs.parse_expr(t, params) for t in texts)
-
-
 def point_text(values):
     """'p=v, ...' for (param, scalar) pairs, or '-' for none."""
     return ", ".join("%s=%s" % (p, exprs.format_scalar(v))
@@ -365,12 +351,12 @@ def _admissible(entry, env):
     """Whether `env` meets the entry's constraints; CatalogueError when a
     constraint divides by zero there."""
     try:
-        for ast in _parsed(entry.constraints, entry.params):
-            if exprs.evaluate(ast, env).is_zero():
+        for text in entry.constraints:
+            if exprs.evaluate(_parsed(text, entry.params), env).is_zero():
                 return False
         for clause in entry.constraints_any:
-            if all(exprs.evaluate(ast, env).is_zero()
-                   for ast in _parsed(clause, entry.params)):
+            if all(exprs.evaluate(_parsed(text, entry.params), env).is_zero()
+                   for text in clause):
                 return False
     except ZeroDivisionError:
         raise _zero_divisor(entry, env) from None

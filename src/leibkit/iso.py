@@ -20,8 +20,8 @@ p-group generation does (O'Brien 1990; Eick, Leedham-Green and O'Brien
 each deeper layer of their images as an affine system mod p.  Every
 relation check, class or layer, is the L_t part of one residual over the
 source's word images, a class level setting the generators still to
-come to zero; a layer system's matrix is its residuals' change at unit
-steps, linear in the classes, so it is built once per search and each
+come to zero; a layer system's matrix is linear in the classes, so it
+is read once per search off one residual over variables, and each
 distinct one solved once.  Run on polynomials in a node's unknowns, the
 residuals give that node's checks once.  Its candidates come in runs
 that move one coordinate, along which each check is a polynomial in it;
@@ -427,12 +427,12 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     the graded part of a relation it completes (t the sum of the layers of
     b_i and b_j, the generators still to come set to zero), is dropped.  Then
     for t = 3, ..., c the L_t parts of all relations are affine in the
-    L_(t-1) parts of the x_a, so the system's columns are the changes of its
-    residuals at unit steps of the x_a, linear in the classes: built once per
-    search (`system`), each distinct one is solved mod prime once, and only
-    its solutions are tried, free variables small-first.  The last layer
-    enters no relation and is set to 0.  Each class and each affine solution
-    tried counts as one candidate.  Every complete map is checked over
+    L_(t-1) parts of the x_a, the system's matrix linear in the classes: it
+    is read once per search (`system`) off one residual over variables for
+    the classes and those parts, each distinct one is solved mod prime once,
+    and only its solutions are tried, free variables small-first.  The last
+    layer enters no relation and is set to 0.  Each class and each affine
+    solution tried counts as one candidate.  Every complete map is checked over
     GF(prime) by `verify_witness` on the reduced algebras (a singular map
     counts under `rank`, a broken product under `relations`).  A node's
     checks (a class's dependence and relations, or the next layer's
@@ -521,44 +521,37 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         return [c for i, j, terms in rels if layer[i] + layer[j] < t
                 for c in residual(t, y, i, j, terms)]
 
-    def jacobian(t, x):
-        """The L_t parts of the relations as linear maps of the L_(t-1)
-        parts of the x_a, one column after another: column (a, r) is rhs
-        at x less rhs at x plus e_r on x_a.  It is exact and linear in the
-        classes alone: each entry is one bracket of e_r with an L_1 part,
-        as two steps bracket into L_(2t-2), inside L_(t+1) for t >= 3."""
-        base = rhs(t, images(x))
-        cols = []
-        for g in range(m):
-            for r in span[t - 1]:
-                step = list(x)
-                step[g] = [v + (k == r) for k, v in enumerate(x[g])]
-                cols += [(b - c) % p for b, c
-                         in zip(base, rhs(t, images(step)))]
-        return cols
-
-    linear = {}   # t -> J_t(0) and D_(g,i), its change at unit class (g, i)
+    linear = {}   # t -> each D_(g,i), J_t's change at unit class (g, i)
     solved = {}   # (t, J_t) -> its `_prepare`
 
     def system(t, x):
-        """The layer-t system at x's classes, J_t(0) + sum x[g][i] D_(g,i),
-        built on first use; each distinct matrix is `_prepare`d once."""
+        """The layer-t system at x's classes, its unknowns the L_(t-1)
+        parts of the x_a: sum x[g][i] D_(g,i), as an entry is one bracket
+        of an unknown with an L_1 part (two unknowns bracket into
+        L_(2t-2), inside L_(t+1) for t >= 3).  On first use the D_(g,i)
+        are read off one rhs over variables for the classes and the
+        unknowns: entry (e, k) of D_(g,i) is minus the coefficient of
+        class (g, i) times unknown k in row e.  Each distinct matrix is
+        `_prepare`d once."""
+        u = m * len(span[t - 1])
         if t not in linear:
-            zero = [[0] * n] * m
-            linear[t] = at0, steps = jacobian(t, zero), []
-            for g, i in itertools.product(range(m), repeat=2):
-                unit = [[int(k == i) for k in range(n)]]
-                at = jacobian(t, zero[:g] + unit + zero[g + 1:])
-                steps.append((g, i, [(a - b) % p for a, b in zip(at, at0)]))
-        cols, steps = linear[t]
-        for g, i, step in steps:
+            var = iter(_variables(m * m + u))
+            y = [[next(var) if k < m else 0 for k in range(n)]
+                 for _ in range(m)]
+            for g, r in itertools.product(range(m), span[t - 1]):
+                y[g][r] = next(var)
+            polys = [_as_poly(f) for f in rhs(t, images(y))]
+            linear[t] = [(g, i, [-f.get((g * m + i, m * m + k), 0) % p
+                                 for f in polys for k in range(u)])
+                         for g, i in itertools.product(range(m), repeat=2)]
+        flat = [0] * len(linear[t][0][2])
+        for g, i, step in linear[t]:
             if x[g][i]:
-                cols = [(a + x[g][i] * b) % p for a, b in zip(cols, step)]
-        key = t, tuple(cols)
+                flat = [(a + x[g][i] * b) % p for a, b in zip(flat, step)]
+        key = t, tuple(flat)
         if key not in solved:
-            u = m * len(span[t - 1])
-            q = len(cols) // u
-            solved[key] = _prepare([cols[e::q] for e in range(q)], u, field)
+            rows = [flat[e:e + u] for e in range(0, len(flat), u)]
+            solved[key] = _prepare(rows, u, field)
         return solved[key]
 
     levels = [LevelCounts("class %d" % (a + 1)) for a in range(m)]

@@ -19,6 +19,7 @@ from leibkit.catalogue import (
     verify_entry,
     verify_point,
 )
+from leibkit.iso import load_fixtures
 from leibkit.scalars import GaussianRational, QuadExtField
 
 
@@ -220,6 +221,31 @@ def test_each_expression_parsed_once_per_load(tmp_path, shipped_document,
     calls.clear()
     parse_catalogue()
     assert len(calls) == 160
+
+
+def test_load_memo_serves_sampling_and_witnesses(monkeypatch):
+    # after a load, sampling and instantiating parse nothing again, and
+    # the witness file parses each distinct literal once: 17 of its 424
+    calls = []
+    parse = exprs.parse_expr
+
+    def counted(text, params):
+        calls.append((text, params))
+        return parse(text, params)
+
+    monkeypatch.setattr(exprs, "parse_expr", counted)
+    catalogue = parse_catalogue()
+    calls.clear()
+    for entry in catalogue:
+        verify_entry(entry, 3)
+    assert calls == []
+    fixtures = load_fixtures()
+    assert len(calls) == len(set(calls)) == 17
+    assert all(params is None for _, params in calls)
+    calls.clear()
+    for fixture in fixtures:
+        fixture.realize(catalogue)
+    assert calls == []
 
 
 def test_structure_computed_once_per_algebra(catalogue, monkeypatch):

@@ -1,15 +1,19 @@
 """One place each, checked on the package's syntax trees: JSON is
 decoded only by the catalogue's document reader, check outcomes are
-built only by `verify_point`, and one elimination routine inverts
-pivots, `linalg._echelon`, for every elimination, exact or over GF(p),
-the witness search's included: in `linalg` only `_echelon` calls `inv`;
-in `iso` the one `.inv()` is `Matrix.inv` of the source's word matrix,
-once per search, and the one `pow` is the root of a linear check in
-`_zeros`.  The witness search checks every relation through one
-residual: its int brackets mod p are taken only by `residual` and by
-`images` for the word images, its set-up and leaf running on the reduced
-algebra's own methods; and its candidates are enumerated in one way,
-each call of `_runs` handing its runs straight to `_sweep`.  An
+built only by `verify_point`, and expression texts are parsed through
+one memo: `exprs.parse_expr` is called only by `catalogue._parsed` and
+`exprs.parse_scalar`, `_parsed` only by `parse_expr_checked` and
+`_admissible`, and the memo is cleared only by `parse_catalogue`, once
+per load.  One elimination routine inverts pivots, `linalg._echelon`,
+for every elimination, exact or over GF(p), the witness search's
+included: in `linalg` only `_echelon` calls `inv`; in `iso` the one
+`.inv()` is `Matrix.inv` of the source's word matrix, once per search,
+and the one `pow` is the root of a linear check in `_zeros`.  The
+witness search checks every relation through one residual: its int
+brackets mod p are taken only by `residual` and by `images` for the
+word images, its set-up and leaf running on the reduced algebra's own
+methods; and its candidates are enumerated in one way, each call of
+`_runs` handing its runs straight to `_sweep`.  An
 algebra's structure passes read its products off the table's index by
 consumed component: `check_leibniz`, `_leib_ideal` and
 `_lower_central_series` never bracket two vectors, and
@@ -97,6 +101,20 @@ def test_json_decoded_only_by_read_document():
 def test_check_outcomes_built_only_by_verify_point():
     calls = _calls(_is_check_outcome, "CheckOutcome")
     assert calls == [("catalogue.py", "verify_point")], calls
+
+
+def test_one_parse_memo():
+    def named(name):
+        return lambda func: name in (getattr(func, "id", None),
+                                     getattr(func, "attr", None))
+    parses = _calls(named("parse_expr"), "parse_expr")
+    assert set(parses) == {("catalogue.py", "_parsed"),
+                           ("exprs.py", "parse_scalar")}, parses
+    memo = _calls(named("_parsed"), "_parsed")
+    assert set(memo) == {("catalogue.py", "parse_expr_checked"),
+                         ("catalogue.py", "_admissible")}, memo
+    clears = _calls(named("cache_clear"), "cache_clear")
+    assert clears == [("catalogue.py", "parse_catalogue")], clears
 
 
 def test_one_elimination_per_field():

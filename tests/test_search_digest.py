@@ -103,10 +103,14 @@ def test_deep_search_digest(catalogue):
 LAYER_DIGEST = ("9544ea3cc8bee7472e0b0debb7bcdc96"
                 "f257c48166dd20e8985df15b4c34d457")
 LAYERED = ("A_69", "A_72", "A_107", "A_117")
+# the (u, rows) of each layer system those searches solve, in order
+SYSTEM_DIGEST = ("00e9f947f8e7cb056f61d29baa007804"
+                 "dfb0da6a543617338eb2560e2c7361f3")
 
 
 def test_layer_system_digest(catalogue, monkeypatch):
     built = []
+    matrices = []   # (u, rows) of every layer system, over all searches
     prepare = iso._prepare
 
     def record(rows, u, field):
@@ -114,6 +118,7 @@ def test_layer_system_digest(catalogue, monkeypatch):
         # are kept
         if sys._getframe(1).f_code.co_name == "system":
             built.append(tuple(map(tuple, rows)))
+            matrices.append((u, built[-1]))
         return prepare(rows, u, field)
 
     monkeypatch.setattr(iso, "_prepare", record)
@@ -131,3 +136,7 @@ def test_layer_system_digest(catalogue, monkeypatch):
         assert len(nonzero) >= 2, (name, len(nonzero))
     text = "\n".join(lines) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == LAYER_DIGEST, text
+    # the system matrices themselves, in the order `_prepare` gets them
+    assert len(matrices) == 68, len(matrices)
+    text = "".join("%r\n" % (system,) for system in matrices)
+    assert hashlib.sha256(text.encode()).hexdigest() == SYSTEM_DIGEST, text
