@@ -43,7 +43,7 @@ class LeibnizViolation:
 
 def _clean_table(table):
     # promotes int and Fraction constants once, so the sparse products
-    # below see field scalars only
+    # below see field scalars only; the one place a table drops its zeros
     out = {}
     for (i, j), comps in table.items():
         row = {k: s for k, s in zip(comps, map(promote, comps.values()))

@@ -273,12 +273,12 @@ def _parse_entry(rec, cases):
         claims=cases[case], iso=iso)
 
 
-def read_document(path, shipped, error):
+def read_document(path, shipped):
     """(text, decoded JSON) of the file at `path`, or of the shipped data
     file named `shipped` when `path` is None.
 
     The file is read as UTF-8 with universal newlines; bytes that are not
-    UTF-8 or text that is not JSON raise `error`.
+    UTF-8 or text that is not JSON raise CatalogueError.
     """
     try:
         if path is None:
@@ -289,9 +289,9 @@ def read_document(path, shipped, error):
                 text = fh.read()
         return text, json.loads(text)
     except UnicodeDecodeError as e:
-        raise error("not UTF-8 text: %s" % e) from None
+        raise CatalogueError("not UTF-8 text: %s" % e) from None
     except json.JSONDecodeError as e:
-        raise error("invalid JSON: %s" % e) from None
+        raise CatalogueError("invalid JSON: %s" % e) from None
 
 
 def parse_catalogue(path=None):
@@ -300,7 +300,7 @@ def parse_catalogue(path=None):
     The file is read once; the digest of its text goes on the result.
     Each load starts the parse memo `_parsed` afresh.
     """
-    text, doc = read_document(path, "catalogue.json", CatalogueError)
+    text, doc = read_document(path, "catalogue.json")
     _parsed.cache_clear()
     dimension = _expect(doc, dict, "catalogue document").get("dimension")
     if dimension != DIMENSION:
@@ -430,17 +430,14 @@ def instantiate(entry, values=None):
 
 
 def product_table(products, env=None):
-    """The LeibnizAlgebra table {(i, j): {k: value}} (0-based, zeros
-    dropped) of parsed products, evaluated at the parameter values `env`."""
+    """The table {(i, j): {k: value}} (0-based) of parsed products, every
+    component evaluated at the parameter values `env`; LeibnizAlgebra
+    drops the zeros."""
     table = {}
     for prod in products:
-        row = {}
+        row = table[(prod.left - 1, prod.right - 1)] = {}
         for k, ast in prod.components:
-            val = exprs.evaluate(ast, env)
-            if not val.is_zero():
-                row[k - 1] = val
-        if row:
-            table[(prod.left - 1, prod.right - 1)] = row
+            row[k - 1] = exprs.evaluate(ast, env)
     return table
 
 

@@ -9,10 +9,10 @@ reduces each algebra's constants to GF(p) elements and sets itself up on
 the reduced algebra's own methods (the lower central series, Leib and Z,
 its words and the tables in them by `base_change`), row-reduces mod p
 through `linalg._echelon` as the exact side does, runs its candidates
-on plain ints, and checks each complete map it reaches by
-`verify_witness` over GF(p).  It lifts candidates back to Q(i), each
-entry by `scalars.lift_mod_p`, for exact re-verification, so nothing
-modular is trusted on its own.
+on plain ints, and checks each complete map by `verify_witness` over
+GF(p) in the words.  Only a map that passes is written in the original
+bases, and lifted to Q(i) entry by entry (`scalars.lift_mod_p`) for
+exact re-verification, so nothing modular is trusted on its own.
 
 The search follows the lower central series, as the lifting step of
 p-group generation does (O'Brien 1990; Eick, Leedham-Green and O'Brien
@@ -31,6 +31,7 @@ are counted in stretches rather than one by one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -433,15 +434,16 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     and only its solutions are tried, free variables small-first.  The last
     layer enters no relation and is set to 0.  Each class and each affine
     solution tried counts as one candidate.  Every complete map is checked over
-    GF(prime) by `verify_witness` on the reduced algebras (a singular map
-    counts under `rank`, a broken product under `relations`).  A node's
-    checks (a class's dependence and relations, or the next layer's
-    consistency) are polynomials over GF(prime) in its unknowns, the
-    class or the kernel coefficients; they are compiled once per node and
+    GF(prime) by `verify_witness` on the reduced algebras in their words
+    (a singular map counts under `rank`, a broken product under
+    `relations`), and only a witness is written in the original bases.  A
+    node's checks (a class's dependence and relations, or the next layer's
+    consistency) are polynomials over GF(prime) in its unknowns, the class
+    or the kernel coefficients; they are compiled once per node and
     evaluated once per run of candidates (`_runs`, `_sweep`), which counts
     the rejected stretches between the candidates that vanish there in one
-    step each.  The search stops once `enough(witnesses so far)` is true; the
-    default, `bool`, at the first.
+    step each.  The search stops once `enough(witnesses so far)` is true;
+    the default, `bool`, at the first.
 
     Raises BadPrime when the reduction is undefined or drops a
     structural dimension.
@@ -469,9 +471,9 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     basis, _, _ = _words(mod_t)
     if words.ncols != n or basis.ncols != n:
         raise BadPrime(f"{prime} breaks generation by the complement")
-    src = _int_table(mod_s.base_change(words))
-    tgt = _int_table(mod_t.base_change(basis))
-    words_inv = words.inv()   # the right factor of every complete map
+    in_words = mod_s.base_change(words), mod_t.base_change(basis)
+    src, tgt = map(_int_table, in_words)
+    words_inv = functools.cache(words.inv)   # taken at the first witness
     # word k has length layer[k], and [A^i, A^j] lies in A^(i+j)
     for tab in (src, tgt):
         if any(layer[k] < layer[i] + layer[j]
@@ -560,19 +562,19 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
     tally = _Tally(cap)
 
     def leaf(y, level):
-        """Check the complete map q = basis Y words^-1 over GF(prime), Y's
-        columns the word images y taken into the field, so every entry of
-        q is in GF(prime): column c of q is the image of the source's e_c
-        in the target's basis.  A map that `verify_witness` passes becomes
-        the witness, its entries as ints."""
-        q = basis @ Matrix([map(field, row) for row in zip(*y)]) @ words_inv
-        why = verify_witness(mod_s, mod_t, q)
+        """Check the map Y over GF(prime), its columns the word images y,
+        in the two words tables.  A map that passes becomes the witness
+        q = basis Y words^-1, its entries as ints: column c of q is the
+        image of the source's e_c in the target's basis."""
+        y_map = Matrix([map(field, row) for row in zip(*y)])
+        why = verify_witness(*in_words, y_map)
         if why == _SINGULAR:
             level.rank += 1
         elif why:
             level.relations += 1
         else:
             level.found += 1
+            q = basis @ y_map @ words_inv()
             found.append(tuple(tuple(e.value for e in row) for row in q.rows))
             if enough(found):
                 raise _Stop
@@ -851,13 +853,13 @@ def load_fixtures(path=None):
     scalars and inline product tables are in the scalar-literal grammar.
     Raises FixtureError when the file is not a witness document.
     """
-    _text, doc = read_document(path, "witnesses.json", FixtureError)
     try:
+        _text, doc = read_document(path, "witnesses.json")
         records = _expect(_expect(doc, dict, "witness document")
                           .get("witnesses", []), list, "witnesses")
         fixtures = tuple(_parse_fixture(rec, "witness %d" % k)
                          for k, rec in enumerate(records))
-    except CatalogueError as ex:  # a shape, a scalar or an inline table
+    except CatalogueError as ex:  # the decoding, a shape, a scalar or a table
         raise FixtureError(str(ex)) from None
     labels = set()
     for fixture in fixtures:

@@ -168,7 +168,8 @@ def test_parse_rejects_garbage(tmp_path):
     path = tmp_path / "broken.json"
     one_entry = ('{"dimension": 5, "cases": {"c": {"claims": {}}}, '
                  '"entries": [{"name": "X_1", "case": "c", %s}]}')
-    for text in ("{not json", "[]", '{"dimension": 5, "cases": []}',
+    for text in (b"\xff\xfe{", "{not json", "[]",
+                 '{"dimension": 5, "cases": []}',
                  '{"dimension": 5, "entries": [1]}',
                  one_entry % '"products": [{"left": 1, "right": 1, '
                              '"components": {"x": "1"}}]',
@@ -177,7 +178,7 @@ def test_parse_rejects_garbage(tmp_path):
                  one_entry % '"products": [{"left": 1, "right": 1, '
                              '"components": {"05": "1"}}]',
                  one_entry % '"constraints": [1]'):
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(CatalogueError):
             parse_catalogue(path)
     with_claims = ('{"dimension": 5, "cases": {"c": {"claims": %s}}, '

@@ -718,7 +718,7 @@ def test_layer_systems_solved_once_per_distinct_matrix(catalogue,
                                                        monkeypatch):
     # a search builds each layer's system once, linear in the classes,
     # and solves each distinct matrix once: 12 eliminations, where one per
-    # candidate past the classes made 530; the word and leaf inverses are
+    # candidate past the classes made 530; the word inverses are
     # `Matrix.inv`'s over GF(p)
     calls = []
     prepare = iso._prepare
@@ -745,6 +745,30 @@ def test_layer_systems_solved_once_per_distinct_matrix(catalogue,
     assert verdicts == [(CERTIFIED, 2383), (CERTIFIED, 16)] * 2 \
         + [(INCONCLUSIVE, 40_000)] * 4
     assert len(calls) == 12
+
+
+def test_word_matrices_inverted_once_each(catalogue, monkeypatch):
+    # set-up inverts each side's word matrix once, inside `base_change`;
+    # the source's is inverted again only for a reported witness, and
+    # then once however many witnesses the search collects
+    calls = []
+    inv = Matrix.inv
+
+    def counted(self):
+        calls.append(self.nrows)
+        return inv(self)
+
+    monkeypatch.setattr(Matrix, "inv", counted)
+    res = adapted_search(instantiate(catalogue.entry("A_36")),
+                         instantiate(catalogue.entry("A_37")),
+                         prime=13, cap=200)
+    assert (res.status, res.matrices, len(calls)) == ("capped", (), 2)
+    calls.clear()
+    entry = catalogue.entry("A_5")
+    res = adapted_search(instantiate(entry, {"alpha": 2}),
+                         instantiate(entry, {"alpha": -2}),
+                         enough=lambda found: len(found) >= 3)
+    assert (res.status, len(res.matrices), len(calls)) == ("found", 3, 3)
 
 
 def test_lift_witness_values():
@@ -923,8 +947,8 @@ def test_fixture_parse_validation(tmp_path):
         path.write_text(json.dumps({"witnesses": [rec]}))
         with pytest.raises(ValueError):
             load_fixtures(path)
-    for text in ("{not json", "[]", '{"witnesses": [[]]}'):
-        path.write_text(text)
+    for data in (b"\xff\xfe{", b"{not json", b"[]", b'{"witnesses": [[]]}'):
+        path.write_bytes(data)
         with pytest.raises(FixtureError):
             load_fixtures(path)
 

@@ -6,9 +6,11 @@ one memo: `exprs.parse_expr` is called only by `catalogue._parsed` and
 `_admissible`, and the memo is cleared only by `parse_catalogue`, once
 per load.  One elimination routine inverts pivots, `linalg._echelon`,
 for every elimination, exact or over GF(p), the witness search's
-included: in `linalg` only `_echelon` calls `inv`; in `iso` the one
-`.inv()` is `Matrix.inv` of the source's word matrix, once per search,
-and the one `pow` is the root of a linear check in `_zeros`.  The
+included: in `linalg` only `_echelon` calls `inv`; `iso` calls no
+`.inv()`, its one `inv` being `Matrix.inv` of the source's word matrix,
+cached by `adapted_search` and called only by `leaf` for a witness, so
+once in a search that reports one and never in one that does not; and
+its one `pow` is the root of a linear check in `_zeros`.  The
 witness search checks every relation through one residual: its int
 brackets mod p are taken only by `residual` and by `images` for the
 word images, its set-up and leaf running on the reduced algebra's own
@@ -123,9 +125,19 @@ def test_one_elimination_per_field():
     invs = _calls(lambda func: getattr(func, "attr", None) == "inv", "inv")
     assert [c for c in invs if c[0] == "linalg.py"] == [("linalg.py",
                                                          "_echelon")]
-    # `words.inv()`, a `Matrix.inv`: its elimination is `_echelon`'s
-    assert [c for c in invs if c[0] == "iso.py"] == [("iso.py",
-                                                      "adapted_search")]
+    assert [c for c in invs if c[0] == "iso.py"] == []
+    # `words.inv`, a `Matrix.inv` whose elimination is `_echelon`'s, is
+    # cached as `words_inv` and called only for a witness that passed
+    refs = _nodes(lambda node: isinstance(node, ast.Attribute)
+                  and node.attr == "inv", "inv")
+    words = _nodes(lambda node: isinstance(node, ast.Attribute)
+                   and node.attr == "inv"
+                   and getattr(node.value, "id", None) == "words", "inv")
+    assert [c for c in refs if c[0] == "iso.py"] == words == [
+        ("iso.py", "adapted_search")]
+    calls = _calls(lambda func: getattr(func, "id", None) == "words_inv",
+                   "words_inv")
+    assert calls == [("iso.py", "leaf")], calls
 
 
 def test_dense_sparse_conversions_only_at_the_edge():
