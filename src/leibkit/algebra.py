@@ -8,7 +8,9 @@ consumes: for each k the pairs (x, [e_x, e_k]) and (x, [e_k, e_x]).  So
 every [e_x, v] of a sparse row v (or every [v, e_x]) is read in one pass
 over v's support, and the Leibniz check, the products with the whole
 algebra that make the lower central series, and Leib(A) never bracket
-unit vectors one at a time.
+unit vectors one at a time.  The derivations Der(A) are the kernel of
+the map δ from n x n matrices to bilinear maps, whose sparse rows are
+built from the nonzero products alone.
 
 The defining identity is the left Leibniz identity
 
@@ -59,8 +61,8 @@ class LeibnizAlgebra:
     Scalars may live in Q(i) or a quadratic extension of it, and one
     table may hold both kinds; int and Fraction constants are promoted
     to Q(i) on construction.  Instances are treated as immutable, so
-    each derived subspace (series, Leib, annihilators, center) is computed
-    on first use and kept on the instance.
+    each derived subspace (series, Leib, annihilators, center,
+    derivations) is computed on first use and kept on the instance.
     """
 
     __slots__ = ("n", "table", "_derived")
@@ -308,6 +310,32 @@ class LeibnizAlgebra:
     def _center(self):
         # one kernel of the left and right annihilator conditions together
         return self._kernel(self._conditions(True) + self._conditions(False))
+
+    def _derivation_rows(self) -> list:
+        # the rows of delta: coordinate k of D[e_i, e_j] - [De_i, e_j]
+        # - [e_i, De_j] for each (i, j, k), linear in the entries of D,
+        # d[a][b] at column a*n + b; each product c_ab^m feeds n entries
+        # of each of the three terms
+        n = self.n
+        rows = {}
+        for (a, b), comps in self.table.items():
+            for m, s in comps.items():
+                for x in range(n):
+                    for key, col, t in (((a, b, x), x * n + m, s),
+                                        ((x, b, m), a * n + x, -s),
+                                        ((a, x, m), b * n + x, -s)):
+                        row = rows.setdefault(key, {})
+                        row[col] = row[col] + t if col in row else t
+        return [{c: s for c, s in row.items() if not s.is_zero()}
+                for row in rows.values()]
+
+    def derivations(self) -> Subspace:
+        """Der(A) in F^(n^2): the matrices D (D e_b = sum_a d[a][b] e_a,
+        d[a][b] at coordinate a*n + b) with D[x, y] = [Dx, y] + [x, Dy].
+        Its dimension is an isomorphism invariant outside `signature`."""
+        n2 = self.n * self.n
+        return self._once("der", lambda: Subspace._span(
+            n2, _nullspace(self._derivation_rows(), n2)))
 
     # -- transport ---------------------------------------------------------
 

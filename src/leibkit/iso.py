@@ -4,7 +4,9 @@ A witness for "A is isomorphic to B" is an invertible matrix Q whose
 column j holds the image of the j-th basis vector of A written in the
 basis of B.  Witnesses are verified exactly, product by product:
 Q [e_i, e_j] in A must be [Q e_i, Q e_j] in B, the first pair that
-differs ending the check.  The search for new ones runs over GF(p): it
+differs ending the check.  Before any search, `certify` compares two
+exact invariants, the signature and dim Der(A); a difference is a proof
+of non-isomorphism.  The search for new ones runs over GF(p): it
 reduces each algebra's constants to GF(p) elements and sets itself up on
 the reduced algebra's own methods (the lower central series, Leib and Z,
 its words and the tables in them by `base_change`), row-reduces mod p
@@ -689,10 +691,11 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
             primes=DEFAULT_PRIMES, cap: int = DEFAULT_CAP) -> Certification:
     """Decide isomorphism as far as the exact tools allow.
 
-    Distinct invariant signatures certify non-isomorphism.  Otherwise one
-    modular witness search runs at each distinct prime, in the given
-    order.  Each witness is lifted to Q(i) and re-verified exactly as
-    the search finds it, and the search stops at the first one that
+    Two exact invariants certify non-isomorphism: the signature and,
+    when the signatures agree, dim Der(A).  Otherwise one modular
+    witness search runs at each distinct prime, in the given order.
+    Each witness is lifted to Q(i) and re-verified exactly as the
+    search finds it, and the search stops at the first one that
     verifies, or after `_LIFT_ATTEMPTS` witnesses.  Only an exact
     verification yields CERTIFIED.  Witnesses at two primes without a
     lifting give EVIDENCE; everything else is INCONCLUSIVE, and so,
@@ -706,6 +709,9 @@ def certify(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         fields = ", ".join(sig_s.diff(sig_t))
         return Certification(DISTINCT, None, 0, 0,
                              f"invariants differ: {fields}")
+    if source.derivations().dim != target.derivations().dim:
+        return Certification(DISTINCT, None, 0, 0,
+                             "invariants differ: dim_der")
     if not sig_s.nilpotent:
         return Certification(INCONCLUSIVE, None, 0, 0,
                              "the layered search needs nilpotent algebras")

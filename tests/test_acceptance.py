@@ -255,21 +255,26 @@ def test_criterion_8_invariance(catalogue, witness_fixtures):
     for name in INVARIANCE_ENTRIES:
         alg = _first_point(catalogue, name)
         sig = signature(alg)
+        der = alg.derivations().dim
         for _ in range(10):
             p = _small_invertible(rng)
             moved = alg.base_change(p)
             changes += 1
             if signature(moved) != sig:
                 problems.append((name, "signature moved"))
+            if moved.derivations().dim != der:
+                problems.append((name, "dim Der moved"))
             if verify_witness(moved, alg, p) is not None:
                 problems.append((name, "witness rejected"))
     for fixture in witness_fixtures:
         src, tgt, _m = fixture.realize(catalogue)
         if signature(src) != signature(tgt):
             problems.append((fixture.label, "fixture signatures differ"))
+        if src.derivations().dim != tgt.derivations().dim:
+            problems.append((fixture.label, "fixture dim Der differ"))
     ok = not problems and changes == 200
     _verdict(8, ok, "%d base changes over %d entries keep the signature "
-             "and round-trip; %d fixture pairs agree"
+             "and dim Der and round-trip; %d fixture pairs agree"
              % (changes, len(INVARIANCE_ENTRIES), len(witness_fixtures)))
     assert changes == 200
     assert problems == []

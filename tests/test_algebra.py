@@ -144,6 +144,81 @@ def test_scaling_a_generator_rescales_products():
     assert scaled.table == {(0, 0): {1: GaussianRational(4)}}
 
 
+# -- derivations -------------------------------------------------------------
+
+def _all_points(catalogue):
+    for entry in catalogue:
+        for values in sample_params(entry):
+            yield instantiate(entry, values)
+
+
+def _dense_delta_rank(alg):
+    """Rank of delta from one dense column per matrix unit E_ab: entry
+    (i, j, k) is coordinate k of E_ab[e_i, e_j] - [E_ab e_i, e_j]
+    - [e_i, E_ab e_j], where E_ab e_b = e_a and E_ab kills the rest."""
+    n = alg.n
+    units = [[int(k == i) for k in range(n)] for i in range(n)]
+    c = [[alg.bracket(x, y) for y in units] for x in units]
+    cols = []
+    for a in range(n):
+        for b in range(n):
+            col = []
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        x = c[i][j][b] if k == a else ZERO
+                        if i == b:
+                            x = x - c[a][j][k]
+                        if j == b:
+                            x = x - c[i][a][k]
+                        col.append(x)
+            cols.append(col)
+    return Matrix(cols).rref()[1]
+
+
+def test_derivations_satisfy_the_identity(catalogue):
+    n = 5
+    units = [tuple(ONE if k == i else ZERO for k in range(n))
+             for i in range(n)]
+    for name in ("A_1", "A_36", "A_116", "A_242"):
+        entry = catalogue.entry(name)
+        alg = instantiate(entry, sample_params(entry, 1)[0])
+        for vec in alg.derivations().basis:
+            def d(v):
+                return tuple(sum((vec[a * n + b] * v[b] for b in range(n)),
+                                 ZERO) for a in range(n))
+            for x in units:
+                for y in units:
+                    lhs = d(alg.bracket(x, y))
+                    rhs = [s + t for s, t in zip(alg.bracket(d(x), y),
+                                                 alg.bracket(x, d(y)))]
+                    assert list(lhs) == rhs, (name, x, y)
+
+
+def test_derivations_dim_is_25_minus_rank_delta(catalogue):
+    points = 0
+    for alg in _all_points(catalogue):
+        points += 1
+        assert alg.derivations().dim == 25 - _dense_delta_rank(alg)
+    assert points == 545
+
+
+def test_derivations_dim_survives_base_change(catalogue):
+    rng = random.Random(25)
+    for entry in list(catalogue)[::11]:
+        alg = instantiate(entry, sample_params(entry, 1)[0])
+        moved = alg.base_change(small_invertible(rng, 5, -2, 2))
+        assert moved.derivations().dim == alg.derivations().dim, entry.name
+
+
+def test_derivations_dims_pinned(catalogue):
+    dims = {name: instantiate(catalogue.entry(name)).derivations().dim
+            for name in ("A_1", "A_2", "A_3", "A_36", "A_37")}
+    assert dims == {"A_1": 8, "A_2": 7, "A_3": 7, "A_36": 8, "A_37": 7}
+    assert SQUARE2.derivations().dim == 2   # diag(t, 2t) and e1 -> e2
+    assert HEIS.derivations().dim == 6      # the gl_2 block and e1, e2 -> e3
+
+
 def test_constructor_drops_zero_products():
     alg = LeibnizAlgebra(2, {(0, 0): {1: GaussianRational(0)}})
     assert alg.table == {}

@@ -6,8 +6,9 @@ verdicts stay.  The corpus holds pairs whose first witness lifts, capped
 pairs, pairs whose first witness mod p does not lift (A_5(2) under
 diag(7, 1, 1, 1, 1) mod 5 and under a shear with entry 100 mod 1009), an
 EVIDENCE pair (A_131 under a seeded base change, with a prime that its
-table does not reduce mod), a pair of distinct signatures, and seeded
-base changes of first points at primes 5, 13 and 29.
+table does not reduce mod), two pairs of equal signatures that dim Der
+tells apart (A_36 ~ A_37 and A_1 ~ A_3), and seeded base changes of
+first points at primes 5, 13 and 29.
 """
 
 import hashlib
@@ -17,8 +18,8 @@ from leibkit.catalogue import instantiate, sample_params
 from leibkit.iso import certify
 from leibkit.linalg import Matrix, SingularMatrix
 
-DIGEST = ("2cfb4d725a59b7cd49753869f9ecc041"
-          "2b576e4abc3716c8346335b22854b41e")
+DIGEST = ("7f24f915347aa133c57ed75da7580b42"
+          "b4241450b5f0215ed773a960ce8def6f")
 CAP = 3000
 
 

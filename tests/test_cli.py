@@ -141,10 +141,22 @@ def test_iso_search_distinct(capsys):
 
 
 def test_iso_search_inconclusive(capsys):
-    code, out, _ = run(capsys, "iso", "search", "--a", "A_1", "--b", "A_3",
+    # A_2 and A_3 share the signature and dim Der
+    code, out, _ = run(capsys, "iso", "search", "--a", "A_2", "--b", "A_3",
                        "--cap", "200")
     assert code == 0
     assert "INCONCLUSIVE" in out
+    assert "candidates considered: 400\n" in out
+
+
+def test_iso_search_refuted_by_dim_der(capsys):
+    # equal signatures, dim Der 8 and 7: settled before any search
+    code, out, err = run(capsys, "iso", "search", "--a", "A_36",
+                         "--b", "A_37")
+    assert code == 0
+    assert "NON-ISOMORPHIC (signature certificate)\n" in out
+    assert "dim_der" in out and "candidates considered: 0\n" in out
+    assert "search mod" not in err
 
 
 def test_canon_kinds(capsys):

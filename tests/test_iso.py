@@ -719,7 +719,8 @@ def test_layer_systems_solved_once_per_distinct_matrix(catalogue,
     # a search builds each layer's system once, linear in the classes,
     # and solves each distinct matrix once: 12 eliminations, where one per
     # candidate past the classes made 530; the word inverses are
-    # `Matrix.inv`'s over GF(p)
+    # `Matrix.inv`'s over GF(p).  `certify` refutes the capped pairs by
+    # dim Der with no search, so they are searched here directly.
     calls = []
     prepare = iso._prepare
 
@@ -740,11 +741,35 @@ def test_layer_systems_solved_once_per_distinct_matrix(catalogue,
                        instantiate(entry, {"alpha": -alpha}))
         verdicts.append((cert.status, cert.candidates))
     for a, b in ISO_DENSE_CAPPED:
-        cert = certify(first(a), first(b), cap=20_000)
+        src, tgt = first(a), first(b)
+        for prime in (13, 29):
+            res = adapted_search(src, tgt, prime=prime, cap=20_000)
+            verdicts.append((res.status, res.candidates))
+        cert = certify(src, tgt, cap=20_000)
         verdicts.append((cert.status, cert.candidates))
     assert verdicts == [(CERTIFIED, 2383), (CERTIFIED, 16)] * 2 \
-        + [(INCONCLUSIVE, 40_000)] * 4
+        + [("capped", 20_000), ("capped", 20_000), (DISTINCT, 0)] * 4
     assert len(calls) == 12
+
+
+def test_certify_refutes_capped_pairs_without_search(catalogue,
+                                                     monkeypatch):
+    # the capped pairs share their signature but not dim Der, which
+    # settles them before `certify` reaches `adapted_search`
+    calls = []
+    search = iso.adapted_search
+    monkeypatch.setattr(iso, "adapted_search", lambda *args, **kwargs: (
+        calls.append(args) or search(*args, **kwargs)))
+    dims = []
+    for a, b in ISO_DENSE_CAPPED:
+        src, tgt = (instantiate(catalogue.entry(name), sample_params(
+            catalogue.entry(name), 1)[0]) for name in (a, b))
+        cert = certify(src, tgt, cap=20_000)
+        assert (cert.status, cert.candidates, cert.detail, cert.searches) \
+            == (DISTINCT, 0, "invariants differ: dim_der", ()), (a, b)
+        dims.append((src.derivations().dim, tgt.derivations().dim))
+    assert calls == []
+    assert dims == [(8, 7), (7, 6), (7, 6), (9, 8)]
 
 
 def test_word_matrices_inverted_once_each(catalogue, monkeypatch):
@@ -868,10 +893,11 @@ def test_certify_remark_pair(catalogue):
 
 
 def test_certify_inconclusive_under_tiny_cap(catalogue):
-    a = instantiate(catalogue.entry("A_1"))
+    # A_2 and A_3 share the signature and dim Der = 7
+    a = instantiate(catalogue.entry("A_2"))
     b = instantiate(catalogue.entry("A_3"))
     cert = certify(a, b, cap=200)
-    assert cert.status == INCONCLUSIVE
+    assert (cert.status, cert.candidates) == (INCONCLUSIVE, 400)
 
 
 def test_fixture_file_loads(witness_fixtures):
