@@ -8,9 +8,11 @@ consumes: for each k the pairs (x, [e_x, e_k]) and (x, [e_k, e_x]).  So
 every [e_x, v] of a sparse row v (or every [v, e_x]) is read in one pass
 over v's support, and the Leibniz check, the products with the whole
 algebra that make the lower central series, and Leib(A) never bracket
-unit vectors one at a time.  The derivations Der(A) are the kernel of
-the map δ from n x n matrices to bilinear maps, whose sparse rows are
-built from the nonzero products alone.
+unit vectors one at a time.  A^2 is the span of the table's own values;
+[A^2, A] and [A^2, A^2] share one pass per row of A^2.  The center is
+the left annihilator cap the right one.  The derivations Der(A) are the
+kernel of the map δ from n x n matrices to bilinear maps, whose sparse
+rows are built from the nonzero products alone.
 
 The defining identity is the left Leibniz identity
 
@@ -114,7 +116,7 @@ class LeibnizAlgebra:
                 c = a * b
                 for k, s in comps.items():
                     t = acc.get(k)
-                    acc[k] = c * s if t is None else t + c * s
+                    acc[k] = c * s if t is None else t.muladd(c, s)
         return {k: s for k, s in acc.items() if not s.is_zero()}
 
     def _by_factor(self):
@@ -138,7 +140,7 @@ class LeibnizAlgebra:
                 row = acc.setdefault(x, {})
                 for m, s in comps.items():
                     t = row.get(m)
-                    row[m] = c * s if t is None else t + c * s
+                    row[m] = c * s if t is None else t.muladd(c, s)
         out = {}
         for x, row in acc.items():
             row = {m: s for m, s in row.items() if not s.is_zero()}
@@ -202,21 +204,30 @@ class LeibnizAlgebra:
             self.n, [{i: ONE} for i in range(self.n)]))
 
     def subspace_product(self, u_space: Subspace, v_space: Subspace) -> Subspace:
-        """Span of [u, v] over basis vectors of the two subspaces; a
-        product with the whole algebra is read off the table's index, one
-        pass per echelon row of the other factor."""
+        """Span of [u, v] over basis vectors of the two subspaces, read off
+        the table's index: [A, V] in one pass per echelon row of V, else
+        from the products [u, e_x] of u_space's rows, which give [U, A]
+        as they stand and [u, v] as sum_x v_x [u, e_x]."""
         n = self.n
         if u_space.ambient != n or v_space.ambient != n:
             raise AmbientMismatch("subspace ambient differs from algebra dimension")
         if u_space.dim == n:
             return Subspace._span(n, [w for v in v_space.echelon for w in
                                       self._unit_products(v, True).values()])
+        rights = self._right_products(u_space)
         if v_space.dim == n:
-            return Subspace._span(n, [w for u in u_space.echelon for w in
-                                      self._unit_products(u, False).values()])
-        return Subspace._span(n, [self._bracket_sparse(u, v)
-                                  for u in u_space.echelon
+            return Subspace._span(n, [w for r in rights for w in r if w])
+        return Subspace._span(n, [_combine(r, v) for r in rights
                                   for v in v_space.echelon])
+
+    def _right_products(self, space: Subspace) -> list:
+        """[[u, e_x] for x] per echelon row u of `space`, one pass each,
+        kept per subspace; the entry holds it, so its id is not reused."""
+        def compute():
+            rows = [self._unit_products(u, False) for u in space.echelon]
+            return space, [[r.get(x, {}) for x in range(self.n)]
+                           for r in rows]
+        return self._once(("right", id(space)), compute)[1]
 
     def lower_central_series(self) -> tuple[Subspace, ...]:
         """A^1 = A, A^{i+1} = [A, A^i]; stops at the first repeated term."""
@@ -224,8 +235,12 @@ class LeibnizAlgebra:
 
     def _lower_central_series(self):
         whole = self.full_space()
-        return self._series([whole],
-                            lambda last: self.subspace_product(whole, last))
+
+        def step(last):
+            if last is whole:   # A^2 = [A, A] is spanned by the table's values
+                return Subspace._span(self.n, list(self.table.values()))
+            return self.subspace_product(whole, last)
+        return self._series([whole], step)
 
     def derived_series(self) -> tuple[Subspace, ...]:
         return self._once("derived", self._derived_series)
@@ -286,30 +301,25 @@ class LeibnizAlgebra:
                 rows.setdefault((j, k), {})[i] = s
         return list(rows.values())
 
-    def _conditions(self, left: bool) -> list:
-        # each side's rows, built once for its annihilator and the center
-        return self._once(("ann_rows", left),
-                          lambda: self._annihilator_rows(left))
-
     def _kernel(self, rows) -> Subspace:
         return Subspace._span(self.n, _nullspace(rows, self.n))
 
     def left_annihilator(self) -> Subspace:
         """{x : [x, a] = 0 for all a}; contains the squares ideal."""
         return self._once("left_ann", lambda: self._kernel(
-            self._conditions(True)))
+            self._annihilator_rows(True)))
 
     def right_annihilator(self) -> Subspace:
         """{x : [a, x] = 0 for all a}."""
         return self._once("right_ann", lambda: self._kernel(
-            self._conditions(False)))
+            self._annihilator_rows(False)))
 
     def center(self) -> Subspace:
         return self._once("center", self._center)
 
     def _center(self):
-        # one kernel of the left and right annihilator conditions together
-        return self._kernel(self._conditions(True) + self._conditions(False))
+        # Z(A) = {x : [x, a] = [a, x] = 0 for all a}
+        return self.left_annihilator().intersect(self.right_annihilator())
 
     def _derivation_rows(self) -> list:
         # the rows of delta: coordinate k of D[e_i, e_j] - [De_i, e_j]

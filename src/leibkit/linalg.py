@@ -7,7 +7,9 @@ row reduction (``rref``, ``inv``, every span and, through ``_nullspace``,
 every kernel) goes through one incremental echelon, ``_echelon``, on
 sparse rows {column: nonzero scalar}: it keeps the rows taken so far in
 reduced row echelon form, which is unique, so reduced forms are canonical
-for a given row space.  A subspace keeps its echelon's sparse rows, so
+for a given row space.  Every multiply-accumulate t + f*y of the kernel
+(eliminations, combinations, dot products) is the scalar's one
+``muladd(f, y)``.  A subspace keeps its echelon's sparse rows, so
 dense vectors appear only at the public edge (``Matrix``,
 ``Subspace(ambient, vectors)``, ``Subspace.basis``).  Q(i) entries and
 entries of one quadratic extension may share a matrix or a subspace.
@@ -38,11 +40,12 @@ class Matrix:
 
     Entries may be GaussianRational or QuadExtElem, and one matrix may
     hold both: the two kinds mix in arithmetic and in equality.  The only
-    requirement is field arithmetic plus is_zero()/inv() duck typing
-    through the usual operators.  int and Fraction entries are promoted
-    to GaussianRational on construction.  Identity blocks and kernel
-    vectors are built from ONE and ZERO.  A matrix with no rows may still
-    have columns: the transpose of an n x 0 matrix is 0 x n.
+    requirement is field arithmetic through the usual operators plus
+    is_zero(), inv() and muladd(f, y) = self + f*y duck typing.  int and
+    Fraction entries are promoted to GaussianRational on construction.
+    Identity blocks and kernel vectors are built from ONE and ZERO.  A
+    matrix with no rows may still have columns: the transpose of an n x 0
+    matrix is 0 x n.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -143,7 +146,7 @@ def _dot(u, v):
     a, b = first
     acc = a * b
     for a, b in it:
-        acc = acc + a * b
+        acc = acc.muladd(a, b)
     return acc
 
 
@@ -161,16 +164,19 @@ def _combine(cols, coefs) -> dict:
     acc = {}
     for k, c in coefs.items():
         for r, y in cols[k].items():
-            acc[r] = acc[r] + y * c if r in acc else y * c
+            acc[r] = acc[r].muladd(y, c) if r in acc else y * c
     return {r: acc[r] for r in sorted(acc) if not acc[r].is_zero()}
 
 
 def _sub_multiple(row, f, pivot_row, pivot):
     """row -= f * pivot_row in place, outside pivot_row's pivot column."""
+    if len(pivot_row) == 1:
+        return      # the pivot alone: nothing to subtract, f not negated
+    f = -f
     for c, y in pivot_row.items():
         if c != pivot:
             t = row.get(c)
-            t = -(f * y) if t is None else t - f * y
+            t = f * y if t is None else t.muladd(f, y)
             if t.is_zero():
                 del row[c]
             else:

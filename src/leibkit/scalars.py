@@ -152,6 +152,19 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
+    def muladd(self, f, y):
+        """self + f*y, read straight off the three triples and normalised
+        once; other operands take the arithmetic above."""
+        if type(f) is not GaussianRational or type(y) is not GaussianRational:
+            return self + f * y
+        fa, fb, ya, yb = f._a, f._b, y._a, y._b
+        pa, pb, pd = fa * ya - fb * yb, fa * yb + fb * ya, f._d * y._d
+        d = self._d
+        if d == pd:
+            return _normalised(self._a + pa, self._b + pb, d)
+        return _normalised(self._a * pd + pa * d, self._b * pd + pb * d,
+                           d * pd)
+
     def inv(self) -> "GaussianRational":
         # d / (a + bi) = d (a - bi) / (a^2 + b^2)
         a, b, d = self._a, self._b, self._d
@@ -319,6 +332,9 @@ class QuadExtElem:
         )
 
     __rmul__ = __mul__
+
+    def muladd(self, f, y):
+        return self + f * y
 
     def inv(self) -> "QuadExtElem":
         # Norm a^2 - d b^2 vanishes only at zero since d is not a square.
@@ -498,6 +514,13 @@ class PrimeFieldElem:
     __rsub__ = _mod_p_op(int.__rsub__)
     __mul__ = __rmul__ = _mod_p_op(int.__mul__)
 
+    def muladd(self, f, y):
+        """self + f*y, reduced once when all three share the field."""
+        fld = self.field
+        if type(f) is type(y) is PrimeFieldElem and f.field is fld is y.field:
+            return PrimeFieldElem(self.value + f.value * y.value, fld)
+        return self + f * y
+
     def __neg__(self):
         return PrimeFieldElem(-self.value, self.field)
 
@@ -552,6 +575,5 @@ def lift_mod_p(e: int, field: PrimeField) -> GaussianRational | None:
                 continue
             key = (abs(b), abs(a), den, b < 0, a < 0)
             if best is None or key < best[0]:
-                best = (key, GaussianRational(Fraction(a, den),
-                                              Fraction(b, den)))
-    return None if best is None else best[1]
+                best = (key, a, b, den)
+    return None if best is None else _normalised(*best[1:])

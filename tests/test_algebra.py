@@ -110,7 +110,8 @@ def test_leib_ideal_and_annihilators():
     alg = a1()
     assert alg.leib_ideal().dim == 1
     assert alg.center() == Subspace(5, [(0, 0, 0, 0, 1)])
-    assert alg.center() == alg.left_annihilator().intersect(alg.right_annihilator())
+    assert SQUARE2.center() == Subspace(2, [(0, 1)])
+    assert HEIS.center() == Subspace(3, [(0, 0, 1)])
     assert SQUARE2.left_annihilator() == Subspace(2, [(0, 1)])
 
 

@@ -269,7 +269,8 @@ def test_structure_computed_once_per_algebra(catalogue, monkeypatch):
     assert report.passed
     [(algebra,)] = computed["_lower_central_series"]
     assert computed["_center"] == [(algebra,)]
-    # each side's annihilator rows serve its annihilator and the center
+    # each side's annihilator rows are built once, for its annihilator;
+    # the center is the two annihilators' intersection
     assert sorted(computed["_annihilator_rows"], key=lambda c: c[1]) == [
         (algebra, False), (algebra, True)]
     assert isinstance(algebra.lower_central_series(), tuple)

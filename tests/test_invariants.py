@@ -177,10 +177,10 @@ def test_signature_computes_each_product_once(catalogue, monkeypatch):
         calls.clear()
         signature(fresh)
         lower, derived = fresh.lower_central_series(), fresh.derived_series()
-        # one product per term after A, and after A^(2) = A^2; a series
-        # that stalls above 0 needs one more to see the repeat; one more
-        # for [A^2, A]
-        expected = (len(lower) - 1 + (lower[-1].dim != 0)
+        # one product per term after A^2, which is read off the table, and
+        # after A^(2) = A^2; a series that stalls above 0 needs one more
+        # to see the repeat; one more for [A^2, A]
+        expected = (len(lower) - 2 + (lower[-1].dim != 0)
                     + len(derived) - 2 + (derived[-1].dim != 0) + 1)
         assert len(calls) == expected, alg
 
@@ -209,11 +209,12 @@ def test_signature_rref_count(catalogue, monkeypatch):
 
 
 def test_signature_index_pass_count(catalogue, monkeypatch):
-    # a product with the whole algebra is read off the table's index by
-    # consumed component, one pass per echelon row of the other factor:
-    # 2,833 passes over the first points; the 1,533 brackets of two
-    # vectors are the derived series past A^2.  The Leibniz check, Leib
-    # and the lower central series bracket no vectors at all
+    # A^2 is spanned by the table's values, and a product with the whole
+    # algebra is read off the table's index by consumed component, one
+    # pass per echelon row of the other factor: 1,448 passes over the
+    # first points.  [A^2, A] and [A^2, A^2] share one pass per row of
+    # A^2, so the derived series brackets no two vectors either.  The
+    # Leibniz check, Leib and the lower central series bracket none
     calls = []
 
     def counted(method, kind):
@@ -238,8 +239,8 @@ def test_signature_index_pass_count(catalogue, monkeypatch):
         signature(LeibnizAlgebra(alg.n, alg.table))
         per_point[entry.name] = (calls.count("_unit_products"),
                                  calls.count("_bracket_sparse"))
-    assert per_point["A_1"] == (14, 9)
-    assert [sum(c) for c in zip(*per_point.values())] == [2833, 1533]
+    assert per_point["A_1"] == (9, 0)
+    assert [sum(c) for c in zip(*per_point.values())] == [1448, 0]
 
 
 def test_signature_converts_no_vector(catalogue, monkeypatch):
@@ -265,20 +266,49 @@ def test_signature_converts_no_vector(catalogue, monkeypatch):
     assert len(calls) == 0
 
 
+def _combined_center(alg):
+    """Z(A) as one kernel of both annihilators' conditions, built from
+    the table here: coordinate k of [x, e_j] and of [e_j, x] is 0 for
+    every j and k."""
+    rows = {}
+    for (a, b), comps in alg.table.items():
+        for k, s in comps.items():
+            rows.setdefault(("left", b, k), {})[a] = s
+            rows.setdefault(("right", a, k), {})[b] = s
+    return Subspace._span(alg.n, linalg._nullspace(list(rows.values()),
+                                                   alg.n))
+
+
 def test_intersections_match_intersect(catalogue):
-    # at every report point the center (one kernel of both annihilator
-    # conditions) and the two intersections the signature reads from
-    # sums by the dimension formula agree with Subspace.intersect
+    # at every report point the center (the two annihilators'
+    # intersection) is the one kernel of both annihilators' conditions,
+    # and the two intersections the signature reads from sums by the
+    # dimension formula agree with Subspace.intersect
     points = 0
     for entry in catalogue:
         for values in sample_params(entry, 3):
             alg = instantiate(entry, values)
             sig = signature(alg)
             center, sq = alg.center(), alg.lower_central_term(2)
-            assert center == alg.left_annihilator().intersect(
-                alg.right_annihilator()), (entry.name, values)
+            assert center == _combined_center(alg), (entry.name, values)
             assert sig.dim_center_cap_sq == center.intersect(sq).dim
             assert sig.dim_leib_cap_cube == alg.leib_ideal().intersect(
                 alg.lower_central_term(3)).dim
             points += 1
     assert points == 545
+
+
+def test_center_of_dense_base_changes(catalogue):
+    # the same oracle where every product is dense: first points under
+    # seeded +-1 base changes
+    rng = random.Random(3)
+    for entry in list(catalogue)[::9]:
+        alg = instantiate(entry, sample_params(entry, 1)[0])
+        while True:
+            p = Matrix([[rng.randint(-1, 1) for _ in range(5)]
+                        for _ in range(5)])
+            if p.rref()[1] == 5:
+                break
+        moved = alg.base_change(p)
+        assert moved.center() == _combined_center(moved), entry.name
+        assert moved.center().dim == alg.center().dim, entry.name

@@ -19,9 +19,10 @@ methods; and its candidates are enumerated in one way, each call of
 algebra's structure passes read its products off the table's index by
 consumed component: `check_leibniz`, `_leib_ideal` and
 `_lower_central_series` never bracket two vectors, and
-`_bracket_sparse` is called only by `bracket`, `base_change`,
-`iso.verify_witness` and `subspace_product` for a pair of proper
-subspaces.  The scalar
+`_bracket_sparse` is called only by `bracket`, `base_change` and
+`iso.verify_witness`.  Every scalar class has the fused multiply-add
+`muladd`, and the kernel's five multiply-accumulate loops call it.  The
+scalar
 tower's rules live in `scalars`: outside it, only `exprs.format_scalar`
 tests for a Fraction or reads a scalar's field, and inside it only
 `promote` and `_as_fraction` test for a Fraction; square roots are taken
@@ -165,9 +166,34 @@ def test_structure_passes_bracket_no_vectors():
     brackets = _calls(lambda func: getattr(func, "attr", None)
                       == "_bracket_sparse", "_bracket_sparse")
     assert set(brackets) == {("algebra.py", "bracket"),
-                             ("algebra.py", "subspace_product"),
                              ("algebra.py", "base_change"),
                              ("iso.py", "verify_witness")}, brackets
+
+
+def test_kernel_loops_multiply_add_in_one_step():
+    # every class of `scalars` with a product has `muladd`, and the five
+    # loops that accumulate t + f*y call it, not `+` on a product
+    bound = {}      # class of `scalars` -> the names its body binds
+    [tree] = [tree for file, tree, _ in _package() if file == "scalars.py"]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            names = bound[node.name] = set()
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    names.add(stmt.name)
+                elif isinstance(stmt, ast.Assign):
+                    names |= {t.id for t in stmt.targets
+                              if isinstance(t, ast.Name)}
+    scalar_classes = {c for c, names in bound.items() if "__mul__" in names}
+    assert scalar_classes == {"GaussianRational", "QuadExtElem",
+                              "PrimeFieldElem"}, bound
+    assert all("muladd" in bound[c] for c in scalar_classes), bound
+    calls = _calls(lambda func: getattr(func, "attr", None) == "muladd",
+                   "muladd")
+    assert set(calls) == {("linalg.py", "_sub_multiple"),
+                          ("linalg.py", "_combine"), ("linalg.py", "_dot"),
+                          ("algebra.py", "_bracket_sparse"),
+                          ("algebra.py", "_unit_products")}, calls
 
 
 def _names(func, name):

@@ -252,7 +252,7 @@ def test_quadext_field_mismatch():
 _BOX = 6   # |re|, |im| and the denominator of a lifted value
 
 
-@pytest.mark.parametrize("p", (5, 13, 29, 1009))
+@pytest.mark.parametrize("p", (5, 13, 17, 29, 1009))
 def test_lift_mod_p_is_the_least_preimage_in_the_box(p):
     # brute force over the box: every (a + b*i)/den that reduces to e,
     # least under (|im|, |re|, den, im < 0, re < 0)
@@ -272,6 +272,7 @@ def test_lift_mod_p_is_the_least_preimage_in_the_box(p):
         _, _, den, _, _, a, b = hits[0]
         assert lifted == GaussianRational(Fraction(a, den),
                                           Fraction(b, den)), e
+        _assert_normal(lifted)
         assert reduce_mod_p(lifted, field) == e
 
 
@@ -472,3 +473,58 @@ def test_gaussian_matches_fraction_pairs():
                     + u[1].numerator * pow(u[1].denominator, -1, 13) * r)
             assert reduce_mod_p(x, field) == want % 13
 
+
+
+# -- the fused multiply-add ------------------------------------------------
+
+int_gaussians = st.builds(GaussianRational, st.integers(-10**6, 10**6),
+                          st.integers(-10**6, 10**6))
+any_gaussians = st.one_of(int_gaussians, gaussians)
+SQRT3 = QuadExtField(3)
+with_root = st.builds(lambda a, b: SQRT3.embed(a) + SQRT3.sqrt_d * b,
+                      any_gaussians, any_gaussians)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_gaussians, any_gaussians, any_gaussians)
+def test_gaussian_muladd_is_x_plus_f_times_y(x, f, y):
+    got = x.muladd(f, y)
+    assert type(got) is GaussianRational
+    assert _triple(got) == _triple(x + f * y)
+    _assert_normal(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(any_gaussians, with_root), min_size=3,
+                max_size=3))
+def test_quadext_muladd_mixes_with_q_i(operands):
+    x, f, y = operands
+    got, want = x.muladd(f, y), x + f * y
+    assert type(got) is type(want) and got == want
+    for part in (got.a, got.b) if type(got) is QuadExtElem else (got,):
+        _assert_normal(part)
+
+
+GF13 = PrimeField(13)
+in_gf13 = st.integers(-100, 100).map(GF13)
+gf13_operands = st.one_of(in_gf13, st.integers(-100, 100), st.just(ONE))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(in_gf13, st.just(ONE)), gf13_operands, gf13_operands)
+def test_prime_field_muladd_with_ints_and_one(x, f, y):
+    got, want = x.muladd(f, y), x + f * y
+    assert type(got) is type(want) and got == want
+    if type(got) is PrimeFieldElem:
+        assert 0 <= got.value < 13 and got.value == want.value
+
+
+def test_prime_field_muladd_keeps_the_field_check():
+    x = GF13(3)
+    for other in (PrimeField(29)(1), QuadExtField(2).sqrt_d):
+        with pytest.raises(FieldMismatch):
+            x.muladd(other, x)
+        with pytest.raises(FieldMismatch):
+            x.muladd(x, other)
+    # the same prime under another PrimeField takes the plain arithmetic
+    assert x.muladd(PrimeField(13)(2), x).value == 9
