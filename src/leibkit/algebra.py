@@ -6,10 +6,11 @@ from basis index to scalar.  All indices are 0-based internally.  The
 table is also indexed, once per algebra, by the component a product
 consumes: for each k the pairs (x, [e_x, e_k]) and (x, [e_k, e_x]).  So
 every [e_x, v] of a sparse row v (or every [v, e_x]) is read in one pass
-over v's support, and the Leibniz check, the products with the whole
-algebra that make the lower central series, and Leib(A) never bracket
-unit vectors one at a time.  A^2 is the span of the table's own values;
-[A^2, A] and [A^2, A^2] share one pass per row of A^2.  The center is
+over v's support; it is the algebra's one way to multiply, as [u, v] is
+sum_x v_x [u, e_x].  So no structure pass brackets unit vectors one at
+a time.  A^2 is the span of the table's own values; [A^2, A] and
+[A^2, A^2] share one pass per row of A^2, and a base change (so the
+witness check in `iso`) one pass per column.  The center is
 the left annihilator cap the right one.  The derivations Der(A) are the
 kernel of the map δ from n x n matrices to bilinear maps, whose sparse
 rows are built from the nonzero products alone.
@@ -103,21 +104,22 @@ class LeibnizAlgebra:
         Fraction coordinates are promoted to Q(i)."""
         if len(u) != self.n or len(v) != self.n:
             raise AmbientMismatch("vector length differs from algebra dimension")
-        return _dense(self._bracket_sparse(
-            _support(map(promote, u)), _support(map(promote, v))), self.n)
+        return _dense(_combine(self._with_units(_support(map(promote, u))),
+                               _support(map(promote, v))), self.n)
 
-    def _bracket_sparse(self, u: dict, v: dict) -> dict:
-        acc = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                comps = self.table.get((i, j))
-                if comps is None:
-                    continue
-                c = a * b
-                for k, s in comps.items():
-                    t = acc.get(k)
-                    acc[k] = c * s if t is None else t.muladd(c, s)
-        return {k: s for k, s in acc.items() if not s.is_zero()}
+    def _with_units(self, u: dict) -> list:
+        """[[u, e_x] for x], in one pass over the table's index; any
+        [u, v] is then sum_x v_x [u, e_x], `_combine` of it with v."""
+        row = self._unit_products(u, False)
+        return [row.get(x, {}) for x in range(self.n)]
+
+    def _column_products(self, cols):
+        """(a, b, [c_a, c_b]) for each pair of sparse columns, a-major,
+        one index pass per column a; lazy, so a check may stop early."""
+        for a, u in enumerate(cols):
+            rights = self._with_units(u)
+            for b, v in enumerate(cols):
+                yield a, b, _combine(rights, v)
 
     def _by_factor(self):
         """The table indexed by the component a product consumes: for
@@ -223,11 +225,8 @@ class LeibnizAlgebra:
     def _right_products(self, space: Subspace) -> list:
         """[[u, e_x] for x] per echelon row u of `space`, one pass each,
         kept per subspace; the entry holds it, so its id is not reused."""
-        def compute():
-            rows = [self._unit_products(u, False) for u in space.echelon]
-            return space, [[r.get(x, {}) for x in range(self.n)]
-                           for r in rows]
-        return self._once(("right", id(space)), compute)[1]
+        return self._once(("right", id(space)), lambda: (
+            space, [self._with_units(u) for u in space.echelon]))[1]
 
     def lower_central_series(self) -> tuple[Subspace, ...]:
         """A^1 = A, A^{i+1} = [A, A^i]; stops at the first repeated term."""
@@ -360,11 +359,6 @@ class LeibnizAlgebra:
             raise AmbientMismatch("base change matrix has wrong shape")
         cols = [_support(col) for col in p_matrix.transpose().rows]
         inv_cols = [_support(col) for col in p_matrix.inv().transpose().rows]
-        table = {}
-        for a in range(n):
-            for b in range(n):
-                comps = _combine(inv_cols,
-                                 self._bracket_sparse(cols[a], cols[b]))
-                if comps:
-                    table[(a, b)] = comps
-        return LeibnizAlgebra(n, table)
+        # the constructor drops the products that vanish
+        return LeibnizAlgebra(n, {(a, b): _combine(inv_cols, w) for a, b, w
+                                  in self._column_products(cols)})

@@ -328,12 +328,11 @@ def parse_catalogue(path=None):
 _SAMPLE_BUDGET = 500000   # candidate points sample_params examines at most
 
 
-def _sample_stream():
-    i = GaussianRational(0, 1)
-    half = Fraction(1, 2)
-    vals = [0, 1, 2, 3, -2, i, 1 + i, -1, 4, -3, 2 * i, 1 - i,
-            half, -half, 5, Fraction(3, 2), -4, 2 + i, -i, 6]
-    return [GaussianRational.coerce(v) for v in vals]
+_I = GaussianRational(0, 1)
+# the scalars `sample_params` walks, built once
+_SAMPLE_STREAM = tuple(map(GaussianRational.coerce, (
+    0, 1, 2, 3, -2, _I, 1 + _I, -1, 4, -3, 2 * _I, 1 - _I, Fraction(1, 2),
+    Fraction(-1, 2), 5, Fraction(3, 2), -4, 2 + _I, -_I, 6)))
 
 
 def point_text(values):
@@ -381,14 +380,13 @@ def sample_params(entry, count=3):
     """
     if not entry.params:
         return [{}]
-    stream = _sample_stream()
     out = []
     examined = 0
-    for idx in _index_tuples(len(entry.params), len(stream)):
+    for idx in _index_tuples(len(entry.params), len(_SAMPLE_STREAM)):
         examined += 1
         if examined > _SAMPLE_BUDGET:
             break
-        env = {p: stream[k] for p, k in zip(entry.params, idx)}
+        env = {p: _SAMPLE_STREAM[k] for p, k in zip(entry.params, idx)}
         if _admissible(entry, env):
             out.append(env)
             if len(out) >= count:

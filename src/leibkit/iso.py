@@ -4,17 +4,19 @@ A witness for "A is isomorphic to B" is an invertible matrix Q whose
 column j holds the image of the j-th basis vector of A written in the
 basis of B.  Witnesses are verified exactly, product by product:
 Q [e_i, e_j] in A must be [Q e_i, Q e_j] in B, the first pair that
-differs ending the check.  Before any search, `certify` compares two
-exact invariants, the signature and dim Der(A); a difference is a proof
-of non-isomorphism.  The search for new ones runs over GF(p): it
-reduces each algebra's constants to GF(p) elements and sets itself up on
-the reduced algebra's own methods (the lower central series, Leib and Z,
-its words and the tables in them by `base_change`), row-reduces mod p
-through `linalg._echelon` as the exact side does, runs its candidates
-on plain ints, and checks each complete map by `verify_witness` over
-GF(p) in the words.  Only a map that passes is written in the original
-bases, and lifted to Q(i) entry by entry (`scalars.lift_mod_p`) for
-exact re-verification, so nothing modular is trusted on its own.
+differs ending the check; B's column products are taken as its
+`base_change` takes them, one pass over its table's index per column.
+Before any search, `certify` compares two exact invariants, the
+signature and dim Der(A); a difference is a proof of non-isomorphism.
+The search for new ones runs over GF(p): it reduces each algebra's
+constants to GF(p) elements and sets itself up on the reduced algebra's
+own methods (the lower central series, Leib and Z, its words and the
+tables in them by `base_change`), row-reduces mod p through
+`linalg._echelon` as the exact side does, runs its candidates on plain
+ints, and checks each complete map by `verify_witness` over GF(p) in the
+words.  Only a map that passes is written in the original bases, in
+GF(p) alone, and lifted to Q(i) entry by entry (`scalars.lift_mod_p`)
+for exact re-verification, so nothing modular is trusted on its own.
 
 The search follows the lower central series, as the lifting step of
 p-group generation does (O'Brien 1990; Eick, Leedham-Green and O'Brien
@@ -95,9 +97,8 @@ def verify_witness(source: LeibnizAlgebra, target: LeibnizAlgebra,
     if matrix.rref()[1] != n:
         return _SINGULAR
     cols = [_support(col) for col in matrix.transpose().rows]
-    for i, j in itertools.product(range(n), repeat=2):
-        if (_combine(cols, source.bracket_basis(i, j))
-                != target._bracket_sparse(cols[i], cols[j])):
+    for i, j, image in target._column_products(cols):
+        if _combine(cols, source.bracket_basis(i, j)) != image:
             return f"product ({i + 1},{j + 1}) is not preserved"
     return None
 
@@ -475,7 +476,13 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         raise BadPrime(f"{prime} breaks generation by the complement")
     in_words = mod_s.base_change(words), mod_t.base_change(basis)
     src, tgt = map(_int_table, in_words)
-    words_inv = functools.cache(words.inv)   # taken at the first witness
+
+    def in_field(rows):
+        return Matrix([map(field, row) for row in rows])
+    # a witness basis Y words^-1 is multiplied in GF(prime) alone: basis
+    # and the inverse, taken at the first witness, hold no Q(i) 1 or 0
+    basis, invert = in_field(basis.rows), words.inv
+    words_inv = functools.cache(lambda: in_field(invert().rows))
     # word k has length layer[k], and [A^i, A^j] lies in A^(i+j)
     for tab in (src, tgt):
         if any(layer[k] < layer[i] + layer[j]
@@ -568,7 +575,7 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         in the two words tables.  A map that passes becomes the witness
         q = basis Y words^-1, its entries as ints: column c of q is the
         image of the source's e_c in the target's basis."""
-        y_map = Matrix([map(field, row) for row in zip(*y)])
+        y_map = in_field(zip(*y))
         why = verify_witness(*in_words, y_map)
         if why == _SINGULAR:
             level.rank += 1

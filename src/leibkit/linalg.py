@@ -8,8 +8,9 @@ every kernel) goes through one incremental echelon, ``_echelon``, on
 sparse rows {column: nonzero scalar}: it keeps the rows taken so far in
 reduced row echelon form, which is unique, so reduced forms are canonical
 for a given row space.  Every multiply-accumulate t + f*y of the kernel
-(eliminations, combinations, dot products) is the scalar's one
-``muladd(f, y)``.  A subspace keeps its echelon's sparse rows, so
+is the scalar's one ``muladd(f, y)``, in four loops: eliminations,
+combinations and dot products here, and the algebra's pass over its
+table's index.  A subspace keeps its echelon's sparse rows, so
 dense vectors appear only at the public edge (``Matrix``,
 ``Subspace(ambient, vectors)``, ``Subspace.basis``).  Q(i) entries and
 entries of one quadratic extension may share a matrix or a subspace.

@@ -562,18 +562,16 @@ def lift_mod_p(e: int, field: PrimeField) -> GaussianRational | None:
     |im| and denominator are at most _LIFT_BOX, in the order (|im|, |re|,
     denominator, im < 0, re < 0); None when there is none."""
     p, i_res = field.p, field.i_residue
-    best = None
-    for den in range(1, _LIFT_BOX + 1):
-        if den % p == 0:
-            continue    # no preimage has a denominator that p divides
-        t = e * den % p
-        for b in range(-_LIFT_BOX, _LIFT_BOX + 1):
-            a = (t - b * i_res) % p
-            if a > p // 2:
-                a -= p
-            if abs(a) > _LIFT_BOX:
-                continue
-            key = (abs(b), abs(a), den, b < 0, a < 0)
-            if best is None or key < best[0]:
-                best = (key, a, b, den)
-    return None if best is None else _normalised(*best[1:])
+    for level in range(_LIFT_BOX + 1):      # |im| leads the order
+        keys = []
+        for den in range(1, _LIFT_BOX + 1):
+            if den % p:     # no preimage has a denominator that p divides
+                for b in {level, -level}:
+                    a = (e * den - b * i_res) % p
+                    a = a - p if a > p // 2 else a
+                    if abs(a) <= _LIFT_BOX:
+                        keys.append((abs(a), den, b < 0, a < 0, a, b))
+        if keys:
+            _, den, _, _, a, b = min(keys)
+            return _normalised(a, b, den)
+    return None

@@ -223,7 +223,7 @@ def test_signature_index_pass_count(catalogue, monkeypatch):
             return method(self, *args)
         return call
 
-    for name in ("_unit_products", "_bracket_sparse"):
+    for name in ("_unit_products", "bracket"):
         monkeypatch.setattr(LeibnizAlgebra, name, counted(
             getattr(LeibnizAlgebra, name), name))
     per_point = {}
@@ -234,11 +234,11 @@ def test_signature_index_pass_count(catalogue, monkeypatch):
         fresh.check_leibniz()
         fresh.leib_ideal()
         fresh.lower_central_series()
-        assert "_bracket_sparse" not in calls, entry.name
+        assert "bracket" not in calls, entry.name
         calls.clear()
         signature(LeibnizAlgebra(alg.n, alg.table))
         per_point[entry.name] = (calls.count("_unit_products"),
-                                 calls.count("_bracket_sparse"))
+                                 calls.count("bracket"))
     assert per_point["A_1"] == (9, 0)
     assert [sum(c) for c in zip(*per_point.values())] == [1448, 0]
 

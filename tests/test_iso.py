@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from leibkit import exprs, iso
+from leibkit import exprs, iso, scalars
 from leibkit.algebra import LeibnizAlgebra
 from leibkit.catalogue import instantiate, sample_params
 from leibkit.iso import (
@@ -87,6 +87,16 @@ def _apply(matrix, vec):
     return tuple(sum(map(operator.mul, row, vec), ZERO) for row in matrix.rows)
 
 
+def _bracket_by_table(alg, u, v):
+    """[u, v] of dense vectors as the double sum of u_i v_j [e_i, e_j] over
+    the whole table, apart from the algebra's own products."""
+    acc = [ZERO] * alg.n
+    for (i, j), comps in alg.table.items():
+        for k, s in comps.items():
+            acc[k] = acc[k] + u[i] * v[j] * s
+    return tuple(acc)
+
+
 def _verify_by_products(source, target, matrix):
     """The check product by product: Q [e_i, e_j] against [Q e_i, Q e_j]
     for every (i, j), with the same four verdict texts."""
@@ -102,7 +112,7 @@ def _verify_by_products(source, target, matrix):
         for j in range(n):
             w = source.bracket_basis(i, j)
             lhs = _apply(matrix, tuple(w.get(k, ZERO) for k in range(n)))
-            rhs = target.bracket(cols[i], cols[j])
+            rhs = _bracket_by_table(target, cols[i], cols[j])
             if tuple(lhs) != tuple(rhs):
                 return f"product ({i + 1},{j + 1}) is not preserved"
     return None
@@ -794,6 +804,25 @@ def test_word_matrices_inverted_once_each(catalogue, monkeypatch):
                          instantiate(entry, {"alpha": -2}),
                          enough=lambda found: len(found) >= 3)
     assert (res.status, len(res.matrices), len(calls)) == ("found", 3, 3)
+
+
+def test_witness_multiplied_in_gf_p_alone(catalogue, monkeypatch):
+    # the leaf's basis Y words^-1 runs on GF(p) elements only: the word
+    # matrix and the inverse are taken into the field once, so no product
+    # there reduces a Q(i) 1 or 0
+    calls = []
+    reduce = scalars.reduce_mod_p
+
+    def counted(a, field):
+        calls.append(a)
+        return reduce(a, field)
+
+    monkeypatch.setattr(scalars, "reduce_mod_p", counted)
+    entry = catalogue.entry("A_5")
+    cert = certify(instantiate(entry, {"alpha": 2}),
+                   instantiate(entry, {"alpha": -2}))
+    assert (cert.status, cert.candidates, len(calls)) == (CERTIFIED, 2383,
+                                                          298)
 
 
 def test_lift_witness_values():

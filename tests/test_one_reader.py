@@ -16,13 +16,14 @@ brackets mod p are taken only by `residual` and by `images` for the
 word images, its set-up and leaf running on the reduced algebra's own
 methods; and its candidates are enumerated in one way, each call of
 `_runs` handing its runs straight to `_sweep`.  An
-algebra's structure passes read its products off the table's index by
-consumed component: `check_leibniz`, `_leib_ideal` and
-`_lower_central_series` never bracket two vectors, and
-`_bracket_sparse` is called only by `bracket`, `base_change` and
-`iso.verify_witness`.  Every scalar class has the fused multiply-add
-`muladd`, and the kernel's five multiply-accumulate loops call it.  The
-scalar
+algebra multiplies in one way, off the table's index by consumed
+component, and has no second product loop (no `_bracket_sparse`):
+`check_leibniz`, `subspace_product` and `_with_units`, the products
+[u, e_x] from which `bracket` and the column products of `base_change`
+and `iso.verify_witness` are summed, are its only readers, so
+`check_leibniz`, `_leib_ideal` and `_lower_central_series` never bracket
+two vectors.  Every scalar class has the fused multiply-add `muladd`,
+and the kernel's four multiply-accumulate loops call it.  The scalar
 tower's rules live in `scalars`: outside it, only `exprs.format_scalar`
 tests for a Fraction or reads a scalar's field, and inside it only
 `promote` and `_as_fraction` test for a Fraction; square roots are taken
@@ -161,17 +162,36 @@ def test_one_residual_per_relation():
         "images", "residual")}, brks
 
 
+def _named(node, name):
+    return name in (getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None))
+
+
 def test_structure_passes_bracket_no_vectors():
-    # so not check_leibniz, _leib_ideal or _lower_central_series
-    brackets = _calls(lambda func: getattr(func, "attr", None)
-                      == "_bracket_sparse", "_bracket_sparse")
-    assert set(brackets) == {("algebra.py", "bracket"),
-                             ("algebra.py", "base_change"),
-                             ("iso.py", "verify_witness")}, brackets
+    # one product loop: no `_bracket_sparse` is defined or named, and the
+    # table's index is read by the Leibniz check, by [A, V] and by
+    # `_with_units`, the products [u, e_x] from which `bracket`, [U, V]
+    # and the column products of a base change or a witness check are
+    # summed; so check_leibniz, _leib_ideal and _lower_central_series
+    # bracket no two vectors
+    assert _nodes(lambda node: _named(node, "_bracket_sparse"),
+                  "_bracket_sparse") == []
+    passes = _calls(lambda func: _named(func, "_unit_products"),
+                    "_unit_products")
+    assert set(passes) == {("algebra.py", "check_leibniz"),
+                           ("algebra.py", "subspace_product"),
+                           ("algebra.py", "_with_units")}, passes
+    columns = _calls(lambda func: _named(func, "_column_products"),
+                     "_column_products")
+    assert set(columns) == {("algebra.py", "base_change"),
+                            ("iso.py", "verify_witness")}, columns
+    brackets = _calls(lambda func: _named(func, "bracket"), "bracket")
+    assert set(brackets) == {("iso.py", "_words"),
+                             ("forms.py", "extract_v_form")}, brackets
 
 
 def test_kernel_loops_multiply_add_in_one_step():
-    # every class of `scalars` with a product has `muladd`, and the five
+    # every class of `scalars` with a product has `muladd`, and the four
     # loops that accumulate t + f*y call it, not `+` on a product
     bound = {}      # class of `scalars` -> the names its body binds
     [tree] = [tree for file, tree, _ in _package() if file == "scalars.py"]
@@ -192,7 +212,6 @@ def test_kernel_loops_multiply_add_in_one_step():
                    "muladd")
     assert set(calls) == {("linalg.py", "_sub_multiple"),
                           ("linalg.py", "_combine"), ("linalg.py", "_dot"),
-                          ("algebra.py", "_bracket_sparse"),
                           ("algebra.py", "_unit_products")}, calls
 
 
