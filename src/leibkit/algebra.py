@@ -10,10 +10,11 @@ over v's support; it is the algebra's one way to multiply, as [u, v] is
 sum_x v_x [u, e_x].  So no structure pass brackets unit vectors one at
 a time.  A^2 is the span of the table's own values; [A^2, A] and
 [A^2, A^2] share one pass per row of A^2, and a base change (so the
-witness check in `iso`) one pass per column.  The center is
-the left annihilator cap the right one.  The derivations Der(A) are the
-kernel of the map δ from n x n matrices to bilinear maps, whose sparse
-rows are built from the nonzero products alone.
+witness check in `iso`) one pass per column.  Leib(A), the Leibniz
+defects, the annihilators and Der(A) (the kernel of the map δ from n x n
+matrices to bilinear maps) are sums of terms read off the nonzero
+products, summed into sparse rows by `_sum_rows`; each kernel is one
+`_solutions` call.  The center is the left annihilator cap the right one.
 
 The defining identity is the left Leibniz identity
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from .linalg import (AmbientMismatch, Matrix, Subspace, _combine, _dense,
                      _nullspace, _support)
-from .scalars import ONE, ZERO, promote
+from .scalars import ONE, promote
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,25 @@ def _clean_table(table):
     return out
 
 
+def _sum_rows(terms) -> dict:
+    """{key: sparse row} summed from (key, column, coefficient) terms, the
+    keys in the order they first appear.  Every coefficient is nonzero,
+    so only an entry whose sum cancels is deleted, in place; a key whose
+    terms all cancel keeps an empty row."""
+    rows = {}
+    for key, col, s in terms:
+        row = rows.get(key)
+        if row is None:
+            rows[key] = {col: s}
+        elif col not in row:
+            row[col] = s
+        elif (t := row[col] + s).is_zero():
+            del row[col]
+        else:
+            row[col] = t
+    return rows
+
+
 class LeibnizAlgebra:
     """Left Leibniz algebra given by sparse structure constants.
 
@@ -71,7 +91,7 @@ class LeibnizAlgebra:
     __slots__ = ("n", "table", "_derived")
 
     def __init__(self, n: int, table: dict):
-        table = _clean_table(table)
+        # indices are checked before `_clean_table` drops the zeros
         for (i, j), comps in table.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise IndexError(f"bracket index ({i},{j}) outside basis")
@@ -79,7 +99,7 @@ class LeibnizAlgebra:
                 if not 0 <= k < n:
                     raise IndexError(f"component index {k} outside basis")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", _clean_table(table))
         object.__setattr__(self, "_derived", {})
 
     def __setattr__(self, name, value):
@@ -163,28 +183,23 @@ class LeibnizAlgebra:
         [[e_a, e_b], e_x] the middle term at (a, b, x).  The index of the
         table by consumed component gives all n of either kind at once,
         so that is 2 passes per product in place of 3n^3 brackets over
-        all triples.
+        all triples.  The terms, the right side's negated, are summed per
+        triple; the least triple whose sum is not zero is the violation.
         """
-        terms = {}  # (i, j, k) -> [lhs, r1, r2], only where one is nonzero
+        terms = []  # (triple, m, coefficient) of lhs - r1 - r2
         for (a, b), comps in self.table.items():
             for x, outer in self._unit_products(comps, True).items():
-                terms.setdefault((x, a, b), [{}, {}, {}])[0] = outer
-                terms.setdefault((a, x, b), [{}, {}, {}])[2] = outer
+                lhs, r2 = (x, a, b), (a, x, b)
+                for m, s in outer.items():
+                    terms += ((lhs, m, s), (r2, m, -s))
             for x, inner in self._unit_products(comps, False).items():
-                terms.setdefault((a, b, x), [{}, {}, {}])[1] = inner
-        for triple in sorted(terms):
-            lhs, r1, r2 = terms[triple]
-            defect = dict(lhs)
-            for term in (r1, r2):
-                for m, s in term.items():
-                    t = defect.get(m, ZERO) - s
-                    if t.is_zero():
-                        defect.pop(m, None)
-                    else:
-                        defect[m] = t
-            if defect:
-                return LeibnizViolation(*triple, _dense(defect, self.n))
-        return None
+                r1 = (a, b, x)
+                terms += [(r1, m, -s) for m, s in inner.items()]
+        defects = _sum_rows(terms)
+        bad = min((t for t, row in defects.items() if row), default=None)
+        if bad is None:
+            return None
+        return LeibnizViolation(*bad, _dense(defects[bad], self.n))
 
     def is_lie(self) -> bool:
         # in characteristic 0, antisymmetry is equivalent to vanishing
@@ -281,37 +296,30 @@ class LeibnizAlgebra:
         # the square of e_i + e_j adds the polarised square [e_i, e_j] +
         # [e_j, e_i] to those of e_i and e_j, so the squares [e_i, e_i]
         # and the polarised squares span Leib; both are sums of products
-        rows = {}
-        for (i, j), comps in self.table.items():
-            row = rows.setdefault((min(i, j), max(i, j)), {})
-            for k, s in comps.items():
-                row[k] = row[k] + s if k in row else s
-        return Subspace._span(self.n, [
-            {k: s for k, s in row.items() if not s.is_zero()}
-            for row in rows.values()])
+        return Subspace._span(self.n, _sum_rows(
+            ((min(i, j), max(i, j)), k, s)
+            for (i, j), comps in self.table.items()
+            for k, s in comps.items()).values())
 
-    def _annihilator_rows(self, left: bool) -> list:
-        # one linear constraint per (probe basis vector j, component k):
-        # coordinate k of [x, e_j] (left) or of [e_j, x] (right) is 0
-        rows = {}
-        for (a, b), comps in self.table.items():
-            i, j = (a, b) if left else (b, a)
-            for k, s in comps.items():
-                rows.setdefault((j, k), {})[i] = s
-        return list(rows.values())
-
-    def _kernel(self, rows) -> Subspace:
-        return Subspace._span(self.n, _nullspace(rows, self.n))
+    @staticmethod
+    def _solutions(terms, ncols) -> Subspace:
+        """The kernel in F^ncols of the rows summed from `terms`, one row
+        per linear condition."""
+        return Subspace._span(ncols, _nullspace(_sum_rows(terms).values(),
+                                                ncols))
 
     def left_annihilator(self) -> Subspace:
-        """{x : [x, a] = 0 for all a}; contains the squares ideal."""
-        return self._once("left_ann", lambda: self._kernel(
-            self._annihilator_rows(True)))
+        """{x : [x, a] = 0 for all a}, the x whose [x, e_j] has no
+        component k for each (j, k); contains the squares ideal."""
+        return self._once("left_ann", lambda: self._solutions(
+            [((j, k), i, s) for (i, j), comps in self.table.items()
+             for k, s in comps.items()], self.n))
 
     def right_annihilator(self) -> Subspace:
-        """{x : [a, x] = 0 for all a}."""
-        return self._once("right_ann", lambda: self._kernel(
-            self._annihilator_rows(False)))
+        """{x : [a, x] = 0 for all a}: no [e_i, x] has a component k."""
+        return self._once("right_ann", lambda: self._solutions(
+            [((i, k), j, s) for (i, j), comps in self.table.items()
+             for k, s in comps.items()], self.n))
 
     def center(self) -> Subspace:
         return self._once("center", self._center)
@@ -320,31 +328,26 @@ class LeibnizAlgebra:
         # Z(A) = {x : [x, a] = [a, x] = 0 for all a}
         return self.left_annihilator().intersect(self.right_annihilator())
 
-    def _derivation_rows(self) -> list:
-        # the rows of delta: coordinate k of D[e_i, e_j] - [De_i, e_j]
-        # - [e_i, De_j] for each (i, j, k), linear in the entries of D,
-        # d[a][b] at column a*n + b; each product c_ab^m feeds n entries
-        # of each of the three terms
-        n = self.n
-        rows = {}
-        for (a, b), comps in self.table.items():
-            for m, s in comps.items():
-                for x in range(n):
-                    for key, col, t in (((a, b, x), x * n + m, s),
-                                        ((x, b, m), a * n + x, -s),
-                                        ((a, x, m), b * n + x, -s)):
-                        row = rows.setdefault(key, {})
-                        row[col] = row[col] + t if col in row else t
-        return [{c: s for c, s in row.items() if not s.is_zero()}
-                for row in rows.values()]
-
     def derivations(self) -> Subspace:
         """Der(A) in F^(n^2): the matrices D (D e_b = sum_a d[a][b] e_a,
         d[a][b] at coordinate a*n + b) with D[x, y] = [Dx, y] + [x, Dy].
         Its dimension is an isomorphism invariant outside `signature`."""
-        n2 = self.n * self.n
-        return self._once("der", lambda: Subspace._span(
-            n2, _nullspace(self._derivation_rows(), n2)))
+        return self._once("der", self._derivations)
+
+    def _derivations(self):
+        # the kernel of delta: coordinate k of D[e_i, e_j] - [De_i, e_j]
+        # - [e_i, De_j] is 0 for each (i, j, k), linear in the entries of
+        # D; each product c_ab^m feeds n entries of each of the three terms
+        n = self.n
+        terms = []
+        for (a, b), comps in self.table.items():
+            for m, s in comps.items():
+                t = -s
+                for x in range(n):
+                    terms += (((a, b, x), x * n + m, s),
+                              ((x, b, m), a * n + x, t),
+                              ((a, x, m), b * n + x, t))
+        return self._solutions(terms, n * n)
 
     # -- transport ---------------------------------------------------------
 

@@ -99,9 +99,3 @@ def check_derived_bound(sig: InvariantSignature) -> tuple[BoundsReport, BoundsRe
     else:
         rep_ii = BoundsReport(name_ii, False, "Leib(A) not contained in A^3")
     return rep_i, rep_ii
-
-
-def exclusion_instance() -> BoundsReport:
-    """The k=2, t=1 instance of part (ii): bound 4 rules out dimension 5."""
-    return BoundsReport("derived-bound-ii", True, "k=2, t=1, Leib in A^3",
-                        bound=derived_bound_ii(2, 1), observed=5)

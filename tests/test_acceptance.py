@@ -21,7 +21,7 @@ from leibkit.forms import (
 )
 from leibkit.invariants import signature
 from leibkit.iso import CERTIFIED, EVIDENCE, certify, verify_witness
-from leibkit.lemmas import exclusion_instance
+from leibkit.lemmas import BoundsReport, derived_bound_ii
 from leibkit.linalg import Matrix, SingularMatrix
 from leibkit.scalars import (ExtensionTowerNeeded, GaussianRational,
                              QuadExtField)
@@ -134,7 +134,8 @@ def test_criterion_4_dimension_bounds(full_run):
     bad = [(r.entry, o.check) for r in reports for p in r.points
            for o in p.outcomes
            if o.check.startswith("bound_") and not o.passed]
-    witness = exclusion_instance()
+    witness = BoundsReport("derived-bound-ii", True, "k=2, t=1, Leib in A^3",
+                           bound=derived_bound_ii(2, 1), observed=5)
     instance_ok = (witness.bound == 4 and witness.observed == 5
                    and witness.holds is False)
     _verdict(4, not bad and instance_ok,

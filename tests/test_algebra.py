@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leibkit.algebra import LeibnizAlgebra, LeibnizViolation
+from leibkit.algebra import LeibnizAlgebra, LeibnizViolation, _sum_rows
 from leibkit.catalogue import instantiate, sample_params
 from leibkit.iso import _mod_p
 from leibkit.linalg import AmbientMismatch, Matrix, SingularMatrix, Subspace
@@ -225,6 +225,17 @@ def test_constructor_drops_zero_products():
     assert alg.table == {}
 
 
+@pytest.mark.parametrize("table, message", [
+    ({(7, 0): {}}, r"bracket index \(7,0\)"),
+    ({(0, 0): {9: 0}}, "component index 9"),
+    ({(-1, 0): {0: 0}}, r"bracket index \(-1,0\)")],
+    ids=["bracket", "component", "negative"])
+def test_constructor_rejects_out_of_range_zero_products(table, message):
+    # the indices are checked before the zero products are dropped
+    with pytest.raises(IndexError, match=message):
+        LeibnizAlgebra(5, table)
+
+
 def test_int_and_fraction_constants_are_promoted():
     alg = LeibnizAlgebra(2, {(0, 0): {1: 1}, (0, 1): {1: Fraction(0)}})
     assert alg == SQUARE2
@@ -431,3 +442,65 @@ def test_leib_ideal_is_the_span_of_squares(n_table):
             for i in range(n) for j in range(i, n)]
     assert alg.leib_ideal() == Subspace(n, [alg.bracket(x, x)
                                             for x in sums])
+
+
+# -- summed rows and their kernels ------------------------------------------
+
+nonzero = st.builds(GaussianRational, st.fractions(-2, 2, max_denominator=3),
+                    st.fractions(-2, 2, max_denominator=3)).filter(
+                        lambda x: not x.is_zero())
+
+
+@st.composite
+def row_terms(draw):
+    """(terms, ncols): (key, column, nonzero coefficient) terms with keys
+    0..5, shuffled; some are repeated negated, so entries cancel, and
+    every term of key 5 is, so its whole row cancels."""
+    ncols = draw(st.integers(1, 6))
+    column = st.integers(0, ncols - 1)
+    terms = draw(st.lists(st.tuples(st.integers(0, 4), column, nonzero),
+                          max_size=20))
+    terms += draw(st.lists(st.tuples(st.just(5), column, nonzero),
+                           max_size=3))
+    negated = [t for t in terms if t[0] == 5]
+    if terms:
+        negated += draw(st.lists(st.sampled_from(terms), max_size=8))
+    terms += [(key, col, -s) for key, col, s in negated]
+    return draw(st.permutations(terms)), ncols
+
+
+def _plain_sum(terms):
+    """Each key's row, keys in first-seen order: every column's total of
+    the key's coefficients, where it is not zero."""
+    rows = {}
+    for key, col, s in terms:
+        totals = rows.setdefault(key, {})
+        totals[col] = totals.get(col, ZERO) + s
+    return {key: {col: s for col, s in totals.items() if not s.is_zero()}
+            for key, totals in rows.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_terms())
+@example(([(0, 0, ONE), (1, 2, ONE), (0, 0, -ONE), (1, 1, ONE)], 3))
+def test_summed_rows_and_their_kernel(terms_ncols):
+    terms, ncols = terms_ncols
+    rows = _sum_rows(terms)
+    want = _plain_sum(terms)
+    assert list(rows.items()) == list(want.items())
+    # the kernel assembled from the RREF of the dense matrix of the same
+    # terms: 1 at each free column, minus that column of each pivot row
+    # at its pivot
+    dense = [[ZERO] * ncols for _ in range(6)]
+    for key, col, s in terms:
+        dense[key][col] += s
+    red, _, pivots = Matrix(dense).rref()
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [GaussianRational(int(c == fc)) for c in range(ncols)]
+        for i, pc in enumerate(pivots):
+            vec[pc] = -red[i, fc]
+        kernel.append(vec)
+    solutions = LeibnizAlgebra._solutions(terms, ncols)
+    assert solutions == Subspace(ncols, kernel)
+    assert solutions.dim == ncols - len(pivots)

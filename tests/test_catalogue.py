@@ -251,8 +251,8 @@ def test_load_memo_serves_sampling_and_witnesses(monkeypatch):
 
 def test_structure_computed_once_per_algebra(catalogue, monkeypatch):
     # count the computations behind the cached accessors
-    computed = {"_lower_central_series": [], "_center": [],
-                "_annihilator_rows": []}
+    computed = {"_lower_central_series": [], "_center": []}
+    solved = []     # the kernel of each `_solutions` call
 
     def counted(attr):
         original = getattr(LeibnizAlgebra, attr)
@@ -264,15 +264,21 @@ def test_structure_computed_once_per_algebra(catalogue, monkeypatch):
 
     for attr in computed:
         monkeypatch.setattr(LeibnizAlgebra, attr, counted(attr))
+    solutions = LeibnizAlgebra._solutions
+
+    def solve(terms, ncols):
+        solved.append(solutions(terms, ncols))
+        return solved[-1]
+    monkeypatch.setattr(LeibnizAlgebra, "_solutions", staticmethod(solve))
 
     report = verify_point(catalogue.entry("A_5"), {"alpha": 2})
     assert report.passed
     [(algebra,)] = computed["_lower_central_series"]
     assert computed["_center"] == [(algebra,)]
-    # each side's annihilator rows are built once, for its annihilator;
-    # the center is the two annihilators' intersection
-    assert sorted(computed["_annihilator_rows"], key=lambda c: c[1]) == [
-        (algebra, False), (algebra, True)]
+    # each side's annihilator is solved once, by one `_solutions` call,
+    # and kept; the center is the two annihilators' intersection
+    sides = [algebra.left_annihilator(), algebra.right_annihilator()]
+    assert sorted(map(id, solved)) == sorted(map(id, sides))
     assert isinstance(algebra.lower_central_series(), tuple)
     assert isinstance(algebra.derived_series(), tuple)
     assert len(computed["_lower_central_series"]) == 1

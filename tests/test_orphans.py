@@ -1,6 +1,7 @@
 """Every module-level function and class of the package is used somewhere,
-and so is every method and annotated field of its classes; every name a
-module imports is read in it."""
+and so is every method and annotated field of its classes; every function,
+class and method is named outside the tests, which may not keep API alive
+alone; every name a module imports is read in it."""
 
 import ast
 import re
@@ -32,6 +33,33 @@ def test_no_orphaned_definitions():
                 if words[name] < 2:
                     orphans.append("%s:%d %s" % (path.name, lineno, name))
     assert not orphans, "defined but never named elsewhere: %s" % orphans
+
+
+def test_no_definitions_only_tests_use():
+    # the same scan without the tests; dataclass fields are left out, as
+    # `Claims` reads its own through `fields()`
+    files = [p for d in ("src", "demos", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    words = Counter(w for p in files
+                    for w in re.findall(r"\w+", p.read_text()))
+    only_tests = []
+    for path in sorted((ROOT / "src" / "leibkit").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            names = [node.name]
+            if isinstance(node, ast.ClassDef):
+                names += [name for _, name in _class_members(node)
+                          if name not in _fields(node)]
+            only_tests += ["%s %s" % (path.name, name) for name in names
+                           if words[name] < 2]
+    assert not only_tests, "named only by the tests: %s" % only_tests
+
+
+def _fields(cls):
+    return {node.target.id for node in cls.body
+            if isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)}
 
 
 def _class_members(cls):
