@@ -184,18 +184,18 @@ class LeibnizAlgebra:
         table by consumed component gives all n of either kind at once,
         so that is 2 passes per product in place of 3n^3 brackets over
         all triples.  The terms, the right side's negated, are summed per
-        triple; the least triple whose sum is not zero is the violation.
+        triple in the order lhs, r1, r2, so each defect entry has the
+        scalar kind of lhs - r1 - r2; the least triple whose sum is not
+        zero is the violation.
         """
-        terms = []  # (triple, m, coefficient) of lhs - r1 - r2
+        lhs, r1, r2 = [], [], []  # (triple, m, coefficient), right negated
         for (a, b), comps in self.table.items():
             for x, outer in self._unit_products(comps, True).items():
-                lhs, r2 = (x, a, b), (a, x, b)
-                for m, s in outer.items():
-                    terms += ((lhs, m, s), (r2, m, -s))
+                lhs += [((x, a, b), m, s) for m, s in outer.items()]
+                r2 += [((a, x, b), m, -s) for m, s in outer.items()]
             for x, inner in self._unit_products(comps, False).items():
-                r1 = (a, b, x)
-                terms += [(r1, m, -s) for m, s in inner.items()]
-        defects = _sum_rows(terms)
+                r1 += [((a, b, x), m, -s) for m, s in inner.items()]
+        defects = _sum_rows(lhs + r1 + r2)
         bad = min((t for t, row in defects.items() if row), default=None)
         if bad is None:
             return None
