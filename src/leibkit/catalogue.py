@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
-from typing import Optional, get_args
+from typing import get_args
 
 from . import exprs
 from .algebra import LeibnizAlgebra
@@ -42,16 +42,20 @@ class NoAdmissiblePoint(RuntimeError):
 DIMENSION = 5  # the n of the classification, for catalogue and witness files
 
 
+# optional fields are written X | None, not Optional[X]: typing keeps
+# Optional[X] in a process-wide cache, where Optional[IsoCriteria] would
+# keep this module, and every module its functions reach, alive after
+# a fresh import of the package
 @dataclass(frozen=True)
 class Claims:
     """A case's claims, None where it makes none; `verify_point` also
     holds an algebra's computed values in one."""
-    dim_sq: Optional[int] = None
-    dim_cube: Optional[int] = None
-    dim_fourth: Optional[int] = None
-    dim_leib: Optional[int] = None
-    dim_center: Optional[int] = None
-    leib_equals_center: Optional[bool] = None
+    dim_sq: int | None = None
+    dim_cube: int | None = None
+    dim_fourth: int | None = None
+    dim_leib: int | None = None
+    dim_center: int | None = None
+    leib_equals_center: bool | None = None
 
 
 # each claim field, in report order, with the exact type of its value
@@ -70,7 +74,7 @@ class Product:
 class IsoCriteria:
     statement: str
     pairs: tuple      # of ((param, expr-text), ...) maps
-    invariant: Optional[str] = None
+    invariant: str | None = None
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ class CatalogueEntry:
     constraints_any: tuple    # clauses; each clause needs one nonzero member
     products: tuple
     claims: Claims
-    iso: Optional[IsoCriteria] = None
+    iso: IsoCriteria | None = None
 
     @property
     def is_parametric(self):

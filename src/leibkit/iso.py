@@ -389,30 +389,34 @@ def _structural_dims(alg: LeibnizAlgebra) -> tuple:
     return (alg.lower_central_dims(), alg.leib_ideal().dim, alg.center().dim)
 
 
-def _words(alg):
+def _words(alg, field):
     """Left-normed words [g_a, w] over the generators g_a, the unit
     vectors that complete A^2, each word kept when it is independent
     modulo the next series term: a basis adapted to the lower central
-    series of an algebra over GF(p).  Returns the words as the columns of
-    a matrix, for each word past the generators its pair (a, w), and each
-    word's layer.  The generators hold Q(i)'s 0 and 1, which the field
-    takes in as it takes in the kernel's pivots."""
+    series of an algebra over GF(p), `field`.  Returns the words as the
+    columns of a matrix, for each word past the generators its pair (a,
+    w), and each word's layer.  The words are sparse columns of the
+    field's own elements, so no product takes a Q(i) 1 or 0 into it."""
     n = alg.n
     words, pairs, layer = [], [], []
-    pending = [(None, tuple(int(t == i) for t in range(n))) for i in range(n)]
+    pending = [(None, {i: field(1)}) for i in range(n)]
     for t, below in enumerate(alg.lower_central_series()[1:], 1):
         if t > 1:   # the words of length t, none past the last term
-            pending = [((a, w), alg.bracket(words[a], words[w]))
-                       for a in range(layer.count(1))
+            if t == 2:  # [g_a, w] = sum_x w_x [g_a, e_x], one pass per g_a
+                rights = [alg._with_units(g) for g in words]
+            pending = [((a, w), _combine(rights[a], words[w]))
+                       for a in range(len(rights))
                        for w in range(len(words)) if layer[w] == t - 1]
         for pair, v in pending:
-            grown = below + Subspace(n, [v])
+            grown = below + Subspace._span(n, [v])
             if grown.dim > below.dim:
                 below = grown
                 words.append(v)
                 pairs.append(pair)
                 layer.append(t)
-    return Matrix(words).transpose(), pairs, layer
+    zero = field(0)
+    return Matrix._of([[w.get(r, zero) for w in words] for r in range(n)],
+                      len(words)), pairs, layer
 
 
 def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
@@ -470,8 +474,8 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
         raise ValueError("the layered search needs nilpotent algebras")
 
     # both sides in their own words; equal dims give them equal layers
-    words, pairs, layer = _words(mod_s)
-    basis, _, _ = _words(mod_t)
+    words, pairs, layer = _words(mod_s, field)
+    basis, _, _ = _words(mod_t, field)
     if words.ncols != n or basis.ncols != n:
         raise BadPrime(f"{prime} breaks generation by the complement")
     in_words = mod_s.base_change(words), mod_t.base_change(basis)
@@ -479,9 +483,10 @@ def adapted_search(source: LeibnizAlgebra, target: LeibnizAlgebra, *,
 
     def in_field(rows):
         return Matrix([map(field, row) for row in rows])
-    # a witness basis Y words^-1 is multiplied in GF(prime) alone: basis
-    # and the inverse, taken at the first witness, hold no Q(i) 1 or 0
-    basis, invert = in_field(basis.rows), words.inv
+    # a witness basis Y words^-1 is multiplied in GF(prime) alone: the
+    # words hold the field's own elements, and the inverse, computed at
+    # the first witness, is taken into the field once
+    invert = words.inv
     words_inv = functools.cache(lambda: in_field(invert().rows))
     # word k has length layer[k], and [A^i, A^j] lies in A^(i+j)
     for tab in (src, tgt):

@@ -42,11 +42,11 @@ class Matrix:
     Entries may be GaussianRational or QuadExtElem, and one matrix may
     hold both: the two kinds mix in arithmetic and in equality.  The only
     requirement is field arithmetic through the usual operators plus
-    is_zero(), inv() and muladd(f, y) = self + f*y duck typing.  int and
-    Fraction entries are promoted to GaussianRational on construction.
-    Identity blocks and kernel vectors are built from ONE and ZERO.  A
-    matrix with no rows may still have columns: the transpose of an n x 0
-    matrix is 0 x n.
+    is_zero(), is_one(), inv() and muladd(f, y) = self + f*y duck typing.
+    int and Fraction entries are promoted to GaussianRational on
+    construction.  Identity blocks and kernel vectors are built from ONE
+    and ZERO.  A matrix with no rows may still have columns: the
+    transpose of an n x 0 matrix is 0 x n.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -203,7 +203,7 @@ def _echelon(rows) -> dict:
             continue
         lead = min(row)
         x = row[lead]
-        if x != ONE:
+        if not x.is_one():
             inv = x.inv()
             row = {c: inv * y for c, y in row.items()}
         row[lead] = ONE

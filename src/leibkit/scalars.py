@@ -191,6 +191,9 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self._a == 0 and self._b == 0
 
+    def is_one(self) -> bool:
+        return self._a == 1 and self._b == 0 and self._d == 1
+
     def is_rational(self) -> bool:
         return self._b == 0
 
@@ -355,6 +358,9 @@ class QuadExtElem:
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
+
+    def is_one(self) -> bool:
+        return self.a.is_one() and self.b.is_zero()
 
     def lex_key(self):
         return (self.a.re, self.a.im, self.b.re, self.b.im)
@@ -529,6 +535,9 @@ class PrimeFieldElem:
 
     def is_zero(self) -> bool:
         return not self.value
+
+    def is_one(self) -> bool:
+        return self.value == 1
 
     def __eq__(self, other):
         return self.value == self.field(other).value

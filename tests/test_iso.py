@@ -613,7 +613,7 @@ def test_words_adapted_to_the_series(catalogue, p):
         dims = _structural_dims(reduced)
         if dims != _structural_dims(alg):
             continue
-        words, pairs, layer = _words(reduced)
+        words, pairs, layer = _words(reduced, field)
         cols = words.transpose().rows
         assert len(cols) == words.rref()[1] == 5, entry.name
         lower = dims[0]
@@ -807,9 +807,11 @@ def test_word_matrices_inverted_once_each(catalogue, monkeypatch):
 
 
 def test_witness_multiplied_in_gf_p_alone(catalogue, monkeypatch):
-    # the leaf's basis Y words^-1 runs on GF(p) elements only: the word
-    # matrix and the inverse are taken into the field once, so no product
-    # there reduces a Q(i) 1 or 0
+    # the search runs on GF(p) elements: the words are built from the
+    # field's own 1, the echelon tests a pivot by `is_one`, and the leaf's
+    # inverse is taken into the field once, so no product of the words,
+    # their base changes or the leaf's basis Y words^-1 reduces a Q(i) 1
+    # or 0, and no pivot test reduces Q(i)'s ONE
     calls = []
     reduce = scalars.reduce_mod_p
 
@@ -822,7 +824,7 @@ def test_witness_multiplied_in_gf_p_alone(catalogue, monkeypatch):
     cert = certify(instantiate(entry, {"alpha": 2}),
                    instantiate(entry, {"alpha": -2}))
     assert (cert.status, cert.candidates, len(calls)) == (CERTIFIED, 2383,
-                                                          298)
+                                                          96)
 
 
 def test_lift_witness_values():

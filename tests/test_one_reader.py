@@ -170,10 +170,10 @@ def _named(node, name):
 def test_structure_passes_bracket_no_vectors():
     # one product loop: no `_bracket_sparse` is defined or named, and the
     # table's index is read by the Leibniz check, by [A, V] and by
-    # `_with_units`, the products [u, e_x] from which `bracket`, [U, V]
-    # and the column products of a base change or a witness check are
-    # summed; so check_leibniz, _leib_ideal and _lower_central_series
-    # bracket no two vectors
+    # `_with_units`, the products [u, e_x] from which `bracket`, [U, V],
+    # the search's words and the column products of a base change or a
+    # witness check are summed; so check_leibniz, _leib_ideal,
+    # _lower_central_series and _words bracket no two vectors
     assert _nodes(lambda node: _named(node, "_bracket_sparse"),
                   "_bracket_sparse") == []
     passes = _calls(lambda func: _named(func, "_unit_products"),
@@ -186,8 +186,7 @@ def test_structure_passes_bracket_no_vectors():
     assert set(columns) == {("algebra.py", "base_change"),
                             ("iso.py", "verify_witness")}, columns
     brackets = _calls(lambda func: _named(func, "bracket"), "bracket")
-    assert set(brackets) == {("iso.py", "_words"),
-                             ("forms.py", "extract_v_form")}, brackets
+    assert set(brackets) == {("forms.py", "extract_v_form")}, brackets
 
 
 def test_kernel_loops_multiply_add_in_one_step():

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leibkit.exprs import format_scalar, parse_scalar
@@ -367,6 +367,29 @@ def test_gf_p_mixes_with_q_i_only():
         sqrt2 + x
     with pytest.raises(TypeError):
         hash(x)
+
+
+near_one = st.one_of(st.just(ONE), st.builds(
+    GaussianRational, st.fractions(-2, 2, max_denominator=3),
+    st.integers(-1, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@example(a=ONE, b=0, k=1, p=5)
+@given(a=near_one, b=st.one_of(st.just(0), near_one), k=st.integers(-30, 30),
+       p=st.sampled_from((5, 13)))
+def test_is_one_is_equality_to_one(a, b, k, p):
+    # the echelon tests a pivot by `is_one`, in the pivot's own field; on
+    # each scalar kind it says what == ONE says, for an extension value
+    # with a zero radical part too
+    field = PrimeField(p)
+    values = [a, QuadExtElem(a, b, QuadExtField(2)), field(k)]
+    try:
+        values.append(field(a))
+    except DenominatorDividesP:
+        pass
+    for x in values:
+        assert x.is_one() == (x == ONE), x
 
 
 # -- the integer triple against a Fraction-pair reference ----------------
