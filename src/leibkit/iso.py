@@ -176,41 +176,35 @@ def _variables(k):
 def _compile(polys, field):
     """The checks `polys` (ints or _Poly) along runs, or None when they
     span a nonzero constant and so fail everywhere.  `_echelon` reduces
-    them once over their monomials, highest first; its rows, as ints
-    through the field, lead with the lowest degree first.  On a run only
-    variable pos moves, so each row is a polynomial in it, t:
-    `along(vec, pos)` gives each row's coefficients of 1, t, t^2, ..."""
+    them once over their monomials, highest first, into rows of (monomial,
+    int) terms, the lowest-degree pivot first.  On a run only variable pos
+    moves, t: `along(vec, pos)` adds each term c mo, times mo's other
+    variables at vec, to its row's coefficient of t^mo.count(pos)."""
     p = field.p
     polys = [_as_poly(f) for f in polys]
-    monos = {mo[:d] for f in polys for mo in f for d in range(len(mo) + 1)}
-    monos = sorted(monos, key=lambda mo: (len(mo), mo))
-    index = {mo: e for e, mo in enumerate(monos)}
-    steps = [(index[mo[:-1]], mo[-1]) for mo in monos[1:]]
-    last = len(monos) - 1   # the column of the constant monomial
-    done = _echelon({last - index[mo]: field(c) for mo, c in f.items()
-                     if c % p} for f in polys)
-    if last in done:
+    monos = sorted({(), *(mo for f in polys for mo in f)},
+                   key=lambda mo: (len(mo), mo), reverse=True)
+    column = {mo: c for c, mo in enumerate(monos)}
+    done = _echelon({column[mo]: field(c) for mo, c in f.items() if c % p}
+                    for f in polys)
+    if column[()] in done:
         return None
-    basis = [[field(row[c]).value if c in row else 0
-              for c in range(last, -1, -1)]
-             for _, row in sorted(done.items(), reverse=True)]
-    layouts = {}
-
-    def layout(pos):
-        """Each row split by the degree in variable pos of its monomials."""
-        degrees = [mo.count(pos) for mo in monos]
-        return [[[c if d == deg else 0 for c, d in zip(row, degrees)]
-                 for deg in range(max(degrees + [1]) + 1)]
-                for row in basis]
+    rows = [[(monos[c], field(x).value) for c, x in row.items()]
+            for _, row in sorted(done.items(), reverse=True)]
 
     def along(vec, pos):
-        if pos not in layouts:
-            layouts[pos] = layout(pos)
-        vals = [1]
-        for e, var in steps:
-            vals.append(vals[e] if var == pos else vals[e] * vec[var] % p)
-        return [[sum(map(operator.mul, r, vals)) % p for r in row]
-                for row in layouts[pos]]
+        out = []
+        for row in rows:
+            f = [0, 0]
+            for mo, c in row:
+                d = mo.count(pos)
+                for var in mo:
+                    if var != pos:
+                        c *= vec[var]
+                f += [0] * (d + 1 - len(f))
+                f[d] += c
+            out.append([c % p for c in f])
+        return out
     return along
 
 

@@ -385,6 +385,10 @@ def test_subspace_product_checks_ambient():
         alg.subspace_product(Subspace(4, [(1, 0, 0, 0)]), alg.full_space())
     with pytest.raises(AmbientMismatch):
         alg.subspace_product(alg.full_space(), Subspace(6, []))
+    with pytest.raises(AmbientMismatch):
+        alg.bracket((1, 0, 0), (1, 0, 0, 0, 0))
+    with pytest.raises(AmbientMismatch):
+        alg.base_change(Matrix.identity(2))
 
 
 def _same_products(alg, spaces):

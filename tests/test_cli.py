@@ -336,6 +336,8 @@ def test_iso_verify_failing_witness(capsys, tmp_path):
     (["canon", "[[sqrt(i),0],[0,1]]"], None),
     (["invariants", "--entry", "A_5:alpha=%s*%s" % (THREES, THREES)], None),
     (["verify", "--entry", "A_242:alpha=%s*%s" % (THREES, THREES)], None),
+    (["verify", "--entry", "A_5:"], None),
+    (["canon", "[[1,2],[3,4],[5,6]]"], None),
 ])
 def test_misuse_exits_2(capsys, tmp_path, argv, file_text):
     if file_text is not None:

@@ -64,6 +64,8 @@ def test_kind_validation():
         CanonicalKind("mixed_v", GaussianRational(1))
     with pytest.raises(ValueError):
         CanonicalKind("skew_i", GaussianRational(2))
+    with pytest.raises(ValueError):
+        BilinearForm2(Matrix.identity(3))
     assert str(CanonicalKind("skew_i")) == "(i)"
 
 

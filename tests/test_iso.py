@@ -376,6 +376,15 @@ def test_compiled_bracket_matches_brk(data, p, n, k):
         assert nonzero([f]) == bool(c)
     assert not nonzero([f - c for f, c in zip(w, want)])
     assert nonzero(w) == any(want)
+    # at every t of that run, the rows all vanish exactly when every
+    # input polynomial does
+    along = _compile(w, PrimeField(p))
+    rows = along(tuple(point), pos) if along else None
+    for t in range(p):
+        moved = point[:pos] + [t] + point[pos + 1:]
+        vanish = not any(_poly_at(f, moved, p) for f in w)
+        assert vanish == (rows is not None
+                          and not any(_at(f, t, p) for f in rows))
 
 
 def _balanced(p):
@@ -544,6 +553,13 @@ def test_bad_prime(catalogue):
     cert = certify(alg, alg, primes=(13,), cap=100)
     assert cert.status == INCONCLUSIVE
     assert "13" in cert.detail
+    # dimensions that differ, and a Lie algebra that is not nilpotent
+    small = LeibnizAlgebra(2, {(0, 0): {1: 1}})
+    lie = LeibnizAlgebra(2, {(0, 1): {1: 1}, (1, 0): {1: -1}})
+    for a, b, why in ((instantiate(catalogue.entry("A_1")), small,
+                       "different dimensions"), (lie, lie, "nilpotent")):
+        with pytest.raises(ValueError, match=why):
+            adapted_search(a, b, prime=13, cap=100)
 
 
 def test_sqrt_constant_has_no_reduction():

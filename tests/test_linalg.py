@@ -101,6 +101,10 @@ def test_subspace_canonical_basis():
     assert Subspace(3, []).dim == 0
     with pytest.raises(AmbientMismatch):
         Subspace(3, [(1, 0)])
+    with pytest.raises(AmbientMismatch):
+        a + Subspace(2, [(1, 0)])
+    with pytest.raises(AmbientMismatch):
+        a.intersect(Subspace(2, [(1, 0)]))
 
 
 def test_subspace_sum_and_intersection():
