@@ -217,8 +217,8 @@ class LeibnizAlgebra:
         return value
 
     def full_space(self) -> Subspace:
-        return self._once("full", lambda: Subspace._span(
-            self.n, [{i: ONE} for i in range(self.n)]))
+        return self._once("full", lambda: Subspace._of(
+            self.n, {i: {i: ONE} for i in range(self.n)}))
 
     def subspace_product(self, u_space: Subspace, v_space: Subspace) -> Subspace:
         """Span of [u, v] over basis vectors of the two subspaces, read off
@@ -305,8 +305,12 @@ class LeibnizAlgebra:
     def _solutions(terms, ncols) -> Subspace:
         """The kernel in F^ncols of the rows summed from `terms`, one row
         per linear condition."""
-        return Subspace._span(ncols, _nullspace(_sum_rows(terms).values(),
-                                                ncols))
+        # reversed, a condition's pivot is its last column: each kernel vector
+        # has 1 at its least column, a free one, and 0 at all other free ones
+        rows = _sum_rows((key, ncols - 1 - c, x) for key, c, x in terms)
+        kernel = [{ncols - 1 - c: x for c, x in v.items()}
+                  for v in _nullspace(rows.values(), ncols)]
+        return Subspace._of(ncols, {min(v): v for v in kernel})
 
     def left_annihilator(self) -> Subspace:
         """{x : [x, a] = 0 for all a}, the x whose [x, e_j] has no

@@ -402,7 +402,7 @@ def _words(alg, field):
                        for a in range(len(rights))
                        for w in range(len(words)) if layer[w] == t - 1]
         for pair, v in pending:
-            grown = below + Subspace._span(n, [v])
+            grown = Subspace._span(n, below.echelon + (v,))
             if grown.dim > below.dim:
                 below = grown
                 words.append(v)

@@ -18,9 +18,11 @@ entries of one quadratic extension may share a matrix or a subspace.
 The public constructors ``Matrix(rows)`` and ``Subspace(ambient, vectors)``
 put caller entries through ``scalars.promote``.  What the kernel builds
 from its own scalars (the results of ``rref``, ``transpose``, ``@``,
-``inv`` and ``identity``, and the spans of sparse rows) goes through
-``Matrix._of`` and ``Subspace._span``, which trust their entries and
-skip the promotion.
+``inv`` and ``identity``, and its subspaces) goes through ``Matrix._of``
+and ``Subspace._of``, which trust their entries and skip the promotion.
+``Subspace._of``, the one place rows become a subspace, also trusts them
+to be reduced: ``_span`` is ``_of`` after ``_echelon``, and reduced rows
+(unit rows, Zassenhaus rows, a kernel) are taken as they stand.
 """
 
 from __future__ import annotations
@@ -227,32 +229,34 @@ class Subspace:
     """Subspace of F^n held as the RREF of a spanning set (zero rows dropped).
 
     ``echelon`` is ``_echelon``'s tuple of sparse rows, in pivot order, and
-    ``basis`` makes them dense.  The rows are shared, not copied (safe only
-    because ``_echelon`` copies every row it takes): nothing may mutate
-    them.  Two Subspace objects are equal iff they are literally the same
-    subspace; the canonical RREF makes that a comparison of rows.
+    ``basis`` makes them dense.  ``_of``, the one constructor, trusts its
+    {pivot: row} to be an RREF: 1 at each pivot, 0 at the other pivots.
+    The rows are shared, not copied (safe only because ``_echelon`` copies
+    every row it takes): nothing may mutate them.  Two Subspace objects
+    are equal iff they are literally the same subspace; the canonical RREF
+    makes that a comparison of rows.
     """
 
     __slots__ = ("ambient", "echelon")
 
-    def __init__(self, ambient: int, vectors):
+    def __new__(cls, ambient: int, vectors):
         vectors = list(vectors)
         if any(len(v) != ambient for v in vectors):
             raise AmbientMismatch("vector length differs from ambient dimension")
-        self._reduce(ambient, [_support(map(promote, v)) for v in vectors])
+        return cls._span(ambient, [_support(map(promote, v)) for v in vectors])
+
+    @classmethod
+    def _of(cls, ambient, done):
+        """The subspace of F^ambient whose RREF is `done`, as it stands."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient", ambient)
+        object.__setattr__(sub, "echelon", tuple(map(done.get, sorted(done))))
+        return sub
 
     @classmethod
     def _span(cls, ambient, rows):
-        """The span of sparse rows {coordinate: nonzero scalar} of F^ambient
-        that the kernel built; entries are trusted, not promoted."""
-        space = object.__new__(cls)
-        space._reduce(ambient, rows)
-        return space
-
-    def _reduce(self, ambient, rows):
-        done = _echelon(rows)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "echelon", tuple(map(done.get, sorted(done))))
+        """The span of sparse rows the kernel built; trusted, not promoted."""
+        return cls._of(ambient, _echelon(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -290,5 +294,5 @@ class Subspace:
         n = self.ambient
         done = _echelon([{**u, **{n + k: x for k, x in u.items()}}
                          for u in self.echelon] + list(other.echelon))
-        return Subspace._span(n, [{k - n: x for k, x in row.items()}
-                                  for p, row in done.items() if p >= n])
+        return Subspace._of(n, {p - n: {k - n: x for k, x in row.items()}
+                                for p, row in done.items() if p >= n})

@@ -187,25 +187,34 @@ def test_signature_computes_each_product_once(catalogue, monkeypatch):
 
 def test_signature_rref_count(catalogue, monkeypatch):
     # signature reduces each subspace it builds once, every reduction
-    # going through linalg's one elimination routine; 4,026 over the first
-    # points is the count since spans, rref and the center were put on
-    # one sparse echelon and the two intersections read from sums
-    calls = []
-    echelon = linalg._echelon
+    # going through linalg's one elimination routine, and takes the rows
+    # that are already reduced (the whole space's unit rows, the kernels'
+    # vectors and the intersection's rows) as they stand: 2,918 over the
+    # first points, 4,026 while those were eliminated a second time
+    calls, spaces = [], []
+    echelon, of = linalg._echelon, Subspace._of
 
     def counted(rows):
         calls.append(None)
         return echelon(rows)
 
+    def built(cls, ambient, done):
+        spaces.append(None)
+        return of(ambient, done)
+
     monkeypatch.setattr(linalg, "_echelon", counted)
+    monkeypatch.setattr(Subspace, "_of", classmethod(built))
     per_point = {}
     for entry in catalogue:
         alg = instantiate(entry, sample_params(entry, 1)[0])
         calls.clear()
+        spaces.clear()
         signature(LeibnizAlgebra(alg.n, alg.table))
         per_point[entry.name] = len(calls)
-    assert per_point["A_1"] == 16
-    assert sum(per_point.values()) == 4026
+        # one elimination per subspace, none for the whole space
+        assert len(calls) == len(spaces) - 1, entry.name
+    assert per_point["A_1"] == 12
+    assert sum(per_point.values()) == 2918
 
 
 def test_signature_index_pass_count(catalogue, monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from leibkit import exprs, iso, scalars
+from leibkit import exprs, iso, linalg, scalars
 from leibkit.algebra import LeibnizAlgebra
 from leibkit.catalogue import instantiate, sample_params
 from leibkit.iso import (
@@ -841,6 +841,27 @@ def test_witness_multiplied_in_gf_p_alone(catalogue, monkeypatch):
                    instantiate(entry, {"alpha": -2}))
     assert (cert.status, cert.candidates, len(calls)) == (CERTIFIED, 2383,
                                                           96)
+
+
+def test_certify_elimination_count(catalogue, monkeypatch):
+    # the search's set-up grows each side's span of words by one
+    # elimination per candidate word, and its layer systems, compiled
+    # checks and class dependence are one `_echelon` each: 102 in this
+    # certify, 146 while each word was spanned alone and then summed
+    calls = []
+    echelon = linalg._echelon
+
+    def counted(rows):
+        calls.append(None)
+        return echelon(rows)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    monkeypatch.setattr(iso, "_echelon", counted)
+    entry = catalogue.entry("A_5")
+    cert = certify(instantiate(entry, {"alpha": 2}),
+                   instantiate(entry, {"alpha": -2}))
+    assert (cert.status, cert.candidates, len(calls)) == (CERTIFIED, 2383,
+                                                          102)
 
 
 def test_lift_witness_values():

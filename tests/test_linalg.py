@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from leibkit.algebra import LeibnizAlgebra
+from leibkit.algebra import LeibnizAlgebra, _sum_rows
 from leibkit.linalg import (AmbientMismatch, Matrix, SingularMatrix, Subspace,
                             _dense, _nullspace, _support)
-from leibkit.scalars import GaussianRational, QuadExtElem, QuadExtField
+from leibkit.scalars import (ONE, GaussianRational, PrimeField,
+                             PrimeFieldElem, QuadExtElem, QuadExtField)
 
 
 def rand_matrix(rng, n=3, lo=-4, hi=4):
@@ -310,3 +311,58 @@ def test_spans_canonical_hashable_unaliased(vectors, coeffs):
     PRODUCT.subspace_product(a, b)
     _nullspace(list(a.echelon + b.echelon), 4)
     assert (_rows(a), _rows(b)) == before
+
+
+GF13 = PrimeField(13)
+qi = st.tuples(small, small).map(lambda ab: GaussianRational(*ab))
+# a field's entries, zero often, so rows are sparse and often dependent
+ENTRIES = {"Q(i)": qi, "Q(i) and Q(i)(sqrt 2)": st.one_of(qi, with_root),
+           "GF(13)": st.integers(0, 12).map(GF13)}
+
+
+def _typed(space):
+    """Each echelon row's (column, type, value) items in column order."""
+    return [[(c, type(x), x) for c, x in sorted(row.items())]
+            for row in space.echelon]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), field=st.sampled_from(sorted(ENTRIES)),
+       n=st.integers(1, 6))
+def test_reduced_rows_kept_as_they_stand(data, field, n):
+    # the kernel, the intersection and the whole space hand their rows to
+    # `Subspace._of` unreduced again; each must be the subspace that
+    # `Subspace._span` makes of the same rows: for the kernel the vectors
+    # `_nullspace` gives in the columns' own order.  Values only where
+    # Q(i)(sqrt 2) enters: there the reversed elimination may leave a Q(i)
+    # value where the second elimination left an equal extension value
+    def rows(count):
+        drawn = data.draw(st.lists(st.lists(ENTRIES[field], min_size=n,
+                                            max_size=n), max_size=count))
+        return [_support(row) for row in drawn]
+
+    conditions = rows(6)
+    terms = [(r, c, x) for r, row in enumerate(conditions)
+             for c, x in row.items()]
+    kernel = LeibnizAlgebra._solutions(terms, n)
+    u, v = Subspace._span(n, rows(4)), Subspace._span(n, rows(4))
+    cap = u.intersect(v)
+    pairs = [(kernel, Subspace._span(n, _nullspace(
+                 _sum_rows(terms).values(), n))),
+             (cap, Subspace._span(n, cap.echelon)),
+             (LeibnizAlgebra(n, {}).full_space(),
+              Subspace._span(n, [{i: ONE} for i in range(n)]))]
+    for got, want in pairs:
+        assert got == want
+        if field == "Q(i)" or (field == "GF(13)" and got is not kernel):
+            assert _typed(got) == _typed(want)
+    if field == "GF(13)":
+        # an echelon row's entries: Q(i)'s 1 at its pivot, GF(13)'s
+        # elsewhere; the second elimination kept `_nullspace`'s Q(i) 1
+        # where it fell off the pivot
+        assert all(type(x) is (GaussianRational if c == min(row)
+                               else PrimeFieldElem)
+                   for row in kernel.echelon for c, x in row.items())
+    # and the rows right of n in Zassenhaus's echelon span U cap V
+    assert (cap + u, cap + v) == (u, v)
+    assert cap.dim == u.dim + v.dim - (u + v).dim

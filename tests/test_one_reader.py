@@ -1,7 +1,8 @@
 """One place each, checked on the package's syntax trees: JSON is
 decoded only by the catalogue's document reader, check outcomes are
-built only by `verify_point`, and expression texts are parsed through
-one memo: `exprs.parse_expr` is called only by `catalogue._parsed` and
+built only by `verify_point`, a subspace's echelon is set only by
+`Subspace._of`, and expression texts are parsed through one memo:
+`exprs.parse_expr` is called only by `catalogue._parsed` and
 `exprs.parse_scalar`, `_parsed` only by `parse_expr_checked` and
 `_admissible`, and the memo is cleared only by `parse_catalogue`, once
 per load.  One elimination routine inverts pivots, `linalg._echelon`,
@@ -34,7 +35,7 @@ only `field_sqrt` calls, on Q(i) with `rational_sqrt`; and only
 i, mapping Q(i) into GF(p) and back.
 Vectors change between dense tuples and sparse rows (`linalg._support`
 and `_dense`) only at the public edge, where a caller hands a dense
-vector in or reads one out: `Matrix.rref`, `Subspace.__init__` and
+vector in or reads one out: `Matrix.rref`, `Subspace.__new__` and
 `Subspace.basis`, the algebra's `bracket`, `check_leibniz` and
 `base_change`, and `iso.verify_witness`."""
 
@@ -107,6 +108,26 @@ def test_check_outcomes_built_only_by_verify_point():
     assert calls == [("catalogue.py", "verify_point")], calls
 
 
+def _sets_echelon(node):
+    """A syntax node that writes a `Subspace`'s echelon: an assignment to
+    an `echelon` attribute, or a call (`setattr`, `object.__setattr__`)
+    that names it."""
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = getattr(node, "targets", None) or [node.target]
+        return any(isinstance(t, ast.Attribute) and t.attr == "echelon"
+                   for t in targets)
+    return isinstance(node, ast.Call) and any(
+        isinstance(a, ast.Constant) and a.value == "echelon"
+        for a in node.args)
+
+
+def test_subspaces_built_only_by_of():
+    # rows become a subspace in one place, `Subspace._of`, which trusts
+    # `_echelon`'s {pivot: row} as it stands; the spans and the public
+    # constructor reach it through one `_echelon` call each
+    assert _nodes(_sets_echelon, "echelon") == [("linalg.py", "_of")]
+
+
 def test_one_parse_memo():
     def named(name):
         return lambda func: name in (getattr(func, "id", None),
@@ -147,8 +168,8 @@ def test_dense_sparse_conversions_only_at_the_edge():
     for name in ("_support", "_dense"):
         found |= set(_nodes(lambda node: isinstance(node, ast.Name)
                             and node.id == name, name))
-    # "__init__" is Subspace's: Matrix's promotes without a sparse row
-    assert found == {("linalg.py", "rref"), ("linalg.py", "__init__"),
+    # "__new__" is Subspace's public constructor
+    assert found == {("linalg.py", "rref"), ("linalg.py", "__new__"),
                      ("linalg.py", "basis"),
                      ("algebra.py", "bracket"),
                      ("algebra.py", "check_leibniz"),
